@@ -39,6 +39,7 @@ integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
     collapsed under edge_eps).
 """
 
+import contextlib
 import ctypes
 import os
 import shutil
@@ -409,6 +410,10 @@ def _load_library() -> ctypes.CDLL:
         except OSError as exc:
             unusable.append(f"{d}: {exc}")
             continue
+        for old in d.glob("_kernels-*.so"):  # superseded builds, best effort
+            with contextlib.suppress(OSError):
+                if old.name != name and _owned(old):
+                    old.unlink()
         return ctypes.CDLL(str(d / name))
     raise CBuildError("no writable cache directory (" + "; ".join(unusable) + ")")
 

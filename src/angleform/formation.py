@@ -230,12 +230,6 @@ def cost_VF(spec: FormationSpec, p: Configuration) -> float:
     return 0.5 * float(r @ r)
 
 
-def _cost_VM(spec: FormationSpec, p: Configuration) -> float:
-    a, b = spec.maneuver.leaders.first, spec.maneuver.leaders.second
-    err = spec._dstar - (p.point(a) - p.point(b))
-    return 0.5 * float(err @ err)
-
-
 def control_uF(spec: FormationSpec, p: Configuration) -> ControlTerms:
     """Formation control u = -grad V_F, with per-agent decomposition.
 

@@ -10,8 +10,6 @@ import numpy as np
 
 from .errors import NonUnitVector
 
-# unit-norm deviation accepted without complaint
-UNIT_TOL = 1e-12
 # beyond this deviation the vector is rejected instead of renormalized
 UNIT_REJECT = 1e-9
 

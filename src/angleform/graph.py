@@ -9,6 +9,7 @@ block entries p_i - p_j.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,17 +27,15 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one vertex, got n={self.n}")
-        seen = set()
         prev = None
         for e in self.edges:
             i, j = e
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"edge {e} violates 1 <= i < j <= {self.n}")
-            if e in seen:
+            if e == prev:  # in sorted order, duplicates are neighbours
                 raise ValueError(f"duplicate edge {e}")
             if prev is not None and e < prev:
                 raise ValueError("edges not in canonical sorted order")
-            seen.add(e)
             prev = e
 
     @classmethod
@@ -54,8 +53,22 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    # caches derived from `edges` (cached_property bypasses frozen)
+    @cached_property
+    def _edge_set(self) -> frozenset:
+        return frozenset(self.edges)
+
+    @cached_property
+    def _adjacency(self) -> dict:
+        """Vertex -> sorted tuple of its neighbors."""
+        adj = {v: [] for v in range(1, self.n + 1)}
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return {v: tuple(sorted(nb)) for v, nb in adj.items()}
+
     def has_edge(self, i: int, j: int) -> bool:
-        return ((i, j) if i < j else (j, i)) in set(self.edges)
+        return ((i, j) if i < j else (j, i)) in self._edge_set
 
     def edge_index(self) -> dict:
         """Map each canonical edge to its row position."""
@@ -70,13 +83,7 @@ def _check_vertex(g: Graph, i: int) -> None:
 def neighbors(g: Graph, i: int) -> tuple:
     """Sorted neighbor labels of vertex i."""
     _check_vertex(g, i)
-    out = []
-    for a, b in g.edges:
-        if a == i:
-            out.append(b)
-        elif b == i:
-            out.append(a)
-    return tuple(sorted(out))
+    return g._adjacency[i]
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -155,15 +162,11 @@ def recognize_triangulated_laman(g: Graph) -> Optional[LamanConstruction]:
         return LamanConstruction(()) if g.edges == ((1, 2),) else None
     if g.n < 2 or g.m != 2 * g.n - 3:
         return None
-    adj = {v: set() for v in range(1, g.n + 1)}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj = {v: set(nb) for v, nb in g._adjacency.items()}  # not yet peeled
     peeled = []
-    alive = set(range(1, g.n + 1))
-    while len(alive) > 2:
+    while len(adj) > 2:
         pick = None
-        for v in sorted(alive, reverse=True):
+        for v in sorted(adj, reverse=True):
             if len(adj[v]) == 2:
                 a, b = sorted(adj[v])
                 if b in adj[a]:
@@ -175,9 +178,8 @@ def recognize_triangulated_laman(g: Graph) -> Optional[LamanConstruction]:
         adj[a].discard(v)
         adj[b].discard(v)
         del adj[v]
-        alive.discard(v)
         peeled.append((v, a, b))
-    if alive != {1, 2} or adj[1] != {2}:
+    if set(adj) != {1, 2} or adj[1] != {2}:
         return None
     return LamanConstruction(tuple(reversed(peeled)))
 

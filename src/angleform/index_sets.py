@@ -13,6 +13,7 @@ Five constructors with distinct provenance tags:
   bearing classes, 2m - n triples on a framework with m edges.
 """
 
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -32,21 +33,18 @@ from .rigidity import (
 
 def full_angle_set(g: Graph) -> AngleIndexSet:
     """All triples (i, j, k) with j < k both adjacent to apex i."""
-    triples = []
-    for i in range(1, g.n + 1):
-        nb = neighbors(g, i)
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                triples.append((i, nb[a], nb[b]))
-    return AngleIndexSet(tuple(sorted(triples)), "full")
+    triples = (
+        (i, j, k)
+        for i in range(1, g.n + 1)
+        for j, k in combinations(neighbors(g, i), 2)
+    )
+    return AngleIndexSet(tuple(triples), "full")
 
 
 def _two_apex_triples(g: Graph) -> list:
-    out = []
-    for a, b, c in _triangles(g):
-        out.append((a, b, c))
-        out.append((b, a, c))
-    return sorted(out)
+    return sorted(
+        t for a, b, c in _triangles(g) for t in ((a, b, c), (b, a, c))
+    )
 
 
 def triangle_formation_set(g: Graph) -> AngleIndexSet:

@@ -28,7 +28,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .geometry import perp, rotation
-from .graph import Graph, expanded_incidence
+from .graph import Graph, neighbors
 
 # adjacent points closer than this are treated as coincident
 EDGE_EPS = 1e-9
@@ -206,6 +206,24 @@ def bearing(p: Configuration, i: int, j: int) -> np.ndarray:
     return e / dist
 
 
+def _edge_ends(g: Graph) -> np.ndarray:
+    """(2, m) 0-based endpoints of the canonical edges."""
+    return np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T - 1
+
+
+def _bearing_terms(p: Configuration, a, b):
+    """Bearings g = e / |e| and blocks (I - g g^T) / |e| of e = p_a - p_b
+    for 0-based a, b; CoincidentPoints names the first pair too close."""
+    e = p.pts[a] - p.pts[b]
+    dist = np.hypot(e[:, 0], e[:, 1])
+    if np.any(dist < EDGE_EPS):
+        r = int(np.argmax(dist < EDGE_EPS))
+        raise CoincidentPoints(int(a[r]) + 1, int(b[r]) + 1, float(dist[r]))
+    gab = e / dist[:, None]
+    blk = (np.eye(2) - gab[:, :, None] * gab[:, None, :]) / dist[:, None, None]
+    return gab, blk
+
+
 def distance_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
     """Squared edge lengths in canonical edge order, shape (m,)."""
     out = np.empty(g.m)
@@ -217,10 +235,7 @@ def distance_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
 
 def bearing_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
     """Stacked bearings g_ij per canonical edge, shape (2m,)."""
-    out = np.empty(2 * g.m)
-    for r, (i, j) in enumerate(g.edges):
-        out[2 * r : 2 * r + 2] = bearing(p, i, j)
-    return out
+    return _bearing_terms(p, *_edge_ends(g))[0].reshape(-1)
 
 
 def angle_rigidity_function(
@@ -240,32 +255,26 @@ def angle_rigidity_function(
 
 def distance_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     """(m, 2n) Jacobian of the squared-length function."""
-    R = np.zeros((g.m, 2 * p.n))
-    for r, (i, j) in enumerate(g.edges):
-        e = p.point(i) - p.point(j)
-        R[r, 2 * i - 2 : 2 * i] = 2.0 * e
-        R[r, 2 * j - 2 : 2 * j] = -2.0 * e
-    return R
+    i, j = _edge_ends(g)
+    e = 2.0 * (p.pts[i] - p.pts[j])
+    R = np.zeros((g.m, p.n, 2))
+    R[np.arange(g.m), i], R[np.arange(g.m), j] = e, -e
+    return R.reshape(g.m, 2 * p.n)
 
 
 def bearing_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     """(2m, 2n) Jacobian of the bearing function.
 
-    Equals blockdiag(P(g_ij) / |e_ij|) @ (H kron I_2) and is assembled as
-    that literal product.
+    Equals blockdiag(P(g_ij) / |e_ij|) @ (H kron I_2) bit for bit: each
+    entry of that product has one nonzero term, so edge (i, j) puts its
+    block at the columns of i and the negated block at those of j.
     """
-    m, n = g.m, p.n
-    B = np.zeros((2 * m, 2 * m))
-    for r, (i, j) in enumerate(g.edges):
-        e = p.point(i) - p.point(j)
-        dist = float(np.hypot(e[0], e[1]))
-        if dist < EDGE_EPS:
-            raise CoincidentPoints(i, j, dist)
-        gij = e / dist
-        B[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = (
-            np.eye(2) - np.outer(gij, gij)
-        ) / dist
-    return B @ expanded_incidence(g)
+    i, j = _edge_ends(g)
+    _, blk = _bearing_terms(p, i, j)
+    R = np.zeros((g.m, 2, g.n, 2))
+    R[np.arange(g.m), :, i] = blk
+    R[np.arange(g.m), :, j] = -blk + 0.0  # the product's zeros are +0.0
+    return R.reshape(2 * g.m, 2 * g.n)
 
 
 def angle_rigidity_matrix(
@@ -273,24 +282,24 @@ def angle_rigidity_matrix(
 ) -> np.ndarray:
     """(w, 2n) Jacobian of the angle cosine function.
 
-    Assembled as R_g @ R_B: the row for triple (i, j, k) places g_ik^T in
-    the bearing block of edge (i, j) and g_ij^T in the block of edge
-    (i, k), with a sign flip wherever the triple traverses a canonical
-    edge against its stored orientation.
+    Equals R_g @ R_B, whose row for triple (i, j, k) is q_j + q_k at i,
+    -q_j at j, -q_k at k and zero elsewhere, where
+    q_j = g_ik^T P(g_ij) / |e_ij| and q_k = g_ij^T P(g_ik) / |e_ik|.
     """
     T.validate_for(g)
-    idx = g.edge_index()
-    Rg = np.zeros((len(T), 2 * g.m))
-    for r, (i, j, k) in enumerate(T.triples):
-        gij = bearing(p, i, j)
-        gik = bearing(p, i, k)
-        for other, vec in ((j, gik), (k, gij)):
-            if i < other:
-                e, sign = idx[(i, other)], 1.0
-            else:
-                e, sign = idx[(other, i)], -1.0
-            Rg[r, 2 * e : 2 * e + 2] = sign * vec
-    return Rg @ bearing_rigidity_matrix(g, p)
+    tri = T.as_array()
+    w = len(T)
+    # (i, j), (i, k) of each triple interleaved, so the first coincident
+    # pair is the one named; then every edge of g, as R_B needs them all
+    gab, blk = _bearing_terms(p, tri[:, [0, 0]].ravel(), tri[:, 1:].ravel())
+    _bearing_terms(p, *_edge_ends(g))
+    blk, wing = blk.reshape(w, 2, 2, 2), gab.reshape(w, 2, 2)[:, ::-1]
+    q = wing[:, :, 0, None] * blk[:, :, 0] + wing[:, :, 1, None] * blk[:, :, 1]
+    R = np.zeros((w, g.n, 2))
+    R[np.arange(w), tri[:, 0]] = q[:, 0] + q[:, 1]
+    R[np.arange(w), tri[:, 1]] = -q[:, 0]
+    R[np.arange(w), tri[:, 2]] = -q[:, 1]
+    return R.reshape(w, 2 * g.n)
 
 
 def trivial_motion_basis(p: Configuration) -> np.ndarray:
@@ -374,16 +383,10 @@ def is_infinitesimally_angle_rigid(
 
 def _triangles(g: Graph) -> list:
     """All vertex triangles a < b < c whose three edges exist."""
-    adj = {v: set() for v in range(1, g.n + 1)}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    out = []
-    for a, b in g.edges:
-        for c in sorted(adj[a] & adj[b]):
-            if c > b:
-                out.append((a, b, c))
-    return sorted(out)
+    adj = {v: set(neighbors(g, v)) for v in range(1, g.n + 1)}
+    return sorted(
+        (a, b, c) for a, b in g.edges for c in adj[a] & adj[b] if c > b
+    )
 
 
 def is_strongly_nondegenerate(

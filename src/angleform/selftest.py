@@ -16,7 +16,6 @@ from . import _kernels
 from .formation import (
     FormationSpec,
     IntegratorConfig,
-    Maneuver,
     PerturbationSpec,
     control_uF,
     cost_VF,
@@ -46,7 +45,6 @@ from .index_sets import (
     triangle_formation_set,
 )
 from .rigidity import (
-    AngleIndexSet,
     Configuration,
     SimilarityTransform,
     angle_congruence_check,
@@ -56,7 +54,6 @@ from .rigidity import (
     bearing_rigidity_matrix,
     is_infinitesimally_angle_rigid,
     is_infinitesimally_bearing_rigid,
-    is_infinitesimally_distance_rigid,
     numerical_rank,
     shape_class_membership,
     trivial_motion_basis,
@@ -597,7 +594,7 @@ def check_backend_agreement():
 
 
 def check_csv_roundtrip():
-    from .cli import _trajectory_csv, _cost_csv
+    from .cli import _trajectory_csv
 
     spec = FormationSpec(_FAN, _PENT)
     res = simulate(spec, PerturbationSpec(0.3, 6).sample(_PENT), IntegratorConfig(t_final=1.0))

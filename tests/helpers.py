@@ -2,8 +2,12 @@
 
 import numpy as np
 
-from angleform.graph import Graph, LamanConstruction
-from angleform.rigidity import Configuration, is_strongly_nondegenerate
+from angleform.graph import Graph, LamanConstruction, expanded_incidence
+from angleform.rigidity import (
+    Configuration,
+    bearing,
+    is_strongly_nondegenerate,
+)
 
 
 def random_construction(rng, n) -> LamanConstruction:
@@ -52,3 +56,39 @@ def random_connected_graph(rng, n, extra) -> Graph:
 def fan_construction(n) -> LamanConstruction:
     """The fan family: vertex v inserted on the edge (1, v - 1)."""
     return LamanConstruction(tuple((v, 1, v - 1) for v in range(3, n + 1)))
+
+
+# ---------------------------------------------------------------------
+# oracles: the rigidity matrices as the paper's literal dense products
+# ---------------------------------------------------------------------
+
+
+def bearing_matrix_product(g, p) -> np.ndarray:
+    """blockdiag(P(g_ij) / |e_ij|) @ (H kron I_2), edge by edge."""
+    B = np.zeros((2 * g.m, 2 * g.m))
+    for r, (i, j) in enumerate(g.edges):
+        gij = bearing(p, i, j)
+        dist = float(np.hypot(*(p.point(i) - p.point(j))))
+        B[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = (
+            np.eye(2) - np.outer(gij, gij)
+        ) / dist
+    return B @ expanded_incidence(g)
+
+
+def angle_matrix_product(g, p, T) -> np.ndarray:
+    """R_g @ R_B: the row of R_g for triple (i, j, k) holds g_ik^T in the
+    block of edge (i, j) and g_ij^T in the block of edge (i, k), negated
+    where the triple runs against the edge's stored orientation."""
+    T.validate_for(g)
+    idx = g.edge_index()
+    Rg = np.zeros((len(T), 2 * g.m))
+    for r, (i, j, k) in enumerate(T.triples):
+        gij = bearing(p, i, j)
+        gik = bearing(p, i, k)
+        for other, vec in ((j, gik), (k, gij)):
+            if i < other:
+                e, sign = idx[(i, other)], 1.0
+            else:
+                e, sign = idx[(other, i)], -1.0
+            Rg[r, 2 * e : 2 * e + 2] = sign * vec
+    return Rg @ bearing_matrix_product(g, p)

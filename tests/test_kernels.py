@@ -230,6 +230,18 @@ def test_c_build_skips_unwritable_cache_dir(monkeypatch, tmp_path):
     assert [p.name for p in built] == [_kernels._library_name()]
 
 
+@needs_cc
+def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
+    stale = tmp_path / "_kernels-00000000.so"
+    stale.write_bytes(b"superseded build")
+    unrelated = tmp_path / "notes.txt"
+    unrelated.write_text("kept")
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path])
+    assert _kernels.make_c_backend().name == "c"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([_kernels._library_name(), "notes.txt"])
+
+
 @pytest.mark.parametrize(
     "compiler, reason",
     [(None, "no C compiler"), ("false", "exited with")],

@@ -35,6 +35,8 @@ from angleform.rigidity import (
     trivial_motion_basis,
 )
 from helpers import (
+    angle_matrix_product,
+    bearing_matrix_product,
     fan_construction,
     generic_points,
     nondegenerate_points,
@@ -187,6 +189,68 @@ def test_angle_matrix_row_structure():
         others = [v for v in range(1, g.n + 1) if v not in (i, j, k)]
         for v in others:
             assert np.allclose(R[r, 2 * v - 2 : 2 * v], 0.0)
+
+
+def _frameworks(fan5, pentagon):
+    """fan5 on the pentagon, then seeded random Laman frameworks."""
+    yield fan5, pentagon, triangle_formation_set(fan5)
+    for n in (6, 20, 60):
+        rng = np.random.default_rng(300 + n)
+        c = random_construction(rng, n)
+        g = build_laman(c)
+        yield g, nondegenerate_points(rng, g), laman_minimal_set(c)
+
+
+def test_bearing_matrix_equals_product(fan5, pentagon):
+    # integer points give axis-aligned edges, hence exact zeros in blocks
+    grid = Configuration([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0], [1.0, 3.0]])
+    cases = [(g, p) for g, p, _ in _frameworks(fan5, pentagon)] + [(fan5, grid)]
+    for g, p in cases:
+        R = bearing_rigidity_matrix(g, p)
+        oracle = bearing_matrix_product(g, p)
+        assert np.array_equal(R, oracle)
+        assert np.array_equal(np.signbit(R), np.signbit(oracle))
+
+
+def test_angle_matrix_matches_product(fan5, pentagon):
+    for g, p, T in _frameworks(fan5, pentagon):
+        for S in (T, full_angle_set(g)):
+            R = angle_rigidity_matrix(g, p, S)
+            oracle = angle_matrix_product(g, p, S)
+            assert R.shape == oracle.shape
+            assert np.max(np.abs(R - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+
+
+def _coincident_pair(fn, *args):
+    with pytest.raises(CoincidentPoints) as err:
+        fn(*args)
+    return err.value.pair
+
+
+def test_bearing_matrix_coincident_names_first_edge(fan5):
+    # points 3 and 4 coincide, and so do 4 and 5: edge (3, 4) comes first
+    pts = Configuration([[0, 0], [1, 0], [1, 1], [1, 1], [1, 1]])
+    assert _coincident_pair(bearing_rigidity_matrix, fan5, pts) == (3, 4)
+    assert _coincident_pair(bearing_matrix_product, fan5, pts) == (3, 4)
+
+
+def test_angle_matrix_coincident_names_first_triple_pair(fan5):
+    four_five = Configuration([[0, 0], [1, 0], [1, 1], [0, 1], [0, 1]])
+    three_four_five = Configuration([[0, 0], [1, 0], [1, 1], [1, 1], [1, 1]])
+    cases = [
+        # first offending triple (4, 3, 5): its (i, k) pair
+        (four_five, [(1, 2, 3), (4, 3, 5), (5, 1, 4)], (4, 5)),
+        # the pair is apex first
+        (four_five, [(1, 2, 3), (5, 1, 4)], (5, 4)),
+        # (i, j) is checked before (i, k)
+        (three_four_five, [(4, 3, 5)], (4, 3)),
+        # no triple uses edge (4, 5): the edge is refused all the same
+        (four_five, [(1, 2, 3)], (4, 5)),
+    ]
+    for p, triples, pair in cases:
+        T = AngleIndexSet.from_triples(triples)
+        assert _coincident_pair(angle_rigidity_matrix, fan5, p, T) == pair
+        assert _coincident_pair(angle_matrix_product, fan5, p, T) == pair
 
 
 # ---------------------------------------------------------------------
