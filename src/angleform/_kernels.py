@@ -51,6 +51,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import angle_terms
+
 ENV_FLAG = "ANGLEFORM_NUMBA"
 
 STATUS_RAN = 0
@@ -222,23 +224,11 @@ if HAVE_NUMBA:
 
 def _control_np(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
     u = np.zeros_like(pos)
-    A = pos[tri[:, 0]]
-    B = pos[tri[:, 1]]
-    C = pos[tri[:, 2]]
-    eab = A - B
-    eac = A - C
-    lab = np.sqrt(np.sum(eab * eab, axis=1))
-    lac = np.sqrt(np.sum(eac * eac, axis=1))
-    cost = 0.0
+    cosv, q1, q2, lab, lac = angle_terms(pos, tri)
     if lab.size and (lab.min() < edge_eps or lac.min() < edge_eps):
-        return u, cost, False
-    gab = eab / lab[:, None]
-    gac = eac / lac[:, None]
-    cosv = np.sum(gab * gac, axis=1)
+        return u, 0.0, False
     d = cosv - cstar
     cost = 0.5 * float(d @ d)
-    q1 = (gac - cosv[:, None] * gab) / lab[:, None]
-    q2 = (gab - cosv[:, None] * gac) / lac[:, None]
     np.add.at(u, tri[:, 0], -d[:, None] * (q1 + q2))
     np.add.at(u, tri[:, 1], d[:, None] * q1)
     np.add.at(u, tri[:, 2], d[:, None] * q2)

@@ -3,9 +3,10 @@ simulation, and equilibrium diagnostics.
 
 The formation objective tracks target angle cosines over an index set:
 V_F(p) = 0.5 |f(p) - f(p*)|^2. The stabilizing law is the negative
-gradient u = -R^T (f(p) - f(p*)). A maneuver adds a leader term steering
-the displacement between two leader agents, which selects scale and
-orientation of the final shape.
+gradient u = -R^T (f(p) - f(p*)); f, the gradient terms of R and the
+recorded series all come from geometry.angle_terms. A maneuver adds a
+leader term steering the displacement between two leader agents, which
+selects scale and orientation of the final shape.
 
 Simulation integrates the flow with classical fixed-step RK4 through the
 kernels in angleform._kernels (compiled or pure-numpy backend).
@@ -24,6 +25,7 @@ from .errors import (
     NonPositiveSeries,
     ValidationError,
 )
+from .geometry import angle_terms
 from .graph import Graph, LamanConstruction, LeaderPair, build_laman
 from .index_sets import triangle_formation_set
 from .rigidity import (
@@ -32,7 +34,6 @@ from .rigidity import (
     Configuration,
     SimilarityTransform,
     angle_rigidity_function,
-    angle_rigidity_matrix,
     is_strongly_nondegenerate,
     shape_class_membership,
 )
@@ -42,8 +43,6 @@ COST_TOL = 1e-14
 GRAD_TOL = 1e-10
 # any coordinate beyond this magnitude aborts the run
 BLOWUP_LIMIT = 1e9
-# the per-agent and matrix forms of the control must agree this tightly
-CROSS_CHECK_TOL = 1e-10
 # residual infinity-norm for membership in the constraint-equilibrium set
 EQUILIBRIUM_TOL = 1e-8
 # block-equality tolerance for the translation-family membership test
@@ -81,6 +80,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method != "rk4":
             raise ValueError(f"unsupported method {self.method!r}")
+        for name in ("h", "t_final", "record_stride", "cost_tol", "grad_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.h > 0 and self.t_final > 0):
             raise ValueError("h and t_final must be positive")
         if self.record_stride < self.h:
@@ -231,41 +234,23 @@ def cost_VF(spec: FormationSpec, p: Configuration) -> float:
 
 
 def control_uF(spec: FormationSpec, p: Configuration) -> ControlTerms:
-    """Formation control u = -grad V_F, with per-agent decomposition.
+    """Formation control u = -grad V_F = -R^T r, with r the residual,
+    split by role.
 
-    Two independent evaluations are cross-checked: the matrix form
-    -R^T delta, and the per-agent sums of apex-role and wing-role
-    gradient terms. They must agree to CROSS_CHECK_TOL.
+    Each triple (i, j, k) adds r (q_j + q_k) to the apex term of i and
+    -r q_j, -r q_k to the wing terms of j and k (geometry.angle_terms);
+    the velocity is -(apex + wing), stacked. Raises CoincidentPoints as
+    angle_rigidity_function does.
     """
-    r = residual(spec, p)
-    R = angle_rigidity_matrix(spec.graph, p, spec.angle_set)
-    u_matrix = -(R.T @ r)
-
-    n = p.n
-    apex = np.zeros((n, 2))
-    wing = np.zeros((n, 2))
-    for d, (i, j, k) in zip(r, spec.angle_set.triples):
-        pi, pj, pk = p.point(i), p.point(j), p.point(k)
-        eij = pi - pj
-        eik = pi - pk
-        lij = float(np.hypot(eij[0], eij[1]))
-        lik = float(np.hypot(eik[0], eik[1]))
-        gij = eij / lij
-        gik = eik / lik
-        cosv = float(gij @ gik)
-        qj = (gik - cosv * gij) / lij
-        qk = (gij - cosv * gik) / lik
-        apex[i - 1] += d * (qj + qk)
-        wing[j - 1] += -d * qj
-        wing[k - 1] += -d * qk
-    u_agents = -(apex + wing).reshape(-1)
-
-    dev = float(np.max(np.abs(u_agents - u_matrix))) if n else 0.0
-    if dev > CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"control forms disagree by {dev:.3e} (> {CROSS_CHECK_TOL})"
-        )
-    return ControlTerms(u_agents, apex, wing)
+    tri = spec._tri
+    r = residual(spec, p)[:, None]
+    _, qj, qk, _, _ = angle_terms(p.pts, tri)
+    apex = np.zeros((p.n, 2))
+    wing = np.zeros((p.n, 2))
+    np.add.at(apex, tri[:, 0], r * (qj + qk))
+    np.add.at(wing, tri[:, 1], -r * qj)
+    np.add.at(wing, tri[:, 2], -r * qk)
+    return ControlTerms(-(apex + wing).reshape(-1), apex, wing)
 
 
 def control_uM(spec: FormationSpec, p: Configuration) -> np.ndarray:
@@ -402,16 +387,8 @@ def simulate(
     times = times[:n_rec].copy()
     traj = traj[:n_rec].copy()
 
-    # series are recomputed from the snapshots with vectorized numpy
-    A = traj[:, spec._tri[:, 0]]
-    B = traj[:, spec._tri[:, 1]]
-    C = traj[:, spec._tri[:, 2]]
-    eab = A - B
-    eac = A - C
-    lab = np.sqrt(np.sum(eab * eab, axis=2))
-    lac = np.sqrt(np.sum(eac * eac, axis=2))
-    cosv = np.sum(eab * eac, axis=2) / (lab * lac)
-    delta = cosv - spec.target_cosines[None, :]
+    # series are recomputed from all snapshots at once
+    delta = angle_terms(traj, spec._tri)[0] - spec.target_cosines
     vf = 0.5 * np.sum(delta * delta, axis=1)
     residual_norms = np.sqrt(np.sum(delta * delta, axis=1))
     if spec.maneuver is not None:

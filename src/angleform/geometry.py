@@ -1,4 +1,4 @@
-"""Planar rotations, reflections, projections, and perpendiculars.
+"""Planar rotations, reflections, projections, perpendiculars, angle terms.
 
 All functions operate on plain numpy arrays: directions are shape (2,),
 operators are shape (2, 2). Vectors passed as unit directions are accepted
@@ -57,3 +57,28 @@ def perp(x) -> np.ndarray:
     """Rotate x by +90 degrees: (x, y) -> (-y, x). Any length allowed."""
     v = np.asarray(x, dtype=float).reshape(2)
     return np.array([-v[1], v[0]])
+
+
+def angle_terms(pts, tri):
+    """(cos, q_j, q_k, |e_ij|, |e_ik|) of the angle triples at pts.
+
+    pts is (..., n, 2) and tri (w, 3) 0-based (apex i, wings j, k). With
+    g_ij = (p_i - p_j) / |e_ij|: cos = g_ij . g_ik, q_j = (g_ik - cos g_ij)
+    / |e_ij| and q_k = (g_ij - cos g_ik) / |e_ik|, so the gradient of cos
+    is q_j + q_k at i, -q_j at j and -q_k at k. Coincident points give
+    non-finite terms without a warning; callers check the lengths.
+    """
+    p = np.asarray(pts, dtype=float)
+    # e_ij becomes g_ij in place: a batch of many snapshots then holds
+    # no more (..., w, 2) arrays at once than the terms need
+    gij = p[..., tri[:, 0], :] - p[..., tri[:, 1], :]
+    gik = p[..., tri[:, 0], :] - p[..., tri[:, 2], :]
+    lij = np.hypot(gij[..., 0], gij[..., 1])
+    lik = np.hypot(gik[..., 0], gik[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gij /= lij[..., None]
+        gik /= lik[..., None]
+        cos = gij[..., 0] * gik[..., 0] + gij[..., 1] * gik[..., 1]
+        qj = (gik - cos[..., None] * gij) / lij[..., None]
+        qk = (gij - cos[..., None] * gik) / lik[..., None]
+    return cos, qj, qk, lij, lik

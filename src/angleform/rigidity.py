@@ -15,7 +15,6 @@ vector pointing from j toward i.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     NotAnEquilibrium,
     VertexOutOfRange,
 )
-from .geometry import perp, rotation
+from .geometry import angle_terms, perp, rotation
 from .graph import Graph, neighbors
 
 # adjacent points closer than this are treated as coincident
@@ -224,6 +223,31 @@ def _bearing_terms(p: Configuration, a, b):
     return gab, blk
 
 
+def _angle_terms(pts, tri):
+    """(cos, q_j, q_k) of geometry.angle_terms at pts (..., n, 2).
+
+    CoincidentPoints names the first triple's (i, j), else its (i, k),
+    that is too short, trying the snapshots of a batch in turn.
+    """
+    cos, qj, qk, lij, lik = angle_terms(pts, tri)
+    dist = np.moveaxis(np.stack([lij, lik], axis=-1), -2, 0)  # (w, ..., 2)
+    if np.any(dist < EDGE_EPS):
+        at = np.unravel_index(np.argmax(dist < EDGE_EPS), dist.shape)
+        i, other = tri[at[0], 0], tri[at[0], 1 + at[-1]]
+        raise CoincidentPoints(int(i) + 1, int(other) + 1, float(dist[at]))
+    return cos, qj, qk
+
+
+def _angle_matrix(tri, qj, qk, n) -> np.ndarray:
+    """(w, 2n) rows holding q_j + q_k at i, -q_j at j and -q_k at k."""
+    rows = np.arange(len(tri))
+    R = np.zeros((len(tri), n, 2))
+    R[rows, tri[:, 0]] = qj + qk
+    R[rows, tri[:, 1]] = -qj
+    R[rows, tri[:, 2]] = -qk
+    return R.reshape(len(tri), 2 * n)
+
+
 def distance_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
     """Squared edge lengths in canonical edge order, shape (m,)."""
     out = np.empty(g.m)
@@ -247,10 +271,7 @@ def angle_rigidity_function(
     collinear triples.
     """
     T.validate_for(g)
-    out = np.empty(len(T))
-    for r, (i, j, k) in enumerate(T.triples):
-        out[r] = bearing(p, i, j) @ bearing(p, i, k)
-    return np.clip(out, -1.0, 1.0)
+    return np.clip(_angle_terms(p.pts, T.as_array())[0], -1.0, 1.0)
 
 
 def distance_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
@@ -284,22 +305,15 @@ def angle_rigidity_matrix(
 
     Equals R_g @ R_B, whose row for triple (i, j, k) is q_j + q_k at i,
     -q_j at j, -q_k at k and zero elsewhere, where
-    q_j = g_ik^T P(g_ij) / |e_ij| and q_k = g_ij^T P(g_ik) / |e_ik|.
+    q_j = g_ik^T P(g_ij) / |e_ij| and q_k = g_ij^T P(g_ik) / |e_ik|
+    (geometry.angle_terms). Like the product, it refuses a coincident
+    edge of g that no triple uses.
     """
     T.validate_for(g)
     tri = T.as_array()
-    w = len(T)
-    # (i, j), (i, k) of each triple interleaved, so the first coincident
-    # pair is the one named; then every edge of g, as R_B needs them all
-    gab, blk = _bearing_terms(p, tri[:, [0, 0]].ravel(), tri[:, 1:].ravel())
+    _, qj, qk = _angle_terms(p.pts, tri)
     _bearing_terms(p, *_edge_ends(g))
-    blk, wing = blk.reshape(w, 2, 2, 2), gab.reshape(w, 2, 2)[:, ::-1]
-    q = wing[:, :, 0, None] * blk[:, :, 0] + wing[:, :, 1, None] * blk[:, :, 1]
-    R = np.zeros((w, g.n, 2))
-    R[np.arange(w), tri[:, 0]] = q[:, 0] + q[:, 1]
-    R[np.arange(w), tri[:, 1]] = -q[:, 0]
-    R[np.arange(w), tri[:, 2]] = -q[:, 1]
-    return R.reshape(w, 2 * g.n)
+    return _angle_matrix(tri, qj, qk, g.n)
 
 
 def trivial_motion_basis(p: Configuration) -> np.ndarray:
@@ -445,14 +459,10 @@ def angle_congruence_check(
     """Entrywise agreement of all complete-graph angle cosines."""
     if p.n != q.n:
         raise ValueError(f"point counts differ: {p.n} vs {q.n}")
-    verts = range(1, p.n + 1)
-    dev = 0.0
-    for i in verts:
-        for j, k in combinations([v for v in verts if v != i], 2):
-            fp = bearing(p, i, j) @ bearing(p, i, k)
-            fq = bearing(q, i, j) @ bearing(q, i, k)
-            dev = max(dev, abs(fp - fq))
-    return dev < tol
+    i, j, k = np.indices((p.n,) * 3).reshape(3, -1)
+    tri = np.column_stack([i, j, k])[(j < k) & (i != j) & (i != k)]
+    cos = _angle_terms(np.stack([p.pts, q.pts]), tri)[0]
+    return float(np.max(np.abs(cos[0] - cos[1]), initial=0.0)) < tol
 
 
 def jacobian_spectrum(
@@ -468,27 +478,17 @@ def jacobian_spectrum(
     them to 1e-9 (else NotAnEquilibrium); without it, p_eq is taken as its
     own reference and the linearization is exact at p_eq by construction.
     """
-    tri = np.asarray(T.triples, dtype=np.int64).reshape(-1, 3)
-    n = p_eq.n
-    R = np.zeros((tri.shape[0], 2 * n))
-    cos = np.empty(tri.shape[0])
-    for r, (i, j, k) in enumerate(tri):
-        gij = bearing(p_eq, int(i), int(j))
-        gik = bearing(p_eq, int(i), int(k))
-        lij = float(np.linalg.norm(p_eq.point(int(i)) - p_eq.point(int(j))))
-        lik = float(np.linalg.norm(p_eq.point(int(i)) - p_eq.point(int(k))))
-        cos[r] = gij @ gik
-        qj = (gik - cos[r] * gij) / lij
-        qk = (gij - cos[r] * gik) / lik
-        R[r, 2 * i - 2 : 2 * i] = qj + qk
-        R[r, 2 * j - 2 : 2 * j] = -qj
-        R[r, 2 * k - 2 : 2 * k] = -qk
+    tri = T.as_array()
+    if tri.size and not (0 <= tri.min() and tri.max() < p_eq.n):
+        raise VertexOutOfRange(f"angle set reaches outside 1..{p_eq.n}")
+    cos, qj, qk = _angle_terms(p_eq.pts, tri)
     if target_cosines is not None:
         resid = float(np.max(np.abs(cos - np.asarray(target_cosines))))
         if resid >= 1e-9:
             raise NotAnEquilibrium(
                 f"angle residual {resid:.3e} exceeds 1e-9"
             )
+    R = _angle_matrix(tri, qj, qk, p_eq.n)
     J = -(R.T @ R)
     if maneuver is not None:
         J = J - np.asarray(maneuver, dtype=float)

@@ -23,6 +23,7 @@ from .formation import (
     degenerate_freeze_check,
     equivariance_check,
     monitors,
+    residual,
     simulate,
 )
 from .geometry import householder, perp, projection, reflection, rotation
@@ -495,10 +496,13 @@ def check_kite_global_distinguishes():
 def check_control_dual_form():
     rng = np.random.default_rng(50)
     spec = FormationSpec(_FAN, _PENT)
+    worst = 0.0
     for _ in range(10):
         p = Configuration(_PENT.pts + rng.uniform(-0.4, 0.4, size=(5, 2)))
-        control_uF(spec, p)  # raises if the two forms disagree
-    return True, "matrix and per-agent forms agree to 1e-10"
+        R = angle_rigidity_matrix(_FAN, p, spec.angle_set)
+        dev = control_uF(spec, p).velocity + R.T @ residual(spec, p)
+        worst = max(worst, float(np.max(np.abs(dev))))
+    return worst < 1e-10, f"role sums match -R^T r to {worst:.1e}"
 
 
 def check_equivariance():

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from angleform.formation import residual
 from angleform.graph import Graph, LamanConstruction, expanded_incidence
 from angleform.rigidity import (
     Configuration,
@@ -59,7 +60,8 @@ def fan_construction(n) -> LamanConstruction:
 
 
 # ---------------------------------------------------------------------
-# oracles: the rigidity matrices as the paper's literal dense products
+# oracles: the rigidity matrices as the paper's literal dense products,
+# and the formation control summed triple by triple
 # ---------------------------------------------------------------------
 
 
@@ -92,3 +94,25 @@ def angle_matrix_product(g, p, T) -> np.ndarray:
                 e, sign = idx[(other, i)], -1.0
             Rg[r, 2 * e : 2 * e + 2] = sign * vec
     return Rg @ bearing_matrix_product(g, p)
+
+
+def control_per_agent(spec, p):
+    """(velocity, apex, wing) of -grad V_F, one triple at a time: each
+    triple adds its residual times its gradient blocks to the role sums
+    of its three agents."""
+    apex = np.zeros((p.n, 2))
+    wing = np.zeros((p.n, 2))
+    for d, (i, j, k) in zip(residual(spec, p), spec.angle_set.triples):
+        eij = p.point(i) - p.point(j)
+        eik = p.point(i) - p.point(k)
+        lij = float(np.hypot(eij[0], eij[1]))
+        lik = float(np.hypot(eik[0], eik[1]))
+        gij = eij / lij
+        gik = eik / lik
+        cosv = float(gij @ gik)
+        qj = (gik - cosv * gij) / lij
+        qk = (gij - cosv * gik) / lik
+        apex[i - 1] += d * (qj + qk)
+        wing[j - 1] += -d * qj
+        wing[k - 1] += -d * qk
+    return -(apex + wing).reshape(-1), apex, wing

@@ -196,6 +196,28 @@ def test_main_simulate_requires_out(tmp_path):
     assert cli.main(["simulate", "--scenario", str(sc)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field,literal",
+    [
+        ("record_stride", "NaN"),
+        ("t_final", "1e400"),
+        ("record_stride", "Infinity"),
+        ("h", "Infinity"),
+        ("cost_tol", "NaN"),
+        ("grad_tol", "-Infinity"),
+    ],
+)
+def test_main_rejects_non_finite_integrator_field(tmp_path, capsys, field, literal):
+    doc = _base_doc()
+    doc["integrator"][field] = "@"
+    sc = tmp_path / "s.json"
+    sc.write_text(json.dumps(doc).replace('"@"', literal))
+    code = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert f"{field} must be finite" in capsys.readouterr().out
+    assert not (tmp_path / "run").exists()
+
+
 def test_cost_csv_roundtrips_against_trajectory(tmp_path):
     sc = cli.load_scenario(_write(tmp_path, _base_doc()))
     out_dir = tmp_path / "run"

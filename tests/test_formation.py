@@ -19,11 +19,17 @@ from angleform.formation import (
     simulate,
 )
 from angleform.geometry import reflection, rotation
-from angleform.graph import Graph, LeaderPair
+from angleform.graph import Graph, LeaderPair, build_laman
 from angleform.index_sets import laman_minimal_set, triangle_formation_set
 from angleform.rigidity import Configuration, SimilarityTransform
 from angleform.errors import ValidationError
-from helpers import fan_construction
+from helpers import (
+    angle_matrix_product,
+    control_per_agent,
+    fan_construction,
+    nondegenerate_points,
+    random_construction,
+)
 
 
 @pytest.fixture
@@ -98,6 +104,31 @@ def test_control_terms_decompose(spec, pentagon):
     assert np.allclose(
         terms.velocity, -(terms.apex_terms + terms.wing_terms).reshape(-1)
     )
+
+
+def _control_cases(fan5, pentagon):
+    """Perturbed fan5/pentagon, then perturbed random Laman formations."""
+    rng = np.random.default_rng(34)
+    spec = FormationSpec(fan5, pentagon)
+    for _ in range(3):
+        yield spec, Configuration(pentagon.pts + rng.uniform(-0.3, 0.3, (5, 2)))
+    for n in (20, 60):
+        c = random_construction(rng, n)
+        g = build_laman(c)
+        target = nondegenerate_points(rng, g)
+        spec = FormationSpec(g, target, laman_minimal_set(c))
+        yield spec, Configuration(target.pts + rng.uniform(-0.05, 0.05, (n, 2)))
+
+
+def test_control_matches_oracles(fan5, pentagon):
+    for spec, p in _control_cases(fan5, pentagon):
+        terms = control_uF(spec, p)
+        u, apex, wing = control_per_agent(spec, p)
+        R = angle_matrix_product(spec.graph, p, spec.angle_set)
+        assert np.max(np.abs(terms.velocity - u)) <= 1e-10
+        assert np.max(np.abs(terms.apex_terms - apex)) <= 1e-10
+        assert np.max(np.abs(terms.wing_terms - wing)) <= 1e-10
+        assert np.max(np.abs(terms.velocity + R.T @ residual(spec, p))) <= 1e-10
 
 
 def test_control_uM_differs_only_at_leaders(fan5, pentagon):

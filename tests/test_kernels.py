@@ -1,6 +1,7 @@
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,17 @@ def test_status_coincident():
         )
         assert status == _kernels.STATUS_COINCIDENT, b.name
         assert t_stop == 0.0, b.name
+
+
+def test_numpy_control_refuses_coincident_silently():
+    spec = _spec()
+    pos = PENT.pts.copy()
+    pos[2] = pos[0]  # triple (1, 2, 3) loses its edge (1, 3)
+    args = (pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, cost, ok = _kernels.make_numpy_backend().eval_control(*args)
+    assert not ok and cost == 0.0 and not np.any(u)
 
 
 def test_status_nonfinite():

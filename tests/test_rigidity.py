@@ -219,6 +219,13 @@ def test_angle_matrix_matches_product(fan5, pentagon):
             oracle = angle_matrix_product(g, p, S)
             assert R.shape == oracle.shape
             assert np.max(np.abs(R - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+            # the function and the spectrum against their bearing forms
+            f = angle_rigidity_function(g, p, S)
+            loop = [bearing(p, i, j) @ bearing(p, i, k) for i, j, k in S.triples]
+            assert np.max(np.abs(f - np.clip(loop, -1, 1))) <= 4 * np.finfo(float).eps
+            eig = np.linalg.eigvalsh(-(oracle.T @ oracle))
+            scale = np.max(np.abs(eig))
+            assert np.max(np.abs(jacobian_spectrum(p, S) - eig)) <= 1e-13 * scale
 
 
 def _coincident_pair(fn, *args):
@@ -251,6 +258,26 @@ def test_angle_matrix_coincident_names_first_triple_pair(fan5):
         T = AngleIndexSet.from_triples(triples)
         assert _coincident_pair(angle_rigidity_matrix, fan5, p, T) == pair
         assert _coincident_pair(angle_matrix_product, fan5, p, T) == pair
+    # the function and the spectrum look only at the triples' own edges
+    for p, triples, pair in cases[:3]:
+        T = AngleIndexSet.from_triples(triples)
+        assert _coincident_pair(angle_rigidity_function, fan5, p, T) == pair
+        assert _coincident_pair(jacobian_spectrum, p, T) == pair
+
+
+def test_jacobian_spectrum_refuses_vertices_out_of_range(pentagon):
+    for triple in ((0, 1, 2), (1, 2, 6)):
+        with pytest.raises(ValueError):
+            jacobian_spectrum(pentagon, AngleIndexSet((triple,)))
+
+
+def test_angle_congruence_coincident_names_first_triple_pair():
+    # triple by triple, p's (i, j) and (i, k) come before q's
+    four_five = Configuration([[0, 0], [1, 0], [1, 1], [0, 1], [0, 1]])
+    one_two = Configuration([[0, 0], [0, 0], [1, 1], [0, 1], [2, 1]])
+    assert _coincident_pair(angle_congruence_check, four_five, one_two) == (1, 2)
+    assert _coincident_pair(angle_congruence_check, one_two, four_five) == (1, 2)
+    assert _coincident_pair(angle_congruence_check, four_five, four_five) == (4, 5)
 
 
 # ---------------------------------------------------------------------
