@@ -1,4 +1,4 @@
-"""Compare the compiled kernel backends with the pure-numpy one.
+"""Compare the C kernel backend with the pure-numpy one.
 
 Times single control evaluations and full fixed-step integrations on a
 small pentagon formation and on a larger random triangulated framework.
@@ -51,7 +51,7 @@ def _cases():
 
 def _bench_control(backend, spec, pos, repeats):
     args = (pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS)
-    backend.eval_control(*args)  # warm (JIT compile / cache load)
+    backend.eval_control(*args)  # warm (library load)
     t0 = time.perf_counter()
     for _ in range(repeats):
         backend.eval_control(*args)
@@ -84,11 +84,10 @@ def _bench_integrate(backend, spec, pos, config):
 
 def main():
     backends = [_kernels.make_numpy_backend()]
-    for make in (_kernels.make_numba_backend, _kernels.make_c_backend):
-        try:
-            backends.append(make())
-        except (ImportError, OSError, RuntimeError) as exc:
-            print(f"skipping {make.__name__}: {exc}")
+    try:
+        backends.append(_kernels.make_c_backend())
+    except (OSError, RuntimeError) as exc:
+        print(f"skipping the C backend: {exc}")
 
     config = IntegratorConfig(t_final=5.0)
     print(f"fixed-step integration: h={config.h}, t_final={config.t_final} "

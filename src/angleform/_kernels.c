@@ -1,10 +1,10 @@
 /* Compiled backend of angleform._kernels, loaded through ctypes.
 
-   A line-for-line transcription of _control_loop and the RK4 stepping
-   loop in _kernels.py; see that module's docstring for the contract.
-   Positions are flat (n, 2) row-major arrays: agent i is p[2*i],
-   p[2*i+1]. Expressions keep the Python evaluation order and the build
-   uses -ffp-contract=off, so no multiply-add is fused.
+   The loop form of _control_np and _integrate_np in _kernels.py, the
+   numpy reference it is tested against; see that module's docstring
+   for the contract. Positions are flat (n, 2) row-major arrays: agent
+   i is p[2*i], p[2*i+1]. Expressions are evaluated in source order and
+   the build uses -ffp-contract=off, so no multiply-add is fused.
 
    The caller allocates every array. work holds 6 * 2n doubles: the
    current position, the four RK4 stages and the stage position. */

@@ -1,22 +1,21 @@
 """Hot numeric kernels: control-law evaluation and the RK4 flow loop.
 
-Interchangeable backends implement the same contract:
+Two interchangeable backends implement the same contract:
 
-* numba: loop-style kernels under numba @njit(cache=True);
-* c: the same loops transcribed in _kernels.c, built with the system C
-  compiler on first use and loaded through ctypes;
+* c: the loops of _kernels.c, built with the system C compiler on first
+  use and loaded through ctypes;
 * numpy: vectorized control evaluation with the time stepping loop in
-  Python, the reference the others are tested against.
+  Python, the reference the C backend is tested against.
 
 The active backend is chosen on first use. Setting the environment
-variable ANGLEFORM_NUMBA=0 forces the numpy backend; otherwise numba is
-used when it imports, then the C backend when it is cached or builds,
-then numpy, with one RuntimeWarning that gives the reason. The built C
-library is cached under ~/.cache/angleform (or, when that is not
-writable, an angleform-<uid> directory in the temp directory), keyed by
-a CRC-32 of the source and the compiler flags, so later processes only
-load it. All backends stay constructible (when their dependencies exist) so
-they can be compared in one process, see benchmarks/bench_kernels.py.
+variable ANGLEFORM_NUMBA=0 forces the numpy backend; otherwise the C
+backend is used when it is cached or builds, else numpy, with one
+RuntimeWarning that gives the reason. The built C library is cached
+under ~/.cache/angleform (or, when that is not writable, an
+angleform-<uid> directory in the temp directory), keyed by a CRC-32 of
+the source and the compiler flags, so later processes only load it.
+Both backends stay constructible so they can be compared in one
+process, see benchmarks/bench_kernels.py.
 
 Kernel contract
 ---------------
@@ -54,6 +53,8 @@ import numpy as np
 from .geometry import angle_terms
 
 ENV_FLAG = "ANGLEFORM_NUMBA"
+# a constant now: perfbench/run.py::_environment still reads it
+HAVE_NUMBA = False
 
 STATUS_RAN = 0
 STATUS_CONVERGED = 1
@@ -65,156 +66,6 @@ class Backend(NamedTuple):
     name: str
     eval_control: object
     integrate: object
-
-
-# ---------------------------------------------------------------------
-# numba backend: loop-style bodies, too slow to run uncompiled
-# ---------------------------------------------------------------------
-
-
-def _control_loop(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
-    n = pos.shape[0]
-    w = tri.shape[0]
-    u = np.zeros((n, 2))
-    cost = 0.0
-    for t in range(w):
-        a = tri[t, 0]
-        b = tri[t, 1]
-        c = tri[t, 2]
-        eabx = pos[a, 0] - pos[b, 0]
-        eaby = pos[a, 1] - pos[b, 1]
-        eacx = pos[a, 0] - pos[c, 0]
-        eacy = pos[a, 1] - pos[c, 1]
-        lab = np.sqrt(eabx * eabx + eaby * eaby)
-        lac = np.sqrt(eacx * eacx + eacy * eacy)
-        if lab < edge_eps or lac < edge_eps:
-            return u, cost, False
-        gabx = eabx / lab
-        gaby = eaby / lab
-        gacx = eacx / lac
-        gacy = eacy / lac
-        cosv = gabx * gacx + gaby * gacy
-        d = cosv - cstar[t]
-        cost += 0.5 * d * d
-        # projector identity: P(g_ab) g_ac = g_ac - cos * g_ab
-        q1x = (gacx - cosv * gabx) / lab
-        q1y = (gacy - cosv * gaby) / lab
-        q2x = (gabx - cosv * gacx) / lac
-        q2y = (gaby - cosv * gacy) / lac
-        u[a, 0] -= d * (q1x + q2x)
-        u[a, 1] -= d * (q1y + q2y)
-        u[b, 0] += d * q1x
-        u[b, 1] += d * q1y
-        u[c, 0] += d * q2x
-        u[c, 1] += d * q2y
-    if lead_a >= 0:
-        ex = dsx - (pos[lead_a, 0] - pos[lead_b, 0])
-        ey = dsy - (pos[lead_a, 1] - pos[lead_b, 1])
-        u[lead_a, 0] += ex
-        u[lead_a, 1] += ey
-        u[lead_b, 0] -= ex
-        u[lead_b, 1] -= ey
-        cost += 0.5 * (ex * ex + ey * ey)
-    return u, cost, True
-
-
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _control_jit = _njit(cache=True)(_control_loop)
-
-    @_njit(cache=True)
-    def _integrate_jit(
-        pos0,
-        tri,
-        cstar,
-        edges,
-        h,
-        n_steps,
-        record_every,
-        lead_a,
-        lead_b,
-        dsx,
-        dsy,
-        blowup_limit,
-        edge_eps,
-        cost_tol,
-        grad_tol,
-    ):
-        n = pos0.shape[0]
-        max_rec = n_steps // record_every + 2
-        times = np.zeros(max_rec)
-        traj = np.zeros((max_rec, n, 2))
-        pos = pos0.copy()
-        traj[0] = pos
-        n_rec = 1
-        status = STATUS_RAN
-        t_stop = n_steps * h
-        for step in range(n_steps):
-            t = step * h
-            collapsed = False
-            for r in range(edges.shape[0]):
-                dx = pos[edges[r, 0], 0] - pos[edges[r, 1], 0]
-                dy = pos[edges[r, 0], 1] - pos[edges[r, 1], 1]
-                if np.sqrt(dx * dx + dy * dy) < edge_eps:
-                    collapsed = True
-            if collapsed:
-                status = STATUS_COINCIDENT
-                t_stop = t
-                break
-            k1, cost, ok1 = _control_jit(
-                pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-            )
-            if not ok1:
-                status = STATUS_COINCIDENT
-                t_stop = t
-                break
-            gnorm = np.sqrt(np.sum(k1 * k1))
-            if cost < cost_tol and gnorm < grad_tol:
-                status = STATUS_CONVERGED
-                t_stop = t
-                break
-            k2, c2, ok2 = _control_jit(
-                pos + (0.5 * h) * k1, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-            )
-            k3, c3, ok3 = _control_jit(
-                pos + (0.5 * h) * k2, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-            )
-            k4, c4, ok4 = _control_jit(
-                pos + h * k3, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-            )
-            if not (ok2 and ok3 and ok4):
-                status = STATUS_COINCIDENT
-                t_stop = t
-                break
-            pos = pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = False
-            for i in range(n):
-                # a NaN coordinate also fails these comparisons
-                if not (np.abs(pos[i, 0]) <= blowup_limit):
-                    bad = True
-                if not (np.abs(pos[i, 1]) <= blowup_limit):
-                    bad = True
-            if bad:
-                status = STATUS_NONFINITE
-                t_stop = (step + 1) * h
-                break
-            if (step + 1) % record_every == 0:
-                times[n_rec] = (step + 1) * h
-                traj[n_rec] = pos
-                n_rec += 1
-        if status == STATUS_RAN or status == STATUS_CONVERGED:
-            t_end = t_stop if status == STATUS_CONVERGED else n_steps * h
-            if times[n_rec - 1] < t_end:
-                times[n_rec] = t_end
-                traj[n_rec] = pos
-                n_rec += 1
-        return times, traj, n_rec, status, t_stop
 
 
 # ---------------------------------------------------------------------
@@ -499,18 +350,9 @@ def make_numpy_backend() -> Backend:
     return Backend("numpy", _control_np, _integrate_np)
 
 
-def make_numba_backend() -> Backend:
-    """The numba backend; raises ImportError when numba is absent."""
-    if not HAVE_NUMBA:
-        raise ImportError("numba is not installed")
-    return Backend("numba", _control_jit, _integrate_jit)
-
-
 def _select() -> Backend:
     if os.environ.get(ENV_FLAG, "1") == "0":
         return make_numpy_backend()
-    if HAVE_NUMBA:
-        return make_numba_backend()
     try:
         return make_c_backend()
     except (CBuildError, OSError) as exc:

@@ -138,35 +138,50 @@ class Scenario:
         return pert.sample(self.base)
 
 
+# the two kinds of scenario number; _typed checks exact types, so JSON
+# true and false are neither
+_INTEGER = (int,)
+_NUMBER = (int, float)
+
+
+def _typed(val, kinds, where: str):
+    """val itself when its type is one of kinds, else ParseError."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    if type(val) in kinds:
+        return val
+    names = "/".join(k.__name__ for k in kinds)
+    raise ParseError(f"{where}: expected {names}, got {type(val).__name__}")
+
+
 def _expect(block: dict, key: str, kinds, where: str, required=True, default=None):
     if key not in block:
         if required:
             raise ParseError(f"{where}: missing field {key!r}")
         return default
-    val = block[key]
-    if kinds is not None and not isinstance(val, kinds):
-        names = (
-            kinds.__name__
-            if isinstance(kinds, type)
-            else "/".join(k.__name__ for k in kinds)
-        )
-        raise ParseError(f"{where}.{key}: expected {names}, got {type(val).__name__}")
-    return val
+    return _typed(block[key], kinds, f"{where}.{key}")
+
+
+def _row(item, kinds, size: int, where: str, shape: str) -> tuple:
+    """A JSON list of exactly size values, each of one of kinds."""
+    if not isinstance(item, list) or len(item) != size:
+        raise ParseError(f"{where}: expected {shape}")
+    for k, val in enumerate(item):
+        if type(val) not in kinds:  # label built only for the error
+            _typed(val, kinds, f"{where}[{k}]")
+    return tuple(item)
+
+
+def _rows(raw, kinds, size: int, where: str, shape: str) -> list:
+    return [
+        _row(item, kinds, size, f"{where}[{idx}]", shape)
+        for idx, item in enumerate(raw)
+    ]
 
 
 def _reject_unknown(block: dict, allowed, where: str) -> None:
     extra = sorted(set(block) - set(allowed))
     if extra:
         raise ParseError(f"{where}: unknown field(s) {', '.join(extra)}")
-
-
-def _pair_list(raw, where: str) -> List[Tuple[int, int]]:
-    out = []
-    for idx, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise ParseError(f"{where}[{idx}]: expected a pair [i, j]")
-        out.append((int(item[0]), int(item[1])))
-    return out
 
 
 def load_scenario(path) -> Scenario:
@@ -214,7 +229,9 @@ def load_scenario(path) -> Scenario:
     if n < 1:
         raise ValidationError(f"graph.n must be positive, got {n}")
     edges_raw = _expect(gblock, "edges", list, "graph")
-    graph = Graph.from_edges(n, _pair_list(edges_raw, "graph.edges"))
+    graph = Graph.from_edges(
+        n, _rows(edges_raw, _INTEGER, 2, "graph.edges", "a pair [i, j]")
+    )
 
     cblock = _expect(doc, "configuration", dict, str(path))
     _reject_unknown(cblock, ("points", "generator", "perturbation"), "configuration")
@@ -226,14 +243,13 @@ def load_scenario(path) -> Scenario:
         )
     if has_points:
         pts = _expect(cblock, "points", list, "configuration")
-        arr = []
-        for idx, item in enumerate(pts):
-            if not isinstance(item, list) or len(item) != 2:
-                raise ParseError(
-                    f"configuration.points[{idx}]: expected a pair [x, y]"
-                )
-            arr.append([float(item[0]), float(item[1])])
-        base = Configuration(np.asarray(arr))
+        base = Configuration(
+            _rows(pts, _NUMBER, 2, "configuration.points", "a pair [x, y]")
+        )
+        if base.n != graph.n:
+            raise ValidationError(
+                f"configuration has {base.n} points, graph has {graph.n} vertices"
+            )
     else:
         gen = _expect(cblock, "generator", dict, "configuration")
         _reject_unknown(gen, ("kind", "n", "radius"), "configuration.generator")
@@ -243,24 +259,24 @@ def load_scenario(path) -> Scenario:
                 f"configuration.generator.kind: unknown generator {kind!r}"
             )
         gn = _expect(gen, "n", int, "configuration.generator")
+        if gn != graph.n:  # checked first: gn sizes the polygon
+            raise ValidationError(
+                f"configuration has {gn} points, graph has {graph.n} vertices"
+            )
         radius = float(
             _expect(
-                gen, "radius", (int, float), "configuration.generator",
+                gen, "radius", _NUMBER, "configuration.generator",
                 required=False, default=1.0,
             )
         )
         base = Configuration.regular_polygon(gn, radius)
-    if base.n != graph.n:
-        raise ValidationError(
-            f"configuration has {base.n} points, graph has {graph.n} vertices"
-        )
 
     perturbation = None
     if "perturbation" in cblock:
         pblock = _expect(cblock, "perturbation", dict, "configuration")
         _reject_unknown(pblock, ("amplitude", "seed"), "configuration.perturbation")
         amp = float(
-            _expect(pblock, "amplitude", (int, float), "configuration.perturbation")
+            _expect(pblock, "amplitude", _NUMBER, "configuration.perturbation")
         )
         seed = _expect(pblock, "seed", int, "configuration.perturbation")
         perturbation = PerturbationSpec(amp, seed)
@@ -275,12 +291,9 @@ def load_scenario(path) -> Scenario:
     explicit = None
     if source == "explicit":
         triples_raw = _expect(ablock, "triples", list, "angles")
-        triples = []
-        for idx, item in enumerate(triples_raw):
-            if not isinstance(item, list) or len(item) != 3:
-                raise ParseError(f"angles.triples[{idx}]: expected [i, j, k]")
-            triples.append((int(item[0]), int(item[1]), int(item[2])))
-        explicit = tuple(triples)
+        explicit = tuple(
+            _rows(triples_raw, _INTEGER, 3, "angles.triples", "[i, j, k]")
+        )
     elif "triples" in ablock:
         raise ParseError("angles.triples: only valid with source 'explicit'")
 
@@ -289,29 +302,24 @@ def load_scenario(path) -> Scenario:
         wblock = _expect(doc, "construction", dict, str(path))
         _reject_unknown(wblock, ("steps",), "construction")
         steps_raw = _expect(wblock, "steps", list, "construction")
-        steps = []
-        for idx, item in enumerate(steps_raw):
-            if not isinstance(item, list) or len(item) != 3:
-                raise ParseError(
-                    f"construction.steps[{idx}]: expected [new_vertex, i, j]"
-                )
-            steps.append((int(item[0]), int(item[1]), int(item[2])))
+        steps = _rows(
+            steps_raw, _INTEGER, 3, "construction.steps", "[new_vertex, i, j]"
+        )
         construction = LamanConstruction(tuple(steps))
 
     maneuver = None
     if "maneuver" in doc:
         mblock = _expect(doc, "maneuver", dict, str(path))
         _reject_unknown(mblock, ("leaders", "displacement"), "maneuver")
-        leaders_raw = _expect(mblock, "leaders", list, "maneuver")
-        if len(leaders_raw) != 2:
-            raise ParseError("maneuver.leaders: expected a pair [l1, l2]")
-        disp_raw = _expect(mblock, "displacement", list, "maneuver")
-        if len(disp_raw) != 2:
-            raise ParseError("maneuver.displacement: expected a pair [dx, dy]")
-        maneuver = Maneuver(
-            LeaderPair(int(leaders_raw[0]), int(leaders_raw[1])),
-            (float(disp_raw[0]), float(disp_raw[1])),
+        leaders = _row(
+            _expect(mblock, "leaders", list, "maneuver"),
+            _INTEGER, 2, "maneuver.leaders", "a pair [l1, l2]",
         )
+        displacement = _row(
+            _expect(mblock, "displacement", list, "maneuver"),
+            _NUMBER, 2, "maneuver.displacement", "a pair [dx, dy]",
+        )
+        maneuver = Maneuver(LeaderPair(*leaders), tuple(map(float, displacement)))
 
     integ = IntegratorConfig()
     if "integrator" in doc:
@@ -324,9 +332,7 @@ def load_scenario(path) -> Scenario:
         kwargs = {}
         for key in ("h", "t_final", "record_stride", "cost_tol", "grad_tol"):
             if key in iblock:
-                kwargs[key] = float(
-                    _expect(iblock, key, (int, float), "integrator")
-                )
+                kwargs[key] = float(_expect(iblock, key, _NUMBER, "integrator"))
         if "method" in iblock:
             kwargs["method"] = _expect(iblock, "method", str, "integrator")
         integ = IntegratorConfig(**kwargs)

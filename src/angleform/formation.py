@@ -49,6 +49,9 @@ EQUILIBRIUM_TOL = 1e-8
 TRANSLATION_TOL = 1e-8
 # samples below this are excluded from the decay-rate fit window
 DECAY_FLOOR = 1e-14
+# most agent positions (samples x agents) one run may record: 32 MB of
+# trajectory, some 50x the largest shipped or benchmarked run
+MAX_RECORDED_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,10 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be nonnegative")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(
+                f"amplitude must be finite and nonnegative, got {self.amplitude}"
+            )
 
     def sample(self, base: Configuration) -> Configuration:
         """base plus iid uniform(-amplitude, amplitude) per coordinate.
@@ -354,12 +359,22 @@ def simulate(
 
     Uses the maneuver law when the spec has a maneuver block, else the
     pure formation law. Raises BlowUp (with a time stamp) if a coordinate
-    leaves the trusted range or adjacent agents collide mid-run.
+    leaves the trusted range or adjacent agents collide mid-run, and
+    ValidationError before the run if it could record more than
+    MAX_RECORDED_POINTS agent positions.
     """
     if config is None:
         config = IntegratorConfig()
     if p0.n != spec.n:
         raise ValidationError(f"p0 has {p0.n} points, spec needs {spec.n}")
+    # the kernels preallocate every sample the run could record
+    samples = config.n_steps // config.record_every + 2
+    if samples * spec.n > MAX_RECORDED_POINTS:
+        raise ValidationError(
+            f"t_final {config.t_final} at record_stride {config.record_stride} "
+            f"records up to {samples} samples of {spec.n} agents, over the "
+            f"limit of {MAX_RECORDED_POINTS} recorded points"
+        )
 
     lead_a, lead_b = spec._lead
     times, traj, n_rec, status, t_stop = _kernels.integrate(

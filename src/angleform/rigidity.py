@@ -106,6 +106,8 @@ class AngleIndexSet:
         prev = None
         for t in self.triples:
             i, j, k = t
+            if min(t) < 1:
+                raise VertexOutOfRange(f"triple {t} has a vertex label below 1")
             if len({i, j, k}) != 3:
                 raise ValueError(f"triple {t} repeats a vertex")
             if not j < k:
@@ -133,11 +135,9 @@ class AngleIndexSet:
     def validate_for(self, g: Graph) -> None:
         """Require both edges of every triple to exist in g."""
         for i, j, k in self.triples:
+            if max(i, j, k) > g.n:
+                raise VertexOutOfRange(f"triple {(i, j, k)} outside 1..{g.n}")
             for other in (j, k):
-                if not (1 <= other <= g.n and 1 <= i <= g.n):
-                    raise VertexOutOfRange(
-                        f"triple {(i, j, k)} outside 1..{g.n}"
-                    )
                 if not g.has_edge(i, other):
                     raise NotAnEdge(
                         f"triple {(i, j, k)} needs edge ({i}, {other})"
@@ -479,7 +479,7 @@ def jacobian_spectrum(
     own reference and the linearization is exact at p_eq by construction.
     """
     tri = T.as_array()
-    if tri.size and not (0 <= tri.min() and tri.max() < p_eq.n):
+    if tri.size and tri.max() >= p_eq.n:
         raise VertexOutOfRange(f"angle set reaches outside 1..{p_eq.n}")
     cos, qj, qk = _angle_terms(p_eq.pts, tri)
     if target_cosines is not None:

@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angleform import cli
 from angleform.errors import ParseError, ValidationError
@@ -216,6 +219,143 @@ def test_main_rejects_non_finite_integrator_field(tmp_path, capsys, field, liter
     assert code == 2
     assert f"{field} must be finite" in capsys.readouterr().out
     assert not (tmp_path / "run").exists()
+
+
+def _set(path, value):
+    """A mutation of the scenario document that sets one nested field."""
+
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _points(doc):
+    doc["configuration"].pop("generator")
+    doc["configuration"]["points"] = [["0.5", 0], [1, 0], [1, 1], [0, 1], [0, 2]]
+
+
+@pytest.mark.parametrize(
+    "mutate,code,needle",
+    [
+        (
+            _set(("graph", "edges", 0), [1.7, 2]),
+            4,
+            "graph.edges[0][0]: expected int, got float",
+        ),
+        (
+            _set(("construction", "steps", 0), [3.9, 1, 2]),
+            4,
+            "construction.steps[0][0]: expected int, got float",
+        ),
+        (
+            _set(("graph", "edges", 0), [True, 2]),
+            4,
+            "graph.edges[0][0]: expected int, got bool",
+        ),
+        (
+            _set(("configuration", "perturbation", "seed"), True),
+            4,
+            "configuration.perturbation.seed: expected int, got bool",
+        ),
+        (
+            _set(("configuration", "generator", "radius"), True),
+            4,
+            "configuration.generator.radius: expected int/float, got bool",
+        ),
+        (
+            _set(("integrator", "h"), True),
+            4,
+            "integrator.h: expected int/float, got bool",
+        ),
+        (_set(("graph", "n"), True), 4, "graph.n: expected int, got bool"),
+        (
+            _set(("graph", "edges", 0), ["x", 2]),
+            4,
+            "graph.edges[0][0]: expected int, got str",
+        ),
+        (_points, 4, "configuration.points[0][0]: expected int/float, got str"),
+        (
+            _set(("configuration", "perturbation", "amplitude"), math.nan),
+            2,
+            "amplitude must be finite",
+        ),
+    ],
+    ids=[
+        "float-edge",
+        "float-step",
+        "bool-edge",
+        "bool-seed",
+        "bool-radius",
+        "bool-h",
+        "bool-n",
+        "str-edge",
+        "str-point",
+        "nan-amplitude",
+    ],
+)
+def test_main_rejects_mistyped_scenario_fields(
+    tmp_path, capsys, mutate, code, needle
+):
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    mutate(doc)
+    sc = _write(tmp_path, doc)
+    assert cli.main(["analyze", "--scenario", str(sc)]) == code
+    assert needle in capsys.readouterr().out
+
+
+def test_main_refuses_unbounded_trajectory(tmp_path, capsys):
+    doc = _base_doc()
+    doc["integrator"] = {"t_final": 1e4, "record_stride": 0.001}
+    sc = _write(tmp_path, doc)
+    out_dir = str(tmp_path / "run")
+    assert cli.main(["simulate", "--scenario", str(sc), "--out", out_dir]) == 2
+    out = capsys.readouterr().out
+    assert "t_final 10000.0 at record_stride 0.001" in out
+    assert "limit of 2000000 recorded points" in out
+    assert not (tmp_path / "run").exists()
+
+
+def _leaf_paths(node, path=()):
+    """Key/index paths of every scalar in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+_SHIPPED = {
+    p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))
+}
+_LEAVES = [(name, path) for name, doc in _SHIPPED.items() for path in _leaf_paths(doc)]
+_SCALARS = st.one_of(
+    st.integers(),
+    st.floats(),  # NaN and +-inf included
+    st.just(float("1e400")),  # what json reads for the literal 1e400
+    st.booleans(),
+    st.text("1.e-x ", max_size=4),  # full unicode costs seconds when cold
+    st.none(),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    leaf=st.sampled_from(_LEAVES),
+    value=st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+)
+def test_mutated_shipped_scenario_exits_with_a_documented_code(
+    tmp_path_factory, leaf, value
+):
+    name, path = leaf
+    doc = json.loads(json.dumps(_SHIPPED[name]))
+    _set(path, value)(doc)
+    sc = _write(tmp_path_factory.mktemp("mutant"), doc, name)
+    assert cli.main(["analyze", "--scenario", str(sc)]) in (0, 2, 3, 4)
 
 
 def test_cost_csv_roundtrips_against_trajectory(tmp_path):

@@ -15,20 +15,14 @@ from angleform.rigidity import Configuration
 FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
 PENT = Configuration.regular_polygon(5)
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAVE_NUMBA, reason="numba not installed"
-)
 HAVE_CC = _kernels.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
 SRC = Path(_kernels.__file__).resolve().parents[1]
 
 
-@pytest.fixture(params=["numba", pytest.param("c", marks=needs_cc)])
+@pytest.fixture(params=[pytest.param("c", marks=needs_cc)])
 def compiled(request):
-    """Each compiled backend, skipped where it cannot exist."""
-    if request.param == "numba":
-        pytest.importorskip("numba")
-        return _kernels.make_numba_backend()
+    """The C backend, skipped where no compiler can build it."""
     return _kernels.make_c_backend()
 
 
@@ -81,7 +75,7 @@ def _integrate_args(spec, pos, **over):
 def test_numpy_backend_exists():
     b = _kernels.make_numpy_backend()
     assert b.name == "numpy"
-    assert _kernels.backend_name() in ("numpy", "numba", "c")
+    assert _kernels.backend_name() in ("numpy", "c")
 
 
 def test_control_parity(compiled):
@@ -168,30 +162,6 @@ def test_status_nonfinite():
         assert t_stop == pytest.approx(1e-3), b.name
 
 
-@needs_numba
-def test_backend_selection_env(tmp_path):
-    code = (
-        "import angleform\n"
-        "print(angleform.backend_name())\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "ANGLEFORM_NUMBA": "0"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numba"
-
-
 def test_integrate_deterministic():
     spec = _spec()
     pos = PerturbationSpec(0.3, 14).sample(PENT).pts
@@ -202,7 +172,6 @@ def test_integrate_deterministic():
 
 
 @needs_cc
-@pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba takes precedence over C")
 def test_c_backend_selected_without_home():
     # no HOME either: the cache falls back to the passwd entry or tmp
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
@@ -262,7 +231,6 @@ def test_fallback_to_numpy_warns(monkeypatch, tmp_path, compiler, reason):
     if compiler is not None:
         compiler = shutil.which(compiler) or pytest.skip("no `false` command")
     monkeypatch.delenv(_kernels.ENV_FLAG, raising=False)
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", False)
     monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path])
     monkeypatch.setattr(_kernels, "find_compiler", lambda: compiler)
     with pytest.warns(RuntimeWarning, match=reason) as record:

@@ -6,6 +6,7 @@ from angleform.errors import (
     DegenerateAllCoincident,
     NotAnEdge,
     NotAnEquilibrium,
+    VertexOutOfRange,
 )
 from angleform.geometry import reflection, rotation
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
@@ -263,6 +264,15 @@ def test_angle_matrix_coincident_names_first_triple_pair(fan5):
         T = AngleIndexSet.from_triples(triples)
         assert _coincident_pair(angle_rigidity_function, fan5, p, T) == pair
         assert _coincident_pair(jacobian_spectrum, p, T) == pair
+
+
+def test_angle_index_set_refuses_labels_below_one():
+    # label 0 would become index -1, which numpy wraps to the last point
+    for triples in (((0, 1, 2),), ((1, 2, 3), (2, -1, 3))):
+        with pytest.raises(VertexOutOfRange):
+            AngleIndexSet(triples)
+        with pytest.raises(VertexOutOfRange):
+            AngleIndexSet.from_triples(triples)
 
 
 def test_jacobian_spectrum_refuses_vertices_out_of_range(pentagon):
