@@ -15,7 +15,7 @@ under ~/.cache/angleform (or, when that is not writable, an
 angleform-<uid> directory in the temp directory), keyed by a CRC-32 of
 the source and the compiler flags, so later processes only load it.
 Both backends stay constructible so they can be compared in one
-process, see benchmarks/bench_kernels.py.
+process, as the parity tests and selftest do.
 
 Kernel contract
 ---------------

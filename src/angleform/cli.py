@@ -99,6 +99,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_PARSE = 4
 
+# most agents a scenario may declare: 10x the largest benchmarked
+# framework (n = 1000), refused before anything n-sized is allocated
+MAX_AGENTS = 10_000
+
 # failures of numerical preconditions or of the flow itself
 _NUMERICAL_ERRORS = (
     BlowUp,
@@ -145,12 +149,16 @@ _NUMBER = (int, float)
 
 
 def _typed(val, kinds, where: str):
-    """val itself when its type is one of kinds, else ParseError."""
+    """val when its type is one of kinds, as a float when kinds is
+    _NUMBER; else ParseError."""
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
-    if type(val) in kinds:
-        return val
-    names = "/".join(k.__name__ for k in kinds)
-    raise ParseError(f"{where}: expected {names}, got {type(val).__name__}")
+    if type(val) not in kinds:
+        names = "/".join(k.__name__ for k in kinds)
+        raise ParseError(f"{where}: expected {names}, got {type(val).__name__}")
+    try:
+        return float(val) if kinds is _NUMBER else val
+    except OverflowError:  # an integer literal beyond the double range
+        raise ParseError(f"{where}: integer too large for a float") from None
 
 
 def _expect(block: dict, key: str, kinds, where: str, required=True, default=None):
@@ -162,13 +170,20 @@ def _expect(block: dict, key: str, kinds, where: str, required=True, default=Non
 
 
 def _row(item, kinds, size: int, where: str, shape: str) -> tuple:
-    """A JSON list of exactly size values, each of one of kinds."""
+    """A JSON list of exactly size values, each of one of kinds, as
+    floats when kinds is _NUMBER."""
     if not isinstance(item, list) or len(item) != size:
         raise ParseError(f"{where}: expected {shape}")
-    for k, val in enumerate(item):
-        if type(val) not in kinds:  # label built only for the error
-            _typed(val, kinds, f"{where}[{k}]")
-    return tuple(item)
+    for val in item:
+        if type(val) not in kinds:
+            break
+    else:
+        try:
+            return tuple(map(float, item) if kinds is _NUMBER else item)
+        except OverflowError:
+            pass
+    # the error path, where _typed names the offending index
+    return tuple(_typed(val, kinds, f"{where}[{k}]") for k, val in enumerate(item))
 
 
 def _rows(raw, kinds, size: int, where: str, shape: str) -> list:
@@ -228,6 +243,8 @@ def load_scenario(path) -> Scenario:
     n = _expect(gblock, "n", int, "graph")
     if n < 1:
         raise ValidationError(f"graph.n must be positive, got {n}")
+    if n > MAX_AGENTS:
+        raise ValidationError(f"graph.n {n} is over the limit of {MAX_AGENTS}")
     edges_raw = _expect(gblock, "edges", list, "graph")
     graph = Graph.from_edges(
         n, _rows(edges_raw, _INTEGER, 2, "graph.edges", "a pair [i, j]")
@@ -263,11 +280,9 @@ def load_scenario(path) -> Scenario:
             raise ValidationError(
                 f"configuration has {gn} points, graph has {graph.n} vertices"
             )
-        radius = float(
-            _expect(
-                gen, "radius", _NUMBER, "configuration.generator",
-                required=False, default=1.0,
-            )
+        radius = _expect(
+            gen, "radius", _NUMBER, "configuration.generator",
+            required=False, default=1.0,
         )
         base = Configuration.regular_polygon(gn, radius)
 
@@ -275,9 +290,7 @@ def load_scenario(path) -> Scenario:
     if "perturbation" in cblock:
         pblock = _expect(cblock, "perturbation", dict, "configuration")
         _reject_unknown(pblock, ("amplitude", "seed"), "configuration.perturbation")
-        amp = float(
-            _expect(pblock, "amplitude", _NUMBER, "configuration.perturbation")
-        )
+        amp = _expect(pblock, "amplitude", _NUMBER, "configuration.perturbation")
         seed = _expect(pblock, "seed", int, "configuration.perturbation")
         perturbation = PerturbationSpec(amp, seed)
 
@@ -319,7 +332,7 @@ def load_scenario(path) -> Scenario:
             _expect(mblock, "displacement", list, "maneuver"),
             _NUMBER, 2, "maneuver.displacement", "a pair [dx, dy]",
         )
-        maneuver = Maneuver(LeaderPair(*leaders), tuple(map(float, displacement)))
+        maneuver = Maneuver(LeaderPair(*leaders), displacement)
 
     integ = IntegratorConfig()
     if "integrator" in doc:
@@ -332,7 +345,7 @@ def load_scenario(path) -> Scenario:
         kwargs = {}
         for key in ("h", "t_final", "record_stride", "cost_tol", "grad_tol"):
             if key in iblock:
-                kwargs[key] = float(_expect(iblock, key, _NUMBER, "integrator"))
+                kwargs[key] = _expect(iblock, key, _NUMBER, "integrator")
         if "method" in iblock:
             kwargs["method"] = _expect(iblock, "method", str, "integrator")
         integ = IntegratorConfig(**kwargs)
@@ -351,6 +364,20 @@ def load_scenario(path) -> Scenario:
     )
 
 
+def _laman_witness(scenario: Scenario) -> tuple:
+    """(construction, origin): the scenario's triangulated-Laman witness,
+    or None. origin is "scenario" when the construction block is given,
+    whether it builds the graph or not, else "recognized" or "none"."""
+    g = scenario.graph
+    if scenario.construction is None:
+        found = recognize_triangulated_laman(g)
+        return found, "none" if found is None else "recognized"
+    built = build_laman(scenario.construction)
+    if built.n == g.n and set(built.edges) == set(g.edges):
+        return scenario.construction, "scenario"
+    return None, "scenario"
+
+
 def resolve_angle_set(
     scenario: Scenario, seed: Optional[int] = None
 ) -> AngleIndexSet:
@@ -367,20 +394,14 @@ def resolve_angle_set(
         return T
     if source == "algorithm1":
         return algorithm1_set(g, scenario.base, seed=seed)
-    construction = scenario.construction
+    construction, origin = _laman_witness(scenario)
     if construction is None:
-        construction = recognize_triangulated_laman(g)
-        if construction is None:
-            raise ValidationError(
-                f"angle source {source!r} needs a triangulated Laman graph "
-                "or an explicit construction block"
-            )
-    else:
-        built = build_laman(construction)
-        if built.n != g.n or set(built.edges) != set(g.edges):
-            raise ValidationError(
-                "construction block does not build the scenario graph"
-            )
+        raise ValidationError(
+            "construction block does not build the scenario graph"
+            if origin == "scenario"
+            else f"angle source {source!r} needs a triangulated Laman graph "
+            "or an explicit construction block"
+        )
     if source == "laman_minimal":
         return laman_minimal_set(construction)
     return laman_global_set(construction)
@@ -522,15 +543,9 @@ def cmd_analyze(scenario_path, out_dir=None, stream=sys.stdout) -> RunReport:
 
     # framework admissibility: a valid triangulated-Laman construction
     # (given or recognized) plus strong nondegeneracy at the base points
-    construction = sc.construction
-    if construction is not None:
-        built = build_laman(construction)
-        witness_ok = built.n == g.n and set(built.edges) == set(g.edges)
-        rep.add("witness_source", "scenario")
-    else:
-        construction = recognize_triangulated_laman(g)
-        witness_ok = construction is not None
-        rep.add("witness_source", "recognized" if witness_ok else "none")
+    construction, origin = _laman_witness(sc)
+    witness_ok = construction is not None
+    rep.add("witness_source", origin)
     if witness_ok:
         steps = ";".join(
             "{},{},{}".format(*step) for step in construction.steps

@@ -52,6 +52,9 @@ DECAY_FLOOR = 1e-14
 # most agent positions (samples x agents) one run may record: 32 MB of
 # trajectory, some 50x the largest shipped or benchmarked run
 MAX_RECORDED_POINTS = 2_000_000
+# most RK4 steps one run may take: 333x the 3e5 steps of the longest
+# shipped scenario (example3.json, t_final 300 at h 1e-3)
+MAX_STEPS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,12 @@ class IntegratorConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.h > 0 and self.t_final > 0):
             raise ValueError("h and t_final must be positive")
+        steps = self.t_final / self.h  # a float, so inf is refused too
+        if steps > MAX_STEPS:
+            raise ValueError(
+                f"t_final {self.t_final} at h {self.h} needs {steps:.3g} RK4 "
+                f"steps, over the limit of {MAX_STEPS}"
+            )
         if self.record_stride < self.h:
             raise ValueError("record_stride must be at least h")
 
@@ -285,9 +294,9 @@ def monitors(p: Configuration) -> tuple:
 class SimulationResult:
     """Recorded gradient-flow run.
 
-    Arrays are aligned with `times`: positions (s, n, 2), vf, v,
-    residual_norms, scale of shape (s,), centroid (s, 2), vm (s,) or
-    None. Verdicts describe the final sample.
+    Arrays are aligned with `times`: positions (s, n, 2), vf, v, scale
+    of shape (s,), centroid (s, 2), vm (s,) or None. Verdicts describe
+    the final sample.
     """
 
     def __init__(
@@ -298,7 +307,6 @@ class SimulationResult:
         vm,
         centroid,
         scale,
-        residual_norms,
         in_constraint_set,
         in_shape_class,
         in_translation_family,
@@ -315,7 +323,6 @@ class SimulationResult:
         self.v = vf if vm is None else vf + vm
         self.centroid = centroid
         self.scale = scale
-        self.residual_norms = residual_norms
         self.in_constraint_set = in_constraint_set
         self.in_shape_class = in_shape_class
         self.in_translation_family = in_translation_family
@@ -405,7 +412,6 @@ def simulate(
     # series are recomputed from all snapshots at once
     delta = angle_terms(traj, spec._tri)[0] - spec.target_cosines
     vf = 0.5 * np.sum(delta * delta, axis=1)
-    residual_norms = np.sqrt(np.sum(delta * delta, axis=1))
     if spec.maneuver is not None:
         gap = traj[:, lead_a] - traj[:, lead_b]
         err = spec._dstar[None, :] - gap
@@ -438,7 +444,6 @@ def simulate(
         vm=vm,
         centroid=centroid,
         scale=scale,
-        residual_norms=residual_norms,
         in_constraint_set=membership.in_constraint_set,
         in_shape_class=membership.in_shape_class,
         in_translation_family=membership.in_translation_family,

@@ -4,7 +4,9 @@ Each check is a named callable returning (passed, detail). Checks use
 fixed seeds so the suite is reproducible. They mirror the library's
 documented invariants: operator identities, finite-difference gradient
 agreement, rank characterizations, control-law symmetries, conservation
-along the flow, and file-format round trips.
+along the flow, and file-format round trips. The random-framework
+generators and the finite-difference Jacobian here are also the test
+suite's.
 """
 
 import io
@@ -67,7 +69,8 @@ _FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 
 _PENT = Configuration.regular_polygon(5)
 
 
-def _random_construction(rng, n) -> LamanConstruction:
+def random_construction(rng, n) -> LamanConstruction:
+    """Random vertex-insertion build with labels in increasing order."""
     steps = []
     edges = [(1, 2)]
     for v in range(3, n + 1):
@@ -78,11 +81,13 @@ def _random_construction(rng, n) -> LamanConstruction:
     return LamanConstruction(tuple(steps))
 
 
-def _generic_points(rng, n) -> Configuration:
+def generic_points(rng, n) -> Configuration:
+    """n points drawn uniformly from the square [-2, 2]^2."""
     return Configuration(rng.uniform(-2.0, 2.0, size=(n, 2)))
 
 
-def _random_connected_graph(rng, n, extra) -> Graph:
+def random_connected_graph(rng, n, extra) -> Graph:
+    """Random spanning tree plus `extra` additional edges."""
     edges = set()
     order = list(rng.permutation(np.arange(1, n + 1)))
     for a, b in zip(order, order[1:]):
@@ -95,6 +100,18 @@ def _random_connected_graph(rng, n, extra) -> Graph:
     for idx in rng.choice(len(candidates), size=take, replace=False):
         edges.add(candidates[int(idx)])
     return Graph(n, tuple(sorted(edges)))
+
+
+def fd_jacobian(fn, x0, h=FD_STEP):
+    """Central-difference Jacobian of fn at the vector x0; a scalar fn
+    gives one row."""
+    J = np.zeros((np.size(fn(x0)), x0.size))
+    for c in range(x0.size):
+        xp, xm = x0.copy(), x0.copy()
+        xp[c] += h
+        xm[c] -= h
+        J[:, c] = (np.asarray(fn(xp)) - np.asarray(fn(xm))) / (2 * h)
+    return J
 
 
 # ---------------------------------------------------------------------
@@ -189,7 +206,7 @@ def check_perp_rotation():
 def check_incidence_row_sums():
     rng = np.random.default_rng(20)
     for _ in range(10):
-        g = _random_connected_graph(rng, 6, int(rng.integers(0, 6)))
+        g = random_connected_graph(rng, 6, int(rng.integers(0, 6)))
         H = incidence_matrix(g)
         if float(np.max(np.abs(H.sum(axis=1)))) != 0.0:
             return False, "a row sum is nonzero"
@@ -230,7 +247,7 @@ def check_laman_roundtrip():
     rng = np.random.default_rng(22)
     for _ in range(20):
         n = int(rng.integers(3, 10))
-        c = _random_construction(rng, n)
+        c = random_construction(rng, n)
         g = build_laman(c)
         c2 = recognize_triangulated_laman(g)
         if c2 is None or build_laman(c2).edges != g.edges:
@@ -251,26 +268,14 @@ def check_leader_laplacian_blocks():
 # ---------------------------------------------------------------------
 
 
-def _fd_jacobian(fn, x0, h=FD_STEP):
-    f0 = fn(x0)
-    J = np.zeros((f0.size, x0.size))
-    for c in range(x0.size):
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[c] += h
-        xm[c] -= h
-        J[:, c] = (fn(xp) - fn(xm)) / (2 * h)
-    return J
-
-
 def check_bearing_matrix_gradient():
     rng = np.random.default_rng(30)
     worst = 0.0
     for _ in range(5):
-        g = _random_connected_graph(rng, 5, 3)
-        p = _generic_points(rng, 5)
+        g = random_connected_graph(rng, 5, 3)
+        p = generic_points(rng, 5)
         R = bearing_rigidity_matrix(g, p)
-        J = _fd_jacobian(
+        J = fd_jacobian(
             lambda v: bearing_rigidity_function(g, Configuration.from_vec(v)),
             p.vec.copy(),
         )
@@ -283,13 +288,13 @@ def check_angle_matrix_gradient():
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(5):
-        g = _random_connected_graph(rng, 5, 4)
-        p = _generic_points(rng, 5)
+        g = random_connected_graph(rng, 5, 4)
+        p = generic_points(rng, 5)
         T = full_angle_set(g)
         if not len(T):
             continue
         R = angle_rigidity_matrix(g, p, T)
-        J = _fd_jacobian(
+        J = fd_jacobian(
             lambda v: angle_rigidity_function(g, Configuration.from_vec(v), T),
             p.vec.copy(),
         )
@@ -305,16 +310,9 @@ def check_control_is_negative_gradient():
     for _ in range(5):
         p = Configuration(_PENT.pts + rng.uniform(-0.3, 0.3, size=(5, 2)))
         u = control_uF(spec, p).velocity
-        grad = np.zeros(10)
-        v0 = p.vec.copy()
-        for c in range(10):
-            vp, vm = v0.copy(), v0.copy()
-            vp[c] += FD_STEP
-            vm[c] -= FD_STEP
-            grad[c] = (
-                cost_VF(spec, Configuration.from_vec(vp))
-                - cost_VF(spec, Configuration.from_vec(vm))
-            ) / (2 * FD_STEP)
+        grad = fd_jacobian(
+            lambda v: cost_VF(spec, Configuration.from_vec(v)), p.vec.copy()
+        )[0]
         rel = float(np.max(np.abs(u + grad))) / max(1e-9, float(np.max(np.abs(grad))))
         worst = max(worst, rel)
     return worst < FD_RTOL, f"max relative error {worst:.2e}"
@@ -325,9 +323,9 @@ def check_trivial_motions_in_nullspace():
     worst = 0.0
     for _ in range(10):
         n = int(rng.integers(4, 9))
-        c = _random_construction(rng, n)
+        c = random_construction(rng, n)
         g = build_laman(c)
-        p = _generic_points(rng, n)
+        p = generic_points(rng, n)
         R = angle_rigidity_matrix(g, p, laman_minimal_set(c))
         for v in trivial_motion_basis(p):
             worst = max(
@@ -342,8 +340,8 @@ def check_angle_bearing_equivalence():
     total = 40
     for _ in range(total):
         n = int(rng.integers(3, 8))
-        g = _random_connected_graph(rng, n, int(rng.integers(0, n)))
-        p = _generic_points(rng, n)
+        g = random_connected_graph(rng, n, int(rng.integers(0, n)))
+        p = generic_points(rng, n)
         a = is_infinitesimally_angle_rigid(g, p, full_angle_set(g)).verdict
         b = is_infinitesimally_bearing_rigid(g, p).verdict
         agree += int(a == b)
@@ -354,9 +352,9 @@ def check_rank_scale_invariance():
     rng = np.random.default_rng(35)
     for _ in range(10):
         n = int(rng.integers(4, 8))
-        c = _random_construction(rng, n)
+        c = random_construction(rng, n)
         g = build_laman(c)
-        p = _generic_points(rng, n)
+        p = generic_points(rng, n)
         T = laman_minimal_set(c)
         base = is_infinitesimally_angle_rigid(g, p, T).verdict
         for s in (1e-3, 1e3):
@@ -370,7 +368,7 @@ def check_shape_class_recovery():
     rng = np.random.default_rng(36)
     worst = 0.0
     for _ in range(10):
-        p = _generic_points(rng, 6)
+        p = generic_points(rng, 6)
         c = float(rng.uniform(0.5, 2.0)) * (1 if rng.random() < 0.5 else -1)
         R = rotation(float(rng.uniform(-np.pi, np.pi)))
         if rng.random() < 0.5:
@@ -387,7 +385,7 @@ def check_shape_class_recovery():
 def check_congruence_implies_membership():
     rng = np.random.default_rng(37)
     for _ in range(8):
-        p = _generic_points(rng, 5)
+        p = generic_points(rng, 5)
         c = float(rng.uniform(0.5, 2.0))
         R = rotation(float(rng.uniform(-np.pi, np.pi)))
         q = Configuration(c * (p.pts @ R.T) + rng.uniform(-1, 1, 2))
@@ -406,7 +404,7 @@ def check_congruence_implies_membership():
 def check_full_set_completeness():
     rng = np.random.default_rng(40)
     for _ in range(10):
-        g = _random_connected_graph(rng, 6, int(rng.integers(0, 8)))
+        g = random_connected_graph(rng, 6, int(rng.integers(0, 8)))
         T = set(full_angle_set(g).triples)
         count = 0
         for i in range(1, 7):
@@ -421,7 +419,7 @@ def check_minimal_set_counts():
     rng = np.random.default_rng(41)
     for _ in range(10):
         n = int(rng.integers(3, 12))
-        c = _random_construction(rng, n)
+        c = random_construction(rng, n)
         if len(laman_minimal_set(c)) != 2 * n - 4:
             return False, f"|T*| != 2n-4 at n={n}"
         want = (3 * n - 7) if n >= 4 else 2 * n - 4
@@ -434,7 +432,7 @@ def check_minimal_subset_of_triangle_set():
     rng = np.random.default_rng(42)
     for _ in range(10):
         n = int(rng.integers(3, 9))
-        c = _random_construction(rng, n)
+        c = random_construction(rng, n)
         g = build_laman(c)
         tstar = set(laman_minimal_set(c).triples)
         tf = set(triangle_formation_set(g).triples)
@@ -447,9 +445,9 @@ def check_algorithm1_output_rigid():
     rng = np.random.default_rng(43)
     for _ in range(10):
         n = int(rng.integers(4, 9))
-        c = _random_construction(rng, n)
+        c = random_construction(rng, n)
         g = build_laman(c)
-        p = _generic_points(rng, n)
+        p = generic_points(rng, n)
         T = algorithm1_set(g, p)
         if len(T) != 3 * n - 6:
             return False, f"size {len(T)} != 3n-6"
@@ -567,7 +565,7 @@ def check_decay_fit():
 
 def check_monitors_translation():
     rng = np.random.default_rng(52)
-    p = _generic_points(rng, 5)
+    p = generic_points(rng, 5)
     c0, s0 = monitors(p)
     q = Configuration(p.pts + np.array([3.0, -2.0]))
     c1, s1 = monitors(q)

@@ -3,28 +3,21 @@
 import numpy as np
 
 from angleform.formation import residual
-from angleform.graph import Graph, LamanConstruction, expanded_incidence
+from angleform.graph import LamanConstruction, expanded_incidence
 from angleform.rigidity import (
     Configuration,
     bearing,
     is_strongly_nondegenerate,
 )
 
-
-def random_construction(rng, n) -> LamanConstruction:
-    """Random vertex-insertion build with labels in increasing order."""
-    steps = []
-    edges = [(1, 2)]
-    for v in range(3, n + 1):
-        i, j = edges[int(rng.integers(len(edges)))]
-        steps.append((v, i, j))
-        edges.append((min(v, i), max(v, i)))
-        edges.append((min(v, j), max(v, j)))
-    return LamanConstruction(tuple(steps))
-
-
-def generic_points(rng, n) -> Configuration:
-    return Configuration(rng.uniform(-2.0, 2.0, size=(n, 2)))
+# the random-framework generators live in the library, which runs them
+# without pytest; the tests import them from here
+from angleform.selftest import (  # noqa: F401
+    fd_jacobian,
+    generic_points,
+    random_connected_graph,
+    random_construction,
+)
 
 
 def nondegenerate_points(rng, g) -> Configuration:
@@ -33,25 +26,6 @@ def nondegenerate_points(rng, g) -> Configuration:
         p = generic_points(rng, g.n)
         if is_strongly_nondegenerate(g, p).ok:
             return p
-
-
-def random_connected_graph(rng, n, extra) -> Graph:
-    """Random spanning tree plus `extra` additional edges."""
-    edges = set()
-    order = list(rng.permutation(np.arange(1, n + 1)))
-    for a, b in zip(order, order[1:]):
-        edges.add((min(int(a), int(b)), max(int(a), int(b))))
-    candidates = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if (i, j) not in edges
-    ]
-    take = min(extra, len(candidates))
-    if take:
-        for idx in rng.choice(len(candidates), size=take, replace=False):
-            edges.add(candidates[int(idx)])
-    return Graph(n, tuple(sorted(edges)))
 
 
 def fan_construction(n) -> LamanConstruction:

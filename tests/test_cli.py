@@ -119,7 +119,7 @@ def test_resolve_angle_set_needs_witness_or_laman(tmp_path):
     doc["configuration"] = {"points": [[0, 0], [1, 0], [1, 1], [0, 1]]}
     doc["angles"] = {"source": "laman_minimal"}
     sc = cli.load_scenario(_write(tmp_path, doc))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="'laman_minimal' needs a triangulated"):
         cli.resolve_angle_set(sc)
 
 
@@ -128,7 +128,7 @@ def test_resolve_angle_set_checks_witness_graph(tmp_path):
     doc["angles"] = {"source": "laman_minimal"}
     doc["construction"] = {"steps": [[3, 1, 2], [4, 1, 2], [5, 1, 2]]}
     sc = cli.load_scenario(_write(tmp_path, doc))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="does not build the scenario graph"):
         cli.resolve_angle_set(sc)  # builds a different edge set
 
 
@@ -238,6 +238,13 @@ def _points(doc):
     doc["configuration"]["points"] = [["0.5", 0], [1, 0], [1, 1], [0, 1], [0, 2]]
 
 
+def _many_agents(doc):
+    doc["graph"]["n"] = doc["configuration"]["generator"]["n"] = 10**13
+
+
+HUGE = 10**400  # a JSON integer beyond the double range
+
+
 @pytest.mark.parametrize(
     "mutate,code,needle",
     [
@@ -283,6 +290,34 @@ def _points(doc):
             2,
             "amplitude must be finite",
         ),
+        (
+            _set(("configuration", "generator", "radius"), HUGE),
+            4,
+            "configuration.generator.radius: integer too large for a float",
+        ),
+        (
+            _set(("configuration",), {"points": [[0, HUGE]] + [[1, 0]] * 4}),
+            4,
+            "configuration.points[0][1]: integer too large for a float",
+        ),
+        (
+            _set(("maneuver",), {"leaders": [1, 2], "displacement": [1, HUGE]}),
+            4,
+            "maneuver.displacement[1]: integer too large for a float",
+        ),
+        (
+            _set(("configuration", "perturbation", "amplitude"), HUGE),
+            4,
+            "configuration.perturbation.amplitude: integer too large for a float",
+        ),
+        (_set(("integrator", "t_final"), HUGE), 4, "integrator.t_final: integer too"),
+        (_set(("integrator", "h"), 1e-9), 2, "t_final 50.0 at h 1e-09 needs 5e+10 RK4"),
+        (
+            _set(("integrator",), {"h": 1e-300, "t_final": 1e300}),
+            2,
+            "t_final 1e+300 at h 1e-300 needs inf RK4 steps, over the limit",
+        ),
+        (_many_agents, 2, "graph.n 10000000000000 is over the limit of 10000"),
     ],
     ids=[
         "float-edge",
@@ -295,6 +330,14 @@ def _points(doc):
         "str-edge",
         "str-point",
         "nan-amplitude",
+        "huge-radius",
+        "huge-point",
+        "huge-displacement",
+        "huge-amplitude",
+        "huge-t_final",
+        "tiny-h",
+        "infinite-steps",
+        "huge-n",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
@@ -317,6 +360,34 @@ def test_main_refuses_unbounded_trajectory(tmp_path, capsys):
     assert "t_final 10000.0 at record_stride 0.001" in out
     assert "limit of 2000000 recorded points" in out
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "steps,graph,want",
+    [
+        ([[3, 1, 2], [4, 1, 3], [5, 1, 4]], None, "scenario 3,1,2;4,1,3;5,1,4 true"),
+        ([[3, 1, 2], [4, 1, 2], [5, 1, 2]], None, "scenario false"),
+        (None, None, "recognized 3,1,2;4,1,3;5,1,4 true"),
+        (
+            None,
+            {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]},  # a cycle
+            "none false",
+        ),
+    ],
+    ids=["given", "given-other-graph", "recognized", "none"],
+)
+def test_analyze_reports_laman_witness(tmp_path, capsys, steps, graph, want):
+    doc = _base_doc()
+    doc["angles"] = {"source": "full"}
+    if steps is not None:
+        doc["construction"] = {"steps": steps}
+    if graph is not None:
+        doc["graph"] = graph
+    assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 0
+    rows = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    keys = ("witness_source", "witness_steps", "witness_triangulated_laman")
+    assert " ".join(rows[k] for k in keys if k in rows) == want
+    assert rows["witness_satisfied"] == want.split()[-1]
 
 
 def _leaf_paths(node, path=()):

@@ -4,6 +4,7 @@ import pytest
 from angleform.errors import BlowUp, NonPositiveSeries, NoManeuverTarget
 from angleform.formation import (
     FormationSpec,
+    MAX_STEPS,
     IntegratorConfig,
     Maneuver,
     PerturbationSpec,
@@ -238,6 +239,14 @@ def test_simulate_blowup_on_coincident_start(fan5, pentagon):
 def test_simulate_validates_size(spec):
     with pytest.raises(ValidationError):
         simulate(spec, Configuration([[0.0, 0.0], [1.0, 0.0]]))
+
+
+def test_integrator_config_caps_steps():
+    cfg = IntegratorConfig(h=1.0, t_final=float(MAX_STEPS), record_stride=1.0)
+    assert cfg.n_steps == MAX_STEPS
+    for h, t_final in ((1.0, MAX_STEPS + 1.0), (1e-9, 50.0), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="over the limit of 100000000"):
+            IntegratorConfig(h=h, t_final=t_final, record_stride=1.0)
 
 
 def test_simulate_starts_at_equilibrium(spec, pentagon):

@@ -39,6 +39,7 @@ from helpers import (
     angle_matrix_product,
     bearing_matrix_product,
     fan_construction,
+    fd_jacobian,
     generic_points,
     nondegenerate_points,
     random_construction,
@@ -137,17 +138,6 @@ def test_angle_function_collinear_clipped():
 # ---------------------------------------------------------------------
 
 
-def _fd(fn, v0, h=1e-6):
-    f0 = fn(v0)
-    J = np.zeros((np.size(f0), v0.size))
-    for c in range(v0.size):
-        vp, vm = v0.copy(), v0.copy()
-        vp[c] += h
-        vm[c] -= h
-        J[:, c] = (np.asarray(fn(vp)) - np.asarray(fn(vm))) / (2 * h)
-    return J
-
-
 @pytest.mark.parametrize("trial", range(5))
 def test_matrices_match_finite_differences(trial):
     rng = np.random.default_rng(100 + trial)
@@ -156,16 +146,20 @@ def test_matrices_match_finite_differences(trial):
     p = nondegenerate_points(rng, g)
     T = laman_minimal_set(c)
 
-    J = _fd(lambda v: distance_rigidity_function(g, Configuration.from_vec(v)),
-            p.vec.copy())
+    J = fd_jacobian(
+        lambda v: distance_rigidity_function(g, Configuration.from_vec(v)),
+        p.vec.copy(),
+    )
     assert np.max(np.abs(J - distance_rigidity_matrix(g, p))) < 1e-5
 
-    J = _fd(lambda v: bearing_rigidity_function(g, Configuration.from_vec(v)),
-            p.vec.copy())
+    J = fd_jacobian(
+        lambda v: bearing_rigidity_function(g, Configuration.from_vec(v)),
+        p.vec.copy(),
+    )
     R = bearing_rigidity_matrix(g, p)
     assert np.max(np.abs(J - R)) / max(1.0, np.max(np.abs(R))) < 1e-5
 
-    J = _fd(
+    J = fd_jacobian(
         lambda v: angle_rigidity_function(g, Configuration.from_vec(v), T),
         p.vec.copy(),
     )
