@@ -39,6 +39,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -103,12 +104,23 @@ EXIT_PARSE = 4
 # framework (n = 1000), refused before anything n-sized is allocated
 MAX_AGENTS = 10_000
 
-# failures of numerical preconditions or of the flow itself
-_NUMERICAL_ERRORS = (
-    BlowUp,
-    NotInfinitesimallyAngleRigid,
-    NotAnEquilibrium,
-    NonPositiveSeries,
+# exit-code policy: (exception types, exit code, message prefix); the
+# first row the exception matches wins, so the numerical library errors,
+# all ValueErrors, come before the validation row
+_EXIT_POLICY = (
+    (ParseError, EXIT_PARSE, "parse error"),
+    (
+        (
+            BlowUp,
+            NotInfinitesimallyAngleRigid,
+            NotAnEquilibrium,
+            NonPositiveSeries,
+            ArithmeticError,
+        ),
+        EXIT_NUMERICAL,
+        "numerical failure",
+    ),
+    ((AngleformError, ValueError), EXIT_VALIDATION, "validation error"),
 )
 
 
@@ -140,6 +152,21 @@ class Scenario:
         if seed_override is not None:
             pert = PerturbationSpec(pert.amplitude, seed_override)
         return pert.sample(self.base)
+
+    @cached_property
+    def laman_witness(self) -> tuple:
+        """(construction, origin): the triangulated-Laman witness, or None.
+        origin is "scenario" when the construction block is given, whether
+        it builds the graph or not, else "recognized" or "none". Decided
+        once: analyze asks for it twice, and recognition costs O(n^2 log n)."""
+        g = self.graph
+        if self.construction is None:
+            found = recognize_triangulated_laman(g)
+            return found, "none" if found is None else "recognized"
+        built = build_laman(self.construction)
+        if built.n == g.n and set(built.edges) == set(g.edges):
+            return self.construction, "scenario"
+        return None, "scenario"
 
 
 # the two kinds of scenario number; _typed checks exact types, so JSON
@@ -364,20 +391,6 @@ def load_scenario(path) -> Scenario:
     )
 
 
-def _laman_witness(scenario: Scenario) -> tuple:
-    """(construction, origin): the scenario's triangulated-Laman witness,
-    or None. origin is "scenario" when the construction block is given,
-    whether it builds the graph or not, else "recognized" or "none"."""
-    g = scenario.graph
-    if scenario.construction is None:
-        found = recognize_triangulated_laman(g)
-        return found, "none" if found is None else "recognized"
-    built = build_laman(scenario.construction)
-    if built.n == g.n and set(built.edges) == set(g.edges):
-        return scenario.construction, "scenario"
-    return None, "scenario"
-
-
 def resolve_angle_set(
     scenario: Scenario, seed: Optional[int] = None
 ) -> AngleIndexSet:
@@ -394,7 +407,7 @@ def resolve_angle_set(
         return T
     if source == "algorithm1":
         return algorithm1_set(g, scenario.base, seed=seed)
-    construction, origin = _laman_witness(scenario)
+    construction, origin = scenario.laman_witness
     if construction is None:
         raise ValidationError(
             "construction block does not build the scenario graph"
@@ -469,35 +482,31 @@ def _triple_text(T: AngleIndexSet) -> str:
 # ---------------------------------------------------------------------
 
 
-def _trajectory_csv(result, stream) -> None:
-    """t, p1x, p1y, ..., pnx, pny with full double precision."""
-    n = result.positions.shape[1]
-    header = ["t"]
-    for i in range(1, n + 1):
-        header += [f"p{i}x", f"p{i}y"]
+def _write_table(stream, header, columns) -> None:
+    """A CSV of the header and the float columns side by side, each an
+    (s,) or (s, k) array, every value written with repr (full double
+    precision, byte-stable across reruns)."""
     stream.write(",".join(header) + "\n")
-    for t, snap in zip(result.times, result.positions):
-        row = [repr(float(t))]
-        row += [repr(float(v)) for v in snap.reshape(-1)]
-        stream.write(",".join(row) + "\n")
+    for row in np.column_stack(columns):
+        stream.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _trajectory_csv(result, stream) -> None:
+    """t, p1x, p1y, ..., pnx, pny."""
+    s, n, _ = result.positions.shape
+    header = ["t"] + [f"p{i}{axis}" for i in range(1, n + 1) for axis in "xy"]
+    _write_table(stream, header, (result.times, result.positions.reshape(s, -1)))
 
 
 def _cost_csv(result, stream) -> None:
     """t, V_F, V_M, V, centroid_x, centroid_y, scale (V_M zero without a
     maneuver, keeping the column order fixed)."""
-    stream.write("t,V_F,V_M,V,centroid_x,centroid_y,scale\n")
     vm = result.vm if result.vm is not None else np.zeros_like(result.vf)
-    for idx, t in enumerate(result.times):
-        row = [
-            repr(float(t)),
-            repr(float(result.vf[idx])),
-            repr(float(vm[idx])),
-            repr(float(result.vf[idx] + vm[idx])),
-            repr(float(result.centroid[idx, 0])),
-            repr(float(result.centroid[idx, 1])),
-            repr(float(result.scale[idx])),
-        ]
-        stream.write(",".join(row) + "\n")
+    _write_table(
+        stream,
+        ("t", "V_F", "V_M", "V", "centroid_x", "centroid_y", "scale"),
+        (result.times, result.vf, vm, result.v, result.centroid, result.scale),
+    )
 
 
 _PLOT_STUB = """# gnuplot script stub for the emitted series
@@ -543,7 +552,7 @@ def cmd_analyze(scenario_path, out_dir=None, stream=sys.stdout) -> RunReport:
 
     # framework admissibility: a valid triangulated-Laman construction
     # (given or recognized) plus strong nondegeneracy at the base points
-    construction, origin = _laman_witness(sc)
+    construction, origin = sc.laman_witness
     witness_ok = construction is not None
     rep.add("witness_source", origin)
     if witness_ok:
@@ -699,14 +708,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _classify(exc: Exception) -> int:
-    if isinstance(exc, ParseError):
-        return EXIT_PARSE
-    if isinstance(exc, _NUMERICAL_ERRORS):
-        return EXIT_NUMERICAL
-    return EXIT_VALIDATION
-
-
 def _run_one(verb, scenario, out_dir, seed_override, stream) -> int:
     try:
         if verb == "analyze":
@@ -718,20 +719,10 @@ def _run_one(verb, scenario, out_dir, seed_override, stream) -> int:
                 raise ValidationError("simulate requires --out")
             cmd_simulate(scenario, out_dir, seed_override, stream=stream)
         return EXIT_OK
-    except AngleformError as exc:
-        code = _classify(exc)
-        kind = {
-            EXIT_PARSE: "parse error",
-            EXIT_NUMERICAL: "numerical failure",
-        }.get(code, "validation error")
+    except (AngleformError, ArithmeticError, ValueError) as exc:
+        code, kind = next(row[1:] for row in _EXIT_POLICY if isinstance(exc, row[0]))
         stream.write(f"{kind}: {exc}\n")
         return code
-    except ArithmeticError as exc:
-        stream.write(f"numerical failure: {exc}\n")
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        stream.write(f"validation error: {exc}\n")
-        return EXIT_VALIDATION
 
 
 def main(argv=None) -> int:
@@ -744,6 +735,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"selftest took {time.perf_counter() - t0:.1f}s\n")
         return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
+    if args.seed_override is not None and args.seed_override < 0:
+        stream.write(
+            "validation error: --seed-override must be nonnegative, "
+            f"got {args.seed_override}\n"
+        )
+        return EXIT_VALIDATION
     scenarios = args.scenario
     if len(scenarios) > 1 and not args.batch:
         stream.write("validation error: multiple scenarios need --batch\n")

@@ -122,6 +122,8 @@ class PerturbationSpec:
             raise ValueError(
                 f"amplitude must be finite and nonnegative, got {self.amplitude}"
             )
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def sample(self, base: Configuration) -> Configuration:
         """base plus iid uniform(-amplitude, amplitude) per coordinate.
@@ -291,50 +293,30 @@ def monitors(p: Configuration) -> tuple:
     return centroid, scale
 
 
+@dataclass(frozen=True, eq=False)  # a generated __eq__ over arrays would raise
 class SimulationResult:
     """Recorded gradient-flow run.
 
     Arrays are aligned with `times`: positions (s, n, 2), vf, v, scale
-    of shape (s,), centroid (s, 2), vm (s,) or None. Verdicts describe
-    the final sample.
+    of shape (s,), centroid (s, 2), vm (s,) or None. v is vf + vm, or vf
+    without a maneuver. Verdicts describe the final sample.
     """
 
-    def __init__(
-        self,
-        times,
-        positions,
-        vf,
-        vm,
-        centroid,
-        scale,
-        in_constraint_set,
-        in_shape_class,
-        in_translation_family,
-        maneuver_error,
-        decay_rate,
-        converged,
-        t_end,
-        backend,
-    ):
-        self.times = times
-        self.positions = positions
-        self.vf = vf
-        self.vm = vm
-        self.v = vf if vm is None else vf + vm
-        self.centroid = centroid
-        self.scale = scale
-        self.in_constraint_set = in_constraint_set
-        self.in_shape_class = in_shape_class
-        self.in_translation_family = in_translation_family
-        self.maneuver_error = maneuver_error
-        self.decay_rate = decay_rate
-        self.converged = converged
-        self.t_end = t_end
-        self.backend = backend
-
-    @property
-    def final(self) -> Configuration:
-        return Configuration(self.positions[-1])
+    times: np.ndarray
+    positions: np.ndarray
+    vf: np.ndarray
+    vm: Optional[np.ndarray]
+    v: np.ndarray
+    centroid: np.ndarray
+    scale: np.ndarray
+    in_constraint_set: bool
+    in_shape_class: bool
+    in_translation_family: Optional[bool]
+    maneuver_error: Optional[float]
+    decay_rate: float
+    converged: bool
+    t_end: float
+    backend: str
 
 
 def decay_rate_fit(times, values) -> float:
@@ -413,25 +395,17 @@ def simulate(
     delta = angle_terms(traj, spec._tri)[0] - spec.target_cosines
     vf = 0.5 * np.sum(delta * delta, axis=1)
     if spec.maneuver is not None:
-        gap = traj[:, lead_a] - traj[:, lead_b]
-        err = spec._dstar[None, :] - gap
+        err = spec._dstar - (traj[:, lead_a] - traj[:, lead_b])
         vm = 0.5 * np.sum(err * err, axis=1)
+        v = vf + vm
+        maneuver_error = float(np.linalg.norm(err[-1]))
     else:
-        vm = None
+        vm = maneuver_error = None
+        v = vf
     centroid = traj.mean(axis=1)
     scale = np.sqrt(np.sum((traj - centroid[:, None, :]) ** 2, axis=(1, 2)))
+    membership = equilibrium_membership(spec, Configuration(traj[-1]))
 
-    p_end = Configuration(traj[-1])
-    membership = equilibrium_membership(spec, p_end)
-    if spec.maneuver is not None:
-        gap_end = p_end.point(spec.maneuver.leaders.first) - p_end.point(
-            spec.maneuver.leaders.second
-        )
-        maneuver_error = float(np.linalg.norm(spec._dstar - gap_end))
-    else:
-        maneuver_error = None
-
-    v = vf if vm is None else vf + vm
     if v[0] <= DECAY_FLOOR:
         rate = 0.0  # started at (numerical) equilibrium, nothing decays
     else:
@@ -442,6 +416,7 @@ def simulate(
         positions=traj,
         vf=vf,
         vm=vm,
+        v=v,
         centroid=centroid,
         scale=scale,
         in_constraint_set=membership.in_constraint_set,

@@ -318,6 +318,11 @@ HUGE = 10**400  # a JSON integer beyond the double range
             "t_final 1e+300 at h 1e-300 needs inf RK4 steps, over the limit",
         ),
         (_many_agents, 2, "graph.n 10000000000000 is over the limit of 10000"),
+        (
+            _set(("configuration", "perturbation", "seed"), -1),
+            2,
+            "seed must be nonnegative, got -1",
+        ),
     ],
     ids=[
         "float-edge",
@@ -338,6 +343,7 @@ HUGE = 10**400  # a JSON integer beyond the double range
         "tiny-h",
         "infinite-steps",
         "huge-n",
+        "negative-seed",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
@@ -388,6 +394,21 @@ def test_analyze_reports_laman_witness(tmp_path, capsys, steps, graph, want):
     keys = ("witness_source", "witness_steps", "witness_triangulated_laman")
     assert " ".join(rows[k] for k in keys if k in rows) == want
     assert rows["witness_satisfied"] == want.split()[-1]
+
+
+def test_analyze_decides_laman_witness_once(tmp_path, monkeypatch):
+    calls = []
+    recognize = cli.recognize_triangulated_laman
+
+    def counted(graph):
+        calls.append(graph)
+        return recognize(graph)
+
+    monkeypatch.setattr(cli, "recognize_triangulated_laman", counted)
+    doc = _base_doc()
+    doc["angles"] = {"source": "laman_minimal"}  # no construction block
+    assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 0
+    assert len(calls) == 1
 
 
 def _leaf_paths(node, path=()):
@@ -447,6 +468,51 @@ def test_cost_csv_roundtrips_against_trajectory(tmp_path):
         assert np.allclose(p.pts.mean(axis=0), cvals[4:6], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "name,t_final,has_maneuver",
+    [("example1.json", None, False), ("example3.json", 2.0, True)],
+)
+def test_simulate_csv_cells_are_repr_of_the_result(
+    tmp_path, monkeypatch, name, t_final, has_maneuver
+):
+    doc = json.loads((SCENARIOS / name).read_text())
+    if t_final is not None:
+        doc["integrator"]["t_final"] = t_final
+    results = []
+    run = cli.simulate
+
+    def kept(*args):
+        results.append(run(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "simulate", kept)
+    out_dir = tmp_path / "run"
+    sc = _write(tmp_path, doc, name)
+    assert cli.main(["simulate", "--scenario", str(sc), "--out", str(out_dir)]) == 0
+    (res,) = results
+    assert (res.vm is not None) == has_maneuver
+
+    def cells(csv):
+        return [row.split(",") for row in (out_dir / csv).read_text().splitlines()]
+
+    traj, cost = cells("trajectory.csv"), cells("cost.csv")
+    n = res.positions.shape[1]
+    assert traj[0] == ["t"] + [f"p{i}{axis}" for i in range(1, n + 1) for axis in "xy"]
+    assert cost[0] == ["t", "V_F", "V_M", "V", "centroid_x", "centroid_y", "scale"]
+    assert len(traj) == len(cost) == len(res.times) + 1
+    vm = res.vm if has_maneuver else np.zeros_like(res.vf)
+    for s, (trow, crow) in enumerate(zip(traj[1:], cost[1:])):
+        want_traj = [res.times[s], *res.positions[s].reshape(-1)]
+        want_cost = [
+            res.times[s], res.vf[s], vm[s], res.vf[s] + vm[s],
+            *res.centroid[s], res.scale[s],
+        ]
+        assert trow == [repr(float(x)) for x in want_traj]
+        assert crow == [repr(float(x)) for x in want_cost]
+    if not has_maneuver:
+        assert {row[2] for row in cost[1:]} == {"0.0"}
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     sc = _write(tmp_path, _base_doc())
     a, b = tmp_path / "a", tmp_path / "b"
@@ -474,6 +540,20 @@ def test_seed_override_changes_run(tmp_path, capsys):
     v1 = [l for l in rep1.splitlines() if l.startswith("vf_initial=")]
     v2 = [l for l in rep2.splitlines() if l.startswith("vf_initial=")]
     assert v1 != v2
+
+
+def test_seed_override_must_be_nonnegative(tmp_path, capsys):
+    sc = _write(tmp_path, _base_doc())
+    out_dir = tmp_path / "run"
+    code = cli.main(
+        [
+            "simulate", "--scenario", str(sc), "--out", str(out_dir),
+            "--seed-override", "-1",
+        ]
+    )
+    assert code == 2
+    assert "--seed-override must be nonnegative, got -1" in capsys.readouterr().out
+    assert not out_dir.exists()
 
 
 def test_seed_override_without_randomness(tmp_path):
