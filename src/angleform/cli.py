@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -360,6 +360,11 @@ def load_scenario(path) -> Scenario:
             _NUMBER, 2, "maneuver.displacement", "a pair [dx, dy]",
         )
         maneuver = Maneuver(LeaderPair(*leaders), displacement)
+        if not maneuver.leaders.spans_edge(graph):
+            raise ValidationError(
+                f"maneuver.leaders: ({leaders[0]}, {leaders[1]}) is not an edge "
+                f"of the graph on vertices 1..{graph.n}"
+            )
 
     integ = IntegratorConfig()
     if "integrator" in doc:
@@ -425,56 +430,23 @@ def resolve_angle_set(
 # ---------------------------------------------------------------------
 
 
-class RunReport:
-    """Ordered key=value pairs plus the emitted file list.
-
-    Rendering is deterministic: insertion order, repr for floats. The
-    emitted-series paths are part of the report under output_* keys.
-    """
-
-    def __init__(self, command: str, scenario: Optional[Scenario]):
-        self.pairs: List[Tuple[str, str]] = []
-        self.outputs: List[str] = []
-        self.add("command", command)
-        self.add("version", __version__)
-        if scenario is not None:
-            self.add("scenario", Path(scenario.path).name)
-            self.add("scenario_sha256", scenario.digest)
-
-    def add(self, key: str, value) -> None:
-        if isinstance(value, (bool, np.bool_)):
-            text = "true" if value else "false"
-        elif isinstance(value, (float, np.floating)):
-            text = repr(float(value))
-        elif value is None:
-            text = "none"
-        else:
-            text = str(value)
-        self.pairs.append((key, text))
-
-    def add_output(self, path: Path) -> None:
-        self.outputs.append(str(path))
-        self.add(f"output_{len(self.outputs)}", path.name)
-
-    def render(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in self.pairs)
+def _text(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "none" if value is None else str(value)
 
 
-def _emit(report: RunReport, out_dir: Optional[Path], stream) -> None:
-    text = report.render()
-    stream.write(text)
-    if out_dir is not None:
-        (out_dir / "report.txt").write_text(text)
+def _render(report: dict) -> str:
+    """key=value lines in insertion order, repr for floats."""
+    return "".join(f"{k}={_text(v)}\n" for k, v in report.items())
 
 
 def _sigma_tail(values, k: int = 6) -> str:
     vals = np.asarray(values, dtype=float)
     tail = vals[-k:] if vals.size > k else vals
     return ";".join(repr(float(s)) for s in tail)
-
-
-def _triple_text(T: AngleIndexSet) -> str:
-    return "".join(f"{i},{j},{k}\n" for i, j, k in T.triples)
 
 
 # ---------------------------------------------------------------------
@@ -524,135 +496,95 @@ pause -1
 # ---------------------------------------------------------------------
 
 
-def cmd_analyze(scenario_path, out_dir=None, stream=sys.stdout) -> RunReport:
+def _analyze(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
     """Rigidity analysis of the scenario's framework at its base points."""
-    sc = load_scenario(scenario_path)
-    T = resolve_angle_set(sc)
     g, p = sc.graph, sc.base
-
-    rep = RunReport("analyze", sc)
-    rep.add("graph_n", g.n)
-    rep.add("graph_m", g.m)
-    rep.add("angle_source", sc.angle_source)
-    rep.add("angle_set_size", len(T))
-
-    dist = is_infinitesimally_distance_rigid(g, p)
-    bear = is_infinitesimally_bearing_rigid(g, p)
-    ang = is_infinitesimally_angle_rigid(g, p, T)
-    for name, r in (("distance", dist), ("bearing", bear), ("angle", ang)):
-        rep.add(f"{name}_rigid", r.verdict)
-        rep.add(f"{name}_rank", r.rank)
-        rep.add(f"{name}_nullspace_dim", r.nullspace_dim)
-        rep.add(f"{name}_sigma_tail", _sigma_tail(r.singular_values))
+    report.update(
+        graph_n=g.n, graph_m=g.m, angle_source=sc.angle_source, angle_set_size=len(T)
+    )
+    for name, r in (
+        ("distance", is_infinitesimally_distance_rigid(g, p)),
+        ("bearing", is_infinitesimally_bearing_rigid(g, p)),
+        ("angle", is_infinitesimally_angle_rigid(g, p, T)),
+    ):
+        report[f"{name}_rigid"] = r.verdict
+        report[f"{name}_rank"] = r.rank
+        report[f"{name}_nullspace_dim"] = r.nullspace_dim
+        report[f"{name}_sigma_tail"] = _sigma_tail(r.singular_values)
 
     nd = is_strongly_nondegenerate(g, p)
-    rep.add("strongly_nondegenerate", nd.ok)
+    report["strongly_nondegenerate"] = nd.ok
     if not nd.ok:
-        rep.add("degenerate_triangle", "{},{},{}".format(*nd.witness))
+        report["degenerate_triangle"] = "{},{},{}".format(*nd.witness)
 
     # framework admissibility: a valid triangulated-Laman construction
     # (given or recognized) plus strong nondegeneracy at the base points
     construction, origin = sc.laman_witness
     witness_ok = construction is not None
-    rep.add("witness_source", origin)
+    report["witness_source"] = origin
     if witness_ok:
-        steps = ";".join(
-            "{},{},{}".format(*step) for step in construction.steps
-        )
-        rep.add("witness_steps", steps if steps else "(base edge only)")
-    rep.add("witness_triangulated_laman", witness_ok)
-    rep.add("witness_strongly_nondegenerate", nd.ok)
-    rep.add("witness_satisfied", bool(witness_ok and nd.ok))
-
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    _emit(rep, out_dir, stream)
-    return rep
+        steps = ";".join("{},{},{}".format(*step) for step in construction.steps)
+        report["witness_steps"] = steps if steps else "(base edge only)"
+    report.update(
+        witness_triangulated_laman=witness_ok,
+        witness_strongly_nondegenerate=nd.ok,
+        witness_satisfied=witness_ok and nd.ok,
+    )
+    return []
 
 
-def cmd_indexset(
-    scenario_path, out_dir=None, seed_override=None, stream=sys.stdout
-) -> RunReport:
-    """Emit the scenario's angle set as a canonical triple list."""
-    sc = load_scenario(scenario_path)
-    seed = seed_override if sc.angle_source == "algorithm1" else None
-    T = resolve_angle_set(sc, seed=seed)
-    n, m = sc.graph.n, sc.graph.m
-
-    rep = RunReport("indexset", sc)
-    rep.add("angle_source", sc.angle_source)
-    rep.add("size", len(T))
-    if sc.angle_source in ("laman_minimal", "triangle_formation"):
-        rep.add("expected_size", 2 * n - 4)
-    elif sc.angle_source == "laman_global":
-        rep.add("expected_size", (3 * n - 7) if n >= 4 else 2 * n - 4)
-    elif sc.angle_source == "algorithm1":
-        rep.add("expected_size", 2 * m - n)
-    rep.add("triples", ";".join("{},{},{}".format(*t) for t in T.triples))
-
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        triples_path = out_dir / "triples.txt"
-        triples_path.write_text(_triple_text(T))
-        rep.add_output(triples_path)
-    _emit(rep, out_dir, stream)
-    return rep
+def _indexset(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
+    """The scenario's angle set as a canonical triple list."""
+    n, m, source = sc.graph.n, sc.graph.m, sc.angle_source
+    report.update(angle_source=source, size=len(T))
+    if source in ("laman_minimal", "triangle_formation"):
+        report["expected_size"] = 2 * n - 4
+    elif source == "laman_global":
+        report["expected_size"] = (3 * n - 7) if n >= 4 else 2 * n - 4
+    elif source == "algorithm1":
+        report["expected_size"] = 2 * m - n
+    cells = ["{},{},{}".format(*t) for t in T.triples]
+    report["triples"] = ";".join(cells)
+    return [("triples.txt", lambda fh: fh.writelines(c + "\n" for c in cells))]
 
 
-def cmd_simulate(
-    scenario_path, out_dir, seed_override=None, stream=sys.stdout
-) -> RunReport:
-    """Integrate the scenario's flow; write trajectory/cost series."""
-    sc = load_scenario(scenario_path)
-    seed = seed_override if sc.angle_source == "algorithm1" else None
-    if seed_override is not None and sc.perturbation is None and seed is None:
-        raise ValidationError(
-            "seed override given but the scenario has no seeded randomness"
-        )
-    T = resolve_angle_set(sc, seed=seed)
+def _simulate(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
+    """Integrate the scenario's flow; the trajectory and cost series."""
     spec = FormationSpec(
         sc.graph, sc.base, T, maneuver=sc.maneuver, witness=sc.construction
     )
-    p0 = sc.initial_configuration(seed_override)
-    result = simulate(spec, p0, sc.integrator)
-
-    rep = RunReport("simulate", sc)
-    rep.add("backend", result.backend)
-    rep.add("angle_source", sc.angle_source)
-    rep.add("angle_set_size", len(T))
+    result = simulate(spec, sc.initial_configuration(), sc.integrator)
+    report.update(
+        backend=result.backend, angle_source=sc.angle_source, angle_set_size=len(T)
+    )
     if sc.perturbation is not None:
-        used = seed_override if seed_override is not None else sc.perturbation.seed
-        rep.add("perturbation_amplitude", float(sc.perturbation.amplitude))
-        rep.add("perturbation_seed", used)
-    rep.add("samples", len(result.times))
-    rep.add("t_end", float(result.t_end))
-    rep.add("converged", result.converged)
-    rep.add("vf_initial", float(result.vf[0]))
-    rep.add("vf_final", float(result.vf[-1]))
-    rep.add("v_initial", float(result.v[0]))
-    rep.add("v_final", float(result.v[-1]))
-    rep.add("decay_rate", float(result.decay_rate))
-    rep.add("in_constraint_set", result.in_constraint_set)
-    rep.add("in_shape_class", result.in_shape_class)
+        report["perturbation_amplitude"] = sc.perturbation.amplitude
+        report["perturbation_seed"] = sc.perturbation.seed
+    report.update(
+        samples=len(result.times),
+        t_end=result.t_end,
+        converged=result.converged,
+        vf_initial=result.vf[0],
+        vf_final=result.vf[-1],
+        v_initial=result.v[0],
+        v_final=result.v[-1],
+        decay_rate=result.decay_rate,
+        in_constraint_set=result.in_constraint_set,
+        in_shape_class=result.in_shape_class,
+    )
     if sc.maneuver is not None:
-        rep.add("maneuver_error", float(result.maneuver_error))
-        rep.add("in_translation_family", result.in_translation_family)
+        report["maneuver_error"] = result.maneuver_error
+        report["in_translation_family"] = result.in_translation_family
+    return [
+        ("trajectory.csv", lambda fh: _trajectory_csv(result, fh)),
+        ("cost.csv", lambda fh: _cost_csv(result, fh)),
+        ("plot.gp", lambda fh: fh.write(_PLOT_STUB)),
+    ]
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = out_dir / "trajectory.csv"
-    with traj_path.open("w") as fh:
-        _trajectory_csv(result, fh)
-    cost_path = out_dir / "cost.csv"
-    with cost_path.open("w") as fh:
-        _cost_csv(result, fh)
-    plot_path = out_dir / "plot.gp"
-    plot_path.write_text(_PLOT_STUB)
-    rep.add_output(traj_path)
-    rep.add_output(cost_path)
-    rep.add_output(plot_path)
-    _emit(rep, out_dir, stream)
-    return rep
+
+# the verb bodies: each adds its lines to the report and returns the
+# files it writes into --out as (name, writer) pairs, writer(stream)
+_VERBS = {"analyze": _analyze, "indexset": _indexset, "simulate": _simulate}
 
 
 def cmd_selftest(stream=sys.stdout) -> int:
@@ -708,16 +640,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run_one(verb, scenario, out_dir, seed_override, stream) -> int:
+def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
+    """One verb on one scenario: load it, apply the seed policy, resolve
+    the angle set, run the verb body and write its outputs; the exit
+    code."""
     try:
-        if verb == "analyze":
-            cmd_analyze(scenario, out_dir, stream=stream)
-        elif verb == "indexset":
-            cmd_indexset(scenario, out_dir, seed_override, stream=stream)
-        else:
-            if out_dir is None:
-                raise ValidationError("simulate requires --out")
-            cmd_simulate(scenario, out_dir, seed_override, stream=stream)
+        if verb == "simulate" and out_dir is None:
+            raise ValidationError("simulate requires --out")
+        sc = load_scenario(scenario_path)
+        # the override seeds algorithm1's selection in every verb and the
+        # perturbation in simulate, and is refused where it seeds nothing
+        if seed_override is not None:
+            perturbed = verb == "simulate" and sc.perturbation is not None
+            if not (perturbed or sc.angle_source == "algorithm1"):
+                raise ValidationError(
+                    "seed override given but the scenario has no seeded randomness"
+                )
+            if perturbed:
+                sc.perturbation = PerturbationSpec(
+                    sc.perturbation.amplitude, seed_override
+                )
+        T = resolve_angle_set(sc, seed=seed_override)
+        report = {
+            "command": verb,
+            "version": __version__,
+            "scenario": Path(sc.path).name,
+            "scenario_sha256": sc.digest,
+        }
+        files = _VERBS[verb](sc, T, report)
+        if out_dir is not None:
+            for k, (name, _) in enumerate(files, 1):
+                report[f"output_{k}"] = name
+        text = _render(report)
+        if out_dir is not None:
+            files.append(("report.txt", lambda fh: fh.write(text)))
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                for name, write in files:
+                    with (out_dir / name).open("w") as fh:
+                        write(fh)
+            except OSError as exc:
+                raise ValidationError(
+                    f"--out {out_dir}: {exc.strerror or exc}"
+                ) from exc
+        stream.write(text)
         return EXIT_OK
     except (AngleformError, ArithmeticError, ValueError) as exc:
         code, kind = next(row[1:] for row in _EXIT_POLICY if isinstance(exc, row[0]))

@@ -161,11 +161,9 @@ class FormationSpec:
         if angle_set is None:
             angle_set = triangle_formation_set(graph)
         angle_set.validate_for(graph)
-        if maneuver is not None:
+        if maneuver is not None and not maneuver.leaders.spans_edge(graph):
             a, b = maneuver.leaders.first, maneuver.leaders.second
-            in_range = 1 <= a <= graph.n and 1 <= b <= graph.n
-            if not (in_range and graph.has_edge(a, b)):
-                raise ValidationError(f"leader pair ({a}, {b}) is not an edge")
+            raise ValidationError(f"leader pair ({a}, {b}) is not an edge")
         if witness is not None:
             wg = build_laman(witness)
             if wg.n != graph.n:

@@ -195,6 +195,10 @@ class LeaderPair:
         if self.first == self.second:
             raise ValueError("leader vertices must differ")
 
+    def spans_edge(self, g: Graph) -> bool:
+        """Both leaders lie in 1..n and are joined by an edge of g."""
+        return g.has_edge(self.first, self.second)
+
 
 def leader_laplacian(g: Graph, leaders: LeaderPair) -> np.ndarray:
     """(2n, 2n) leader coupling L kron I_2 for the single leader edge.

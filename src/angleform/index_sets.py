@@ -27,12 +27,20 @@ from .rigidity import (
     Configuration,
     _triangles,
     bearing,
+    check_matrix_size,
     is_infinitesimally_angle_rigid,
 )
 
 
 def full_angle_set(g: Graph) -> AngleIndexSet:
-    """All triples (i, j, k) with j < k both adjacent to apex i."""
+    """All triples (i, j, k) with j < k both adjacent to apex i.
+
+    The set has sum C(deg, 2) triples; it is refused (ValidationError)
+    before it is built when its angle rigidity matrix would be too large.
+    """
+    deg = np.bincount(np.asarray(g.edges, dtype=np.int64).ravel(), minlength=g.n + 1)
+    w = int(np.sum(deg * (deg - 1) // 2))
+    check_matrix_size("angle source 'full' angle rigidity matrix", w, 2 * g.n)
     triples = (
         (i, j, k)
         for i in range(1, g.n + 1)

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateAllCoincident,
     NotAnEdge,
     NotAnEquilibrium,
+    ValidationError,
     VertexOutOfRange,
 )
 from .geometry import angle_terms, perp, rotation
@@ -35,6 +36,9 @@ EDGE_EPS = 1e-9
 COLLINEAR_EPS = 1e-9
 # default rank cutoff: sigma_max * max(dim) * machine epsilon * this factor
 RANK_TOL_FACTOR = 100.0
+# most entries a rigidity matrix may hold: 800 MB of float64, 12x the
+# largest benchmarked matrix (the n = 1000 bearing matrix, 3994 x 2000)
+MAX_MATRIX_ENTRIES = 100_000_000
 
 
 class Configuration:
@@ -248,6 +252,16 @@ def _angle_matrix(tri, qj, qk, n) -> np.ndarray:
     return R.reshape(len(tri), 2 * n)
 
 
+def check_matrix_size(what: str, rows: int, cols: int) -> None:
+    """ValidationError when a rows x cols matrix would exceed
+    MAX_MATRIX_ENTRIES; called before anything of that size exists."""
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        raise ValidationError(
+            f"{what} would be {rows} x {cols} = {rows * cols} entries, "
+            f"over the limit of {MAX_MATRIX_ENTRIES}"
+        )
+
+
 def distance_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
     """Squared edge lengths in canonical edge order, shape (m,)."""
     out = np.empty(g.m)
@@ -276,6 +290,7 @@ def angle_rigidity_function(
 
 def distance_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     """(m, 2n) Jacobian of the squared-length function."""
+    check_matrix_size("distance rigidity matrix", g.m, 2 * p.n)
     i, j = _edge_ends(g)
     e = 2.0 * (p.pts[i] - p.pts[j])
     R = np.zeros((g.m, p.n, 2))
@@ -290,6 +305,7 @@ def bearing_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     entry of that product has one nonzero term, so edge (i, j) puts its
     block at the columns of i and the negated block at those of j.
     """
+    check_matrix_size("bearing rigidity matrix", 2 * g.m, 2 * g.n)
     i, j = _edge_ends(g)
     _, blk = _bearing_terms(p, i, j)
     R = np.zeros((g.m, 2, g.n, 2))
@@ -309,6 +325,7 @@ def angle_rigidity_matrix(
     (geometry.angle_terms). Like the product, it refuses a coincident
     edge of g that no triple uses.
     """
+    check_matrix_size("angle rigidity matrix", len(T), 2 * g.n)
     T.validate_for(g)
     tri = T.as_array()
     _, qj, qk = _angle_terms(p.pts, tri)

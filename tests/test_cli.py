@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -634,3 +635,168 @@ def test_analyze_report_writes_file(tmp_path):
     text = (out_dir / "report.txt").read_text()
     assert "distance_rigid=true" in text
     assert "scenario_sha256=" in text
+
+
+# ---------------------------------------------------------------------
+# the verb pipeline: seed policy, report keys, leaders, --out, size caps
+# ---------------------------------------------------------------------
+
+
+def _shipped(name, t_final=0.2):
+    """A shipped scenario cut to a short horizon."""
+    doc = json.loads((SCENARIOS / name).read_text())
+    doc["integrator"]["t_final"] = t_final
+    return doc
+
+
+@pytest.mark.parametrize("perturbed", [True, False], ids=["perturbed", "fixed"])
+@pytest.mark.parametrize("algorithm1", [True, False], ids=["algorithm1", "other"])
+@pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
+def test_seed_override_is_refused_where_it_seeds_nothing(
+    tmp_path, capsys, verb, algorithm1, perturbed
+):
+    doc = _shipped("example1.json")
+    if algorithm1:
+        doc["angles"] = {"source": "algorithm1"}
+    if not perturbed:
+        del doc["configuration"]["perturbation"]
+    sc = _write(tmp_path, doc, "example1.json")
+    argv = [verb, "--scenario", str(sc), "--out", str(tmp_path / "o")]
+    code = cli.main(argv + ["--seed-override", "5"])
+    out = capsys.readouterr().out
+    # the override seeds algorithm1's selection in every verb and the
+    # perturbation in simulate only
+    if algorithm1 or (verb == "simulate" and perturbed):
+        assert code == 0, out
+        if verb == "simulate" and perturbed:
+            assert "perturbation_seed=5\n" in out
+    else:
+        assert code == 2
+        assert out == (
+            "validation error: seed override given but the scenario has "
+            "no seeded randomness\n"
+        )
+        assert not (tmp_path / "o").exists()
+
+
+def test_analyze_seeds_algorithm1_selection(tmp_path, capsys, monkeypatch):
+    seeds = []
+    real = cli.algorithm1_set
+
+    def recorder(g, p, seed=None):
+        seeds.append(seed)
+        return real(g, p, seed=seed)
+
+    monkeypatch.setattr(cli, "algorithm1_set", recorder)
+    doc = _shipped("example1.json")
+    doc["angles"] = {"source": "algorithm1"}
+    sc = str(_write(tmp_path, doc))
+    assert cli.main(["analyze", "--scenario", sc, "--seed-override", "7"]) == 0
+    assert cli.main(["analyze", "--scenario", sc]) == 0
+    assert cli.main(["indexset", "--scenario", sc, "--seed-override", "7"]) == 0
+    assert seeds == [7, None, 7]
+
+
+_HEAD = ["command", "version", "scenario", "scenario_sha256"]
+_RANKS = [
+    f"{kind}_{key}"
+    for kind in ("distance", "bearing", "angle")
+    for key in ("rigid", "rank", "nullspace_dim", "sigma_tail")
+]
+_ANALYZE_KEYS = (
+    _HEAD
+    + ["graph_n", "graph_m", "angle_source", "angle_set_size"]
+    + _RANKS
+    + [
+        "strongly_nondegenerate",
+        "witness_source",
+        "witness_steps",
+        "witness_triangulated_laman",
+        "witness_strongly_nondegenerate",
+        "witness_satisfied",
+    ]
+)
+_SIMULATE_KEYS = _HEAD + [
+    "backend", "angle_source", "angle_set_size", "perturbation_amplitude",
+    "perturbation_seed", "samples", "t_end", "converged", "vf_initial",
+    "vf_final", "v_initial", "v_final", "decay_rate", "in_constraint_set",
+    "in_shape_class",
+]
+_OUTPUTS = ["output_1", "output_2", "output_3"]
+
+
+@pytest.mark.parametrize(
+    "name,verb,keys",
+    [
+        ("example1.json", "analyze", _ANALYZE_KEYS),
+        ("example2.json", "analyze", _ANALYZE_KEYS),
+        ("example3.json", "analyze", _ANALYZE_KEYS),
+        ("example1.json", "indexset",
+         _HEAD + ["angle_source", "size", "expected_size", "triples", "output_1"]),
+        ("example2.json", "indexset",
+         _HEAD + ["angle_source", "size", "triples", "output_1"]),
+        ("example3.json", "indexset",
+         _HEAD + ["angle_source", "size", "expected_size", "triples", "output_1"]),
+        ("example1.json", "simulate", _SIMULATE_KEYS + _OUTPUTS),
+        ("example2.json", "simulate", _SIMULATE_KEYS + _OUTPUTS),
+        ("example3.json", "simulate",
+         _SIMULATE_KEYS + ["maneuver_error", "in_translation_family"] + _OUTPUTS),
+    ],
+)
+def test_report_key_order(tmp_path, capsys, name, verb, keys):
+    sc = _write(tmp_path, _shipped(name), name)
+    out_dir = tmp_path / "o"
+    assert cli.main([verb, "--scenario", str(sc), "--out", str(out_dir)]) == 0
+    text = (out_dir / "report.txt").read_text()
+    assert capsys.readouterr().out == text
+    assert [line.split("=", 1)[0] for line in text.splitlines()] == keys
+
+
+@pytest.mark.parametrize("leaders", [[7, 8], [2, 5]], ids=["out-of-range", "no-edge"])
+@pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
+def test_maneuver_leaders_are_checked_at_load(tmp_path, capsys, verb, leaders):
+    doc = _shipped("example3.json")
+    doc["maneuver"]["leaders"] = leaders
+    sc = _write(tmp_path, doc)
+    argv = [verb, "--scenario", str(sc), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out.startswith(
+        f"validation error: maneuver.leaders: ({leaders[0]}, {leaders[1]}) "
+        "is not an edge"
+    )
+
+
+@pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
+def test_unusable_out_is_a_validation_error(tmp_path, capsys, verb):
+    sc = str(_write(tmp_path, _shipped("example1.json")))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([verb, "--scenario", sc, "--out", str(blocker)]) == 2
+    assert capsys.readouterr().out == f"validation error: --out {blocker}: File exists\n"
+    below = blocker / "sub"
+    assert cli.main([verb, "--scenario", sc, "--out", str(below)]) == 2
+    assert capsys.readouterr().out == (
+        f"validation error: --out {below}: Not a directory\n"
+    )
+
+
+@pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
+def test_full_angle_set_of_a_large_star_is_refused(tmp_path, capsys, verb):
+    n = 1000
+    doc = {
+        "schema": 1,
+        "graph": {"n": n, "edges": [[1, v] for v in range(2, n + 1)]},
+        "configuration": {"generator": {"kind": "regular_polygon", "n": n}},
+        "angles": {"source": "full"},
+    }
+    sc = _write(tmp_path, doc)
+    t0 = time.perf_counter()
+    code = cli.main([verb, "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    # 498 501 triples at vertex 1: C(999, 2)
+    assert capsys.readouterr().out == (
+        "validation error: angle source 'full' angle rigidity matrix would be "
+        "498501 x 2000 = 997002000 entries, over the limit of 100000000\n"
+    )
+    assert elapsed < 1.0

@@ -6,8 +6,10 @@ from angleform.errors import (
     DegenerateAllCoincident,
     NotAnEdge,
     NotAnEquilibrium,
+    ValidationError,
     VertexOutOfRange,
 )
+from angleform import rigidity
 from angleform.geometry import reflection, rotation
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
@@ -439,3 +441,30 @@ def test_jacobian_spectrum_scale_family():
     big = Configuration.regular_polygon(5, radius=7.0)
     eig = jacobian_spectrum(big, T, target_cosines=target)
     assert np.sum(np.abs(eig) < 1e-8) == 4
+
+
+@pytest.mark.parametrize(
+    "build,name,rows",
+    [
+        (lambda g, p: distance_rigidity_matrix(g, p), "distance rigidity matrix", 7),
+        (lambda g, p: bearing_rigidity_matrix(g, p), "bearing rigidity matrix", 14),
+        (
+            lambda g, p: angle_rigidity_matrix(g, p, triangle_formation_set(g)),
+            "angle rigidity matrix",
+            6,
+        ),
+        (
+            lambda g, p: full_angle_set(g),
+            "angle source 'full' angle rigidity matrix",
+            14,  # C(deg, 2) over fan5's degrees 4, 2, 3, 3, 2
+        ),
+    ],
+    ids=["distance", "bearing", "angle", "full-set"],
+)
+def test_matrix_size_cap(monkeypatch, fan5, pentagon, build, name, rows):
+    # fan5 has m = 7 edges and 2n = 10 columns; the cap is inclusive
+    monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", rows * 10)
+    assert len(build(fan5, pentagon)) == rows
+    monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", rows * 10 - 1)
+    with pytest.raises(ValidationError, match=f"{name} would be {rows} x 10 "):
+        build(fan5, pentagon)
