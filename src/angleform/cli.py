@@ -34,8 +34,10 @@ writing each one's files under a subdirectory named by scenario stem.
 """
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -640,6 +642,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out_dir) -> None:
+    """Refuse, without creating anything, an --out that cannot become a
+    directory, with the message the write block would give: it exists
+    and is not a directory, or so is its nearest existing ancestor."""
+    probe = out_dir
+    try:
+        while not probe.exists() and probe != probe.parent:
+            probe = probe.parent
+        if not probe.is_dir():
+            err = errno.EEXIST if probe == out_dir else errno.ENOTDIR
+            raise OSError(err, os.strerror(err))
+    except OSError as exc:  # also a stat that is refused, e.g. EACCES
+        raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
+
+
 def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
     """One verb on one scenario: load it, apply the seed policy, resolve
     the angle set, run the verb body and write its outputs; the exit
@@ -654,13 +671,15 @@ def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
             perturbed = verb == "simulate" and sc.perturbation is not None
             if not (perturbed or sc.angle_source == "algorithm1"):
                 raise ValidationError(
-                    "seed override given but the scenario has no seeded randomness"
+                    f"--seed-override seeds nothing in {verb} for this scenario"
                 )
             if perturbed:
                 sc.perturbation = PerturbationSpec(
                     sc.perturbation.amplitude, seed_override
                 )
         T = resolve_angle_set(sc, seed=seed_override)
+        if out_dir is not None:  # before the run, which may take minutes
+            _check_out(out_dir)
         report = {
             "command": verb,
             "version": __version__,

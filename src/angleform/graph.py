@@ -8,6 +8,7 @@ edge-difference vector of a configuration p is H_bar @ p_stacked with
 block entries p_i - p_j.
 """
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -156,27 +157,32 @@ def recognize_triangulated_laman(g: Graph) -> Optional[LamanConstruction]:
 
     Repeatedly peels the highest-labeled degree-2 vertex whose two
     neighbors are adjacent; succeeds only if the peel ends at the single
-    edge (1, 2).
+    edge (1, 2). Degrees only fall and edges only go, so a degree-2
+    vertex whose neighbors are not adjacent never becomes peelable: a
+    max-heap of degree-2 vertices, checked as they are popped, finds
+    each peel in O(log n).
     """
     if g.n == 2:
         return LamanConstruction(()) if g.edges == ((1, 2),) else None
     if g.n < 2 or g.m != 2 * g.n - 3:
         return None
     adj = {v: set(nb) for v, nb in g._adjacency.items()}  # not yet peeled
+    heap = [-v for v, nb in adj.items() if len(nb) == 2]
+    heapq.heapify(heap)
     peeled = []
     while len(adj) > 2:
-        pick = None
-        for v in sorted(adj, reverse=True):
-            if len(adj[v]) == 2:
-                a, b = sorted(adj[v])
-                if b in adj[a]:
-                    pick = (v, a, b)
-                    break
-        if pick is None:
+        if not heap:
             return None
-        v, a, b = pick
-        adj[a].discard(v)
-        adj[b].discard(v)
+        v = -heapq.heappop(heap)
+        if len(adj[v]) != 2:  # its degree fell since the push
+            continue
+        a, b = sorted(adj[v])
+        if b not in adj[a]:
+            continue
+        for u in (a, b):
+            adj[u].discard(v)
+            if len(adj[u]) == 2:
+                heapq.heappush(heap, -u)
         del adj[v]
         peeled.append((v, a, b))
     if set(adj) != {1, 2} or adj[1] != {2}:

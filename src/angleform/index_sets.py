@@ -10,7 +10,11 @@ Five constructors with distinct provenance tags:
 * laman_global_set: the minimal set plus one disambiguating triple per
   insertion after the first, 3n - 7 triples total for n >= 4.
 * algorithm1_set: a per-vertex greedy cover that handles collinear
-  bearing classes, 2m - n triples on a framework with m edges.
+  bearing classes, 2m - n triples on a framework with m edges. It first
+  requires the framework to be infinitesimally bearing rigid, which in
+  the plane is equivalent to infinitesimal angle rigidity under the full
+  angle set, and costs one SVD of an m x 2n matrix instead of one of
+  the full set's sum C(deg, 2) x 2n.
 """
 
 from itertools import combinations
@@ -28,7 +32,7 @@ from .rigidity import (
     _triangles,
     bearing,
     check_matrix_size,
-    is_infinitesimally_angle_rigid,
+    is_infinitesimally_bearing_rigid,
 )
 
 
@@ -106,13 +110,15 @@ def algorithm1_set(
     non-collinear neighbor. Selection is smallest-index when seed is
     None, otherwise seeded-uniform. Output size is 2m - n.
 
-    Raises NotInfinitesimallyAngleRigid when the framework fails the
-    full-set rigidity test.
+    Raises NotInfinitesimallyAngleRigid when the framework is not
+    infinitesimally bearing rigid: in the plane that is the full-set
+    angle rigidity test, decided from the smaller bearing matrix.
     """
-    report = is_infinitesimally_angle_rigid(g, p, full_angle_set(g))
+    report = is_infinitesimally_bearing_rigid(g, p)
     if not report.verdict:
         raise NotInfinitesimallyAngleRigid(
-            f"nullspace dimension {report.nullspace_dim} != 4"
+            "not infinitesimally bearing rigid "
+            f"(nullspace dimension {report.nullspace_dim} != 3)"
         )
     rng = np.random.default_rng(seed) if seed is not None else None
 

@@ -36,8 +36,9 @@ EDGE_EPS = 1e-9
 COLLINEAR_EPS = 1e-9
 # default rank cutoff: sigma_max * max(dim) * machine epsilon * this factor
 RANK_TOL_FACTOR = 100.0
-# most entries a rigidity matrix may hold: 800 MB of float64, 12x the
-# largest benchmarked matrix (the n = 1000 bearing matrix, 3994 x 2000)
+# most entries a rigidity matrix may hold: 800 MB of float64, 25x the
+# largest matrix the benchmark builds (at n = 1000, the 1997 x 2000
+# distance and half-size bearing matrices)
 MAX_MATRIX_ENTRIES = 100_000_000
 
 
@@ -215,16 +216,14 @@ def _edge_ends(g: Graph) -> np.ndarray:
 
 
 def _bearing_terms(p: Configuration, a, b):
-    """Bearings g = e / |e| and blocks (I - g g^T) / |e| of e = p_a - p_b
-    for 0-based a, b; CoincidentPoints names the first pair too close."""
+    """Bearings g = e / |e| and lengths |e| of e = p_a - p_b for 0-based
+    a, b; CoincidentPoints names the first pair too close."""
     e = p.pts[a] - p.pts[b]
     dist = np.hypot(e[:, 0], e[:, 1])
     if np.any(dist < EDGE_EPS):
         r = int(np.argmax(dist < EDGE_EPS))
         raise CoincidentPoints(int(a[r]) + 1, int(b[r]) + 1, float(dist[r]))
-    gab = e / dist[:, None]
-    blk = (np.eye(2) - gab[:, :, None] * gab[:, None, :]) / dist[:, None, None]
-    return gab, blk
+    return e / dist[:, None], dist
 
 
 def _angle_terms(pts, tri):
@@ -307,11 +306,29 @@ def bearing_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     """
     check_matrix_size("bearing rigidity matrix", 2 * g.m, 2 * g.n)
     i, j = _edge_ends(g)
-    _, blk = _bearing_terms(p, i, j)
+    gab, dist = _bearing_terms(p, i, j)
+    blk = (np.eye(2) - gab[:, :, None] * gab[:, None, :]) / dist[:, None, None]
     R = np.zeros((g.m, 2, g.n, 2))
     R[np.arange(g.m), :, i] = blk
     R[np.arange(g.m), :, j] = -blk + 0.0  # the product's zeros are +0.0
     return R.reshape(2 * g.m, 2 * g.n)
+
+
+def _bearing_half_matrix(g: Graph, p: Configuration) -> np.ndarray:
+    """(m, 2n) matrix whose row for edge (i, j) is g_perp / |e_ij| at i
+    and -g_perp / |e_ij| at j, g_perp the bearing turned by 90 degrees.
+
+    In the plane P(g) = I - g g^T = g_perp g_perp^T, so this matrix has
+    the Gram matrix of the bearing rigidity matrix, and with it the same
+    nonzero singular values, in half the rows.
+    """
+    check_matrix_size("half-size bearing matrix", g.m, 2 * g.n)
+    i, j = _edge_ends(g)
+    gab, dist = _bearing_terms(p, i, j)
+    row = np.column_stack([-gab[:, 1], gab[:, 0]]) / dist[:, None]
+    R = np.zeros((g.m, g.n, 2))
+    R[np.arange(g.m), i], R[np.arange(g.m), j] = row, -row
+    return R.reshape(g.m, 2 * g.n)
 
 
 def angle_rigidity_matrix(
@@ -356,27 +373,36 @@ def trivial_motion_basis(p: Configuration) -> np.ndarray:
     )
 
 
-def numerical_rank(M: np.ndarray, tol: Optional[float] = None) -> RankInfo:
+def numerical_rank(
+    M: np.ndarray, tol: Optional[float] = None, _shape: Optional[tuple] = None
+) -> RankInfo:
     """SVD rank with the shared default cutoff.
 
     The cutoff is sigma_max * max(rows, cols) * eps * RANK_TOL_FACTOR
-    unless an explicit tol is given. A zero matrix has rank 0.
+    unless an explicit tol is given. A zero matrix has rank 0. `_shape`
+    is the (rows, cols) of a matrix that M stands in for with the same
+    nonzero singular values: the cutoff and the nullspace use that
+    shape, and the values are padded with exact zeros to its min(rows,
+    cols).
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
+    rows, cols = M.shape if _shape is None else _shape
     sv = np.linalg.svd(M, compute_uv=False)
+    sv = np.concatenate([sv, np.zeros(min(rows, cols) - sv.size)])
     if tol is None:
         smax = float(sv[0]) if sv.size else 0.0
-        tol = smax * max(M.shape) * np.finfo(float).eps * RANK_TOL_FACTOR
+        tol = smax * max(rows, cols) * np.finfo(float).eps * RANK_TOL_FACTOR
     rank = int(np.sum(sv > tol))
-    return RankInfo(rank, M.shape[1] - rank, sv, float(tol))
+    return RankInfo(rank, cols - rank, sv, float(tol))
 
 
-def _rank_report(kind, M, verdict_fn) -> RigidityReport:
-    info = numerical_rank(M)
+def _rank_report(kind, M, verdict_fn, shape=None) -> RigidityReport:
+    shape = M.shape if shape is None else shape
+    info = numerical_rank(M, _shape=shape)
     return RigidityReport(
         kind=kind,
-        rows=M.shape[0],
-        cols=M.shape[1],
+        rows=shape[0],
+        cols=shape[1],
         singular_values=tuple(float(s) for s in info.singular_values),
         rank=info.rank,
         nullspace_dim=info.nullspace_dim,
@@ -397,10 +423,16 @@ def is_infinitesimally_distance_rigid(
 def is_infinitesimally_bearing_rigid(
     g: Graph, p: Configuration
 ) -> RigidityReport:
-    """Rank of the bearing rigidity matrix equals 2n - 3."""
-    M = bearing_rigidity_matrix(g, p)
+    """Rank of the bearing rigidity matrix equals 2n - 3.
+
+    The SVD runs on the half-size matrix, which has the same nonzero
+    singular values; the report is that of the (2m, 2n) Jacobian.
+    """
+    M = _bearing_half_matrix(g, p)
     want = 2 * p.n - 3
-    return _rank_report("bearing", M, lambda info: info.rank == want)
+    return _rank_report(
+        "bearing", M, lambda info: info.rank == want, (2 * g.m, 2 * g.n)
+    )
 
 
 def is_infinitesimally_angle_rigid(

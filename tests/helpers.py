@@ -3,7 +3,7 @@
 import numpy as np
 
 from angleform.formation import residual
-from angleform.graph import LamanConstruction, expanded_incidence
+from angleform.graph import Graph, LamanConstruction, expanded_incidence
 from angleform.rigidity import (
     Configuration,
     bearing,
@@ -28,6 +28,23 @@ def nondegenerate_points(rng, g) -> Configuration:
             return p
 
 
+def equivalence_frameworks(seed=21, total=120):
+    """Acceptance criterion 3's random frameworks: (g, p) on n = 4..9
+    vertices, connected graphs with 0 to 2n - 5 edges beyond a spanning
+    tree, generic points."""
+    rng = np.random.default_rng(seed)
+    for _ in range(total):
+        n = int(rng.integers(4, 10))
+        g = random_connected_graph(rng, n, int(rng.integers(0, 2 * n - 4)))
+        yield g, generic_points(rng, n)
+
+
+def disjoint_union(g, h) -> Graph:
+    """g on labels 1..g.n beside h on labels g.n + 1..g.n + h.n."""
+    shifted = [(i + g.n, j + g.n) for i, j in h.edges]
+    return Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
+
+
 def fan_construction(n) -> LamanConstruction:
     """The fan family: vertex v inserted on the edge (1, v - 1)."""
     return LamanConstruction(tuple((v, 1, v - 1) for v in range(3, n + 1)))
@@ -35,7 +52,8 @@ def fan_construction(n) -> LamanConstruction:
 
 # ---------------------------------------------------------------------
 # oracles: the rigidity matrices as the paper's literal dense products,
-# and the formation control summed triple by triple
+# the formation control summed triple by triple, and Laman recognition
+# by a full re-sort per peel
 # ---------------------------------------------------------------------
 
 
@@ -68,6 +86,41 @@ def angle_matrix_product(g, p, T) -> np.ndarray:
                 e, sign = idx[(other, i)], -1.0
             Rg[r, 2 * e : 2 * e + 2] = sign * vec
     return Rg @ bearing_matrix_product(g, p)
+
+
+def sort_peel_recognition(g):
+    """The vertex-insertion build of g by re-sorting the unpeeled vertices
+    on every peel and taking the highest-labeled degree-2 vertex whose
+    neighbors are adjacent; None when the peel does not end at (1, 2)."""
+    if g.n == 2:
+        return LamanConstruction(()) if g.edges == ((1, 2),) else None
+    if g.n < 2 or g.m != 2 * g.n - 3:
+        return None
+    adj = {v: set(nb) for v, nb in g._adjacency.items()}
+    peeled = []
+    while len(adj) > 2:
+        pick = None
+        for v in sorted(adj, reverse=True):
+            if len(adj[v]) == 2:
+                a, b = sorted(adj[v])
+                if b in adj[a]:
+                    pick = (v, a, b)
+                    break
+        if pick is None:
+            return None
+        v, a, b = pick
+        adj[a].discard(v)
+        adj[b].discard(v)
+        del adj[v]
+        peeled.append((v, a, b))
+    if set(adj) != {1, 2} or adj[1] != {2}:
+        return None
+    return LamanConstruction(tuple(reversed(peeled)))
+
+
+def relabeled(g, perm) -> Graph:
+    """g with vertex v renamed perm[v - 1]."""
+    return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
 
 def control_per_agent(spec, p):

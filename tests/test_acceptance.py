@@ -39,6 +39,7 @@ from angleform.rigidity import (
 )
 
 from helpers import (
+    equivalence_frameworks,
     fan_construction,
     generic_points,
     nondegenerate_points,
@@ -147,13 +148,9 @@ def test_criterion_02_minimal_set_rank_and_nullspace(criterion):
 
 def test_criterion_03_angle_bearing_equivalence(criterion):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(21)
     agree, rigid, flexible = 0, 0, 0
     total = 120
-    for trial in range(total):
-        n = int(rng.integers(4, 10))
-        g = random_connected_graph(rng, n, int(rng.integers(0, 2 * n - 4)))
-        p = generic_points(rng, n)
+    for g, p in equivalence_frameworks(21, total):
         a = is_infinitesimally_angle_rigid(g, p, full_angle_set(g)).verdict
         b = is_infinitesimally_bearing_rigid(g, p).verdict
         agree += int(a == b)

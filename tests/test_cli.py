@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -673,8 +675,8 @@ def test_seed_override_is_refused_where_it_seeds_nothing(
     else:
         assert code == 2
         assert out == (
-            "validation error: seed override given but the scenario has "
-            "no seeded randomness\n"
+            f"validation error: --seed-override seeds nothing in {verb} for "
+            "this scenario\n"
         )
         assert not (tmp_path / "o").exists()
 
@@ -778,6 +780,27 @@ def test_unusable_out_is_a_validation_error(tmp_path, capsys, verb):
     assert capsys.readouterr().out == (
         f"validation error: --out {below}: Not a directory\n"
     )
+
+
+def test_unusable_out_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran although --out is unusable")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    sc = str(SCENARIOS / "example3.json")  # 3 * 10^5 RK4 steps
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out, why in ((blocker, "File exists"), (blocker / "a" / "b", "Not a directory")):
+        assert cli.main(["simulate", "--scenario", sc, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"validation error: --out {out}: {why}\n"
+
+    def refused(path):  # a stat refused as it is for a non-root user
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+    monkeypatch.setattr(Path, "exists", refused)
+    out = tmp_path / "a"
+    assert cli.main(["simulate", "--scenario", sc, "--out", str(out)]) == 2
+    assert capsys.readouterr().out == f"validation error: --out {out}: Permission denied\n"
 
 
 @pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])

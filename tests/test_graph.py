@@ -13,7 +13,13 @@ from angleform.graph import (
     neighbors,
     recognize_triangulated_laman,
 )
-from helpers import fan_construction, random_construction
+from helpers import (
+    fan_construction,
+    random_connected_graph,
+    random_construction,
+    relabeled,
+    sort_peel_recognition,
+)
 
 
 def test_graph_canonical_validation():
@@ -137,6 +143,31 @@ def test_recognition_roundtrip_random():
         c = recognize_triangulated_laman(g)
         assert c is not None
         assert build_laman(c).edges == g.edges
+
+
+def _steps(c):
+    return None if c is None else c.steps
+
+
+def test_recognition_matches_sort_peel():
+    # the heap peel must pick the same vertex as a full re-sort at every
+    # step: on triangulated Laman graphs, on the same graphs relabeled at
+    # random (most then fail) or with 1 and 2 swapped, and on non-Laman
+    # graphs with m = 2n - 3
+    rng = np.random.default_rng(31)
+    found = {True: 0, False: 0}
+    for _ in range(40):
+        n = int(rng.integers(3, 40))
+        g = build_laman(random_construction(rng, n))
+        perm = [int(v) for v in rng.permutation(np.arange(1, n + 1))]
+        swap12 = [2, 1] + list(range(3, n + 1))
+        other = random_connected_graph(rng, n, n - 2)  # m = 2n - 3
+        assert other.m == 2 * n - 3
+        for h in (g, relabeled(g, perm), relabeled(g, swap12), other):
+            want = _steps(sort_peel_recognition(h))
+            assert _steps(recognize_triangulated_laman(h)) == want
+            found[want is not None] += 1
+    assert found[True] > 40 and found[False] > 40
 
 
 def test_leader_pair():

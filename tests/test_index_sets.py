@@ -16,6 +16,8 @@ from angleform.rigidity import (
     angle_rigidity_function,
 )
 from helpers import (
+    disjoint_union,
+    equivalence_frameworks,
     fan_construction,
     nondegenerate_points,
     random_construction,
@@ -117,11 +119,44 @@ def test_algorithm1_deterministic_and_seeded(fan5, pentagon):
     assert len(a) == 2 * fan5.m - fan5.n
 
 
+SQUARE = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+UNIT_SQUARE = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+def _algorithm1_accepts(g, p) -> bool:
+    try:
+        algorithm1_set(g, p)
+    except NotInfinitesimallyAngleRigid as exc:
+        assert str(exc).startswith("not infinitesimally bearing rigid")
+        return False
+    return True
+
+
 def test_algorithm1_rejects_flexible():
-    square = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    p = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(NotInfinitesimallyAngleRigid):
-        algorithm1_set(square, p)
+    with pytest.raises(NotInfinitesimallyAngleRigid) as err:
+        algorithm1_set(SQUARE, UNIT_SQUARE)
+    assert str(err.value) == (
+        "not infinitesimally bearing rigid (nullspace dimension 4 != 3)"
+    )
+    # two rigid triangles: each component adds two translations and a
+    # scaling to the bearing nullspace, and a rotation to the angle one
+    two = disjoint_union(K3, K3)
+    p = Configuration([[0, 0], [1, 0], [0, 1], [3, 0], [4, 0], [3, 1]])
+    with pytest.raises(NotInfinitesimallyAngleRigid) as err:
+        algorithm1_set(two, p)
+    assert str(err.value).endswith("(nullspace dimension 6 != 3)")
+    assert is_infinitesimally_angle_rigid(two, p, full_angle_set(two)).nullspace_dim == 8
+
+
+def test_algorithm1_precheck_matches_full_set_angle_verdict():
+    # the bearing precheck must accept exactly the frameworks that the
+    # full-set angle rigidity test accepts
+    verdicts = []
+    for g, p in list(equivalence_frameworks()) + [(SQUARE, UNIT_SQUARE)]:
+        angle = is_infinitesimally_angle_rigid(g, p, full_angle_set(g)).verdict
+        assert _algorithm1_accepts(g, p) == angle
+        verdicts.append(angle)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_algorithm1_collinear_bearings():

@@ -40,10 +40,12 @@ from angleform.rigidity import (
 from helpers import (
     angle_matrix_product,
     bearing_matrix_product,
+    disjoint_union,
     fan_construction,
     fd_jacobian,
     generic_points,
     nondegenerate_points,
+    random_connected_graph,
     random_construction,
 )
 
@@ -330,6 +332,49 @@ def test_rigidity_verdicts_flexible():
     assert not is_infinitesimally_angle_rigid(
         square, p, full_angle_set(square)
     ).verdict
+
+
+def _bearing_case(rng, case):
+    n = int(rng.integers(6, 16))
+    if case == "sparse":  # n - 1 <= m <= 2n - 5
+        return random_connected_graph(rng, n, int(rng.integers(0, n - 3)))
+    if case == "laman":  # m = 2n - 3
+        return build_laman(random_construction(rng, n))
+    if case == "dense":  # m = 2n + 1 to 3n - 2: no structural zero
+        return random_connected_graph(rng, n, int(rng.integers(n + 2, 2 * n)))
+    # two Laman components: each adds its own translations and scaling
+    k = n // 2
+    return disjoint_union(
+        build_laman(random_construction(rng, k)),
+        build_laman(random_construction(rng, n - k)),
+    )
+
+
+@pytest.mark.parametrize("case", ["sparse", "laman", "dense", "disconnected"])
+def test_bearing_report_matches_jacobian_svd(case):
+    # the report comes from the half-size m x 2n matrix; it must read as
+    # the SVD of the 2m x 2n bearing rigidity matrix itself
+    rng = np.random.default_rng({"sparse": 41, "laman": 42, "dense": 43}.get(case, 44))
+    verdicts = set()
+    for _ in range(10):
+        g = _bearing_case(rng, case)
+        p = generic_points(rng, g.n)
+        rep = is_infinitesimally_bearing_rigid(g, p)
+        R = bearing_rigidity_matrix(g, p)
+        ref = numerical_rank(R)
+        assert (rep.rows, rep.cols) == R.shape
+        assert (rep.rank, rep.nullspace_dim) == (ref.rank, ref.nullspace_dim)
+        assert rep.verdict == (ref.rank == 2 * g.n - 3)
+        smax = ref.singular_values[0]
+        assert abs(rep.tol - ref.tol) <= 1e-14 * smax
+        sv = np.array(rep.singular_values)
+        assert sv.shape == ref.singular_values.shape
+        assert np.max(np.abs(sv - ref.singular_values)) <= 1e-14 * smax
+        # below row m the Jacobian's values are structural zeros
+        assert np.all(sv[g.m:] == 0.0)
+        assert (sv[g.m:].size > 0) == (g.m < 2 * g.n)
+        verdicts.add(rep.verdict)
+    assert verdicts == {case in ("laman", "dense")}
 
 
 def test_report_as_dict(fan5, pentagon):
