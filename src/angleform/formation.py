@@ -3,10 +3,11 @@ simulation, and equilibrium diagnostics.
 
 The formation objective tracks target angle cosines over an index set:
 V_F(p) = 0.5 |f(p) - f(p*)|^2. The stabilizing law is the negative
-gradient u = -R^T (f(p) - f(p*)); f, the gradient terms of R and the
-recorded series all come from geometry.angle_terms. A maneuver adds a
-leader term steering the displacement between two leader agents, which
-selects scale and orientation of the final shape.
+gradient u = -R^T (f(p) - f(p*)). A maneuver adds a leader term steering
+the displacement between two leader agents, which selects scale and
+orientation of the final shape. The one numpy evaluation of both laws
+and their cost is _kernels._control_np, the numpy backend's kernel;
+cost_VF, control_uF and control_uM call it.
 
 Simulation integrates the flow with classical fixed-step RK4 through the
 kernels in angleform._kernels (compiled or pure-numpy backend).
@@ -33,6 +34,7 @@ from .rigidity import (
     AngleIndexSet,
     Configuration,
     SimilarityTransform,
+    _edge_ends,
     angle_rigidity_function,
     is_strongly_nondegenerate,
     shape_class_membership,
@@ -107,7 +109,9 @@ class IntegratorConfig:
 
     @property
     def record_every(self) -> int:
-        return max(1, int(round(self.record_stride / self.h)))
+        # past t_final a stride records the same; 1e300 / h fits no int64
+        stride = min(self.record_stride, self.t_final)
+        return max(1, int(round(stride / self.h)))
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,11 @@ class PerturbationSpec:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+        # the draws span 2 * amplitude, which must be finite as well
+        if not (math.isfinite(2 * self.amplitude) and self.amplitude >= 0):
             raise ValueError(
-                f"amplitude must be finite and nonnegative, got {self.amplitude}"
+                f"amplitude must be finite and nonnegative (2 * amplitude "
+                f"too), got {self.amplitude}"
             )
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -186,7 +192,7 @@ class FormationSpec:
         self.target_cosines = angle_rigidity_function(graph, target, angle_set)
         # 0-based arrays for the kernels
         self._tri = angle_set.as_array()
-        self._edges = np.asarray(graph.edges, dtype=np.int64) - 1
+        self._edges = _edge_ends(graph).T  # (m, 2), also when m = 0
         if maneuver is not None:
             self._lead = (
                 maneuver.leaders.first - 1,
@@ -218,12 +224,6 @@ class FormationSpec:
         return Configuration(self.target.pts @ M.T)
 
 
-class ControlTerms(NamedTuple):
-    velocity: np.ndarray  # stacked (2n,)
-    apex_terms: np.ndarray  # (n, 2) gradient contributions, apex role
-    wing_terms: np.ndarray  # (n, 2) gradient contributions, wing role
-
-
 class EquivarianceReport(NamedTuple):
     passed: bool
     max_deviation: float
@@ -241,46 +241,36 @@ def residual(spec: FormationSpec, p: Configuration) -> np.ndarray:
     return vals - spec.target_cosines
 
 
+def _law(spec: FormationSpec, p: Configuration, lead: tuple) -> tuple:
+    """(u stacked (2n,), cost) from _kernels._control_np; lead (-1, -1)
+    drops the leader term."""
+    u, cost, ok = _kernels._control_np(
+        p.pts, spec._tri, spec.target_cosines, *lead, *spec._dstar, EDGE_EPS
+    )
+    if not ok:
+        residual(spec, p)  # the kernel's condition: raises, naming the pair
+    return u.reshape(-1), cost
+
+
 def cost_VF(spec: FormationSpec, p: Configuration) -> float:
-    """0.5 |residual|^2."""
-    r = residual(spec, p)
-    return 0.5 * float(r @ r)
+    """0.5 |f(p) - f(p*)|^2 (cosines unclipped, as the kernels use them)."""
+    return _law(spec, p, (-1, -1))[1]
 
 
-def control_uF(spec: FormationSpec, p: Configuration) -> ControlTerms:
-    """Formation control u = -grad V_F = -R^T r, with r the residual,
-    split by role.
-
-    Each triple (i, j, k) adds r (q_j + q_k) to the apex term of i and
-    -r q_j, -r q_k to the wing terms of j and k (geometry.angle_terms);
-    the velocity is -(apex + wing), stacked. Raises CoincidentPoints as
-    angle_rigidity_function does.
-    """
-    tri = spec._tri
-    r = residual(spec, p)[:, None]
-    _, qj, qk, _, _ = angle_terms(p.pts, tri)
-    apex = np.zeros((p.n, 2))
-    wing = np.zeros((p.n, 2))
-    np.add.at(apex, tri[:, 0], r * (qj + qk))
-    np.add.at(wing, tri[:, 1], -r * qj)
-    np.add.at(wing, tri[:, 2], -r * qk)
-    return ControlTerms(-(apex + wing).reshape(-1), apex, wing)
+def control_uF(spec: FormationSpec, p: Configuration) -> np.ndarray:
+    """Formation control u = -grad V_F = -R^T r, stacked (2n,), with r
+    the residual. Raises CoincidentPoints as angle_rigidity_function
+    does."""
+    return _law(spec, p, (-1, -1))[0]
 
 
 def control_uM(spec: FormationSpec, p: Configuration) -> np.ndarray:
-    """Maneuver control: formation term plus leader displacement term.
-
-    Equals control_uF minus the leader coupling applied to the offset
-    from the maneuver target; only the two leader blocks differ.
-    """
+    """Maneuver control: control_uF plus the leader term, which steers
+    the leader displacement toward the commanded one; only the two
+    leader blocks differ."""
     if spec.maneuver is None:
         raise NoManeuverTarget("spec has no maneuver block")
-    u = control_uF(spec, p).velocity.copy()
-    a, b = spec.maneuver.leaders.first, spec.maneuver.leaders.second
-    err = spec._dstar - (p.point(a) - p.point(b))
-    u[2 * a - 2 : 2 * a] += err
-    u[2 * b - 2 : 2 * b] -= err
-    return u
+    return _law(spec, p, spec._lead)[0]
 
 
 def monitors(p: Configuration) -> tuple:
@@ -437,8 +427,8 @@ def equivariance_check(
     """Verify u(c R p + xi) = (1/c) R u(p) for a similarity transform."""
     c, R, xi = transform.scale, transform.rotation, transform.translation
     q = Configuration(c * (p.pts @ np.asarray(R).T) + np.asarray(xi))
-    u_q = control_uF(spec, q).velocity.reshape(-1, 2)
-    u_p = control_uF(spec, p).velocity.reshape(-1, 2)
+    u_q = control_uF(spec, q).reshape(-1, 2)
+    u_p = control_uF(spec, p).reshape(-1, 2)
     predicted = (u_p @ np.asarray(R).T) / c
     dev = float(np.max(np.abs(u_q - predicted)))
     return EquivarianceReport(dev <= tol, dev)
@@ -452,7 +442,7 @@ def degenerate_freeze_check(
     On exactly collinear configurations every projector annihilates every
     bearing, so the flow is frozen regardless of the residuals.
     """
-    u = control_uF(spec, p).velocity
+    u = control_uF(spec, p)
     return float(np.max(np.abs(u))) <= tol
 
 

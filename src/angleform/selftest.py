@@ -309,7 +309,7 @@ def check_control_is_negative_gradient():
     worst = 0.0
     for _ in range(5):
         p = Configuration(_PENT.pts + rng.uniform(-0.3, 0.3, size=(5, 2)))
-        u = control_uF(spec, p).velocity
+        u = control_uF(spec, p)
         grad = fd_jacobian(
             lambda v: cost_VF(spec, Configuration.from_vec(v)), p.vec.copy()
         )[0]
@@ -498,9 +498,9 @@ def check_control_dual_form():
     for _ in range(10):
         p = Configuration(_PENT.pts + rng.uniform(-0.4, 0.4, size=(5, 2)))
         R = angle_rigidity_matrix(_FAN, p, spec.angle_set)
-        dev = control_uF(spec, p).velocity + R.T @ residual(spec, p)
+        dev = control_uF(spec, p) + R.T @ residual(spec, p)
         worst = max(worst, float(np.max(np.abs(dev))))
-    return worst < 1e-10, f"role sums match -R^T r to {worst:.1e}"
+    return worst < 1e-10, f"u matches -R^T r to {worst:.1e}"
 
 
 def check_equivariance():

@@ -124,11 +124,9 @@ def relabeled(g, perm) -> Graph:
 
 
 def control_per_agent(spec, p):
-    """(velocity, apex, wing) of -grad V_F, one triple at a time: each
-    triple adds its residual times its gradient blocks to the role sums
-    of its three agents."""
-    apex = np.zeros((p.n, 2))
-    wing = np.zeros((p.n, 2))
+    """Stacked -grad V_F, one triple at a time: each triple adds its
+    residual times its gradient blocks to the sums of its three agents."""
+    grad = np.zeros((p.n, 2))
     for d, (i, j, k) in zip(residual(spec, p), spec.angle_set.triples):
         eij = p.point(i) - p.point(j)
         eik = p.point(i) - p.point(k)
@@ -139,7 +137,7 @@ def control_per_agent(spec, p):
         cosv = float(gij @ gik)
         qj = (gik - cosv * gij) / lij
         qk = (gij - cosv * gik) / lik
-        apex[i - 1] += d * (qj + qk)
-        wing[j - 1] += -d * qj
-        wing[k - 1] += -d * qk
-    return -(apex + wing).reshape(-1), apex, wing
+        grad[i - 1] += d * (qj + qk)
+        grad[j - 1] -= d * qj
+        grad[k - 1] -= d * qk
+    return -grad.reshape(-1)

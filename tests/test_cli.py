@@ -2,6 +2,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angleform import cli
+from angleform import _kernels, cli
 from angleform.errors import ParseError, ValidationError
 from angleform.formation import FormationSpec, cost_VF
 from angleform.rigidity import Configuration
@@ -326,6 +328,12 @@ HUGE = 10**400  # a JSON integer beyond the double range
             2,
             "seed must be nonnegative, got -1",
         ),
+        (
+            _set(("configuration", "perturbation", "amplitude"), 1e308),
+            2,
+            "amplitude must be finite and nonnegative (2 * amplitude too), "
+            "got 1e+308",
+        ),
     ],
     ids=[
         "float-edge",
@@ -347,6 +355,7 @@ HUGE = 10**400  # a JSON integer beyond the double range
         "infinite-steps",
         "huge-n",
         "negative-seed",
+        "overflowing-amplitude",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
@@ -369,6 +378,74 @@ def test_main_refuses_unbounded_trajectory(tmp_path, capsys):
     assert "t_final 10000.0 at record_stride 0.001" in out
     assert "limit of 2000000 recorded points" in out
     assert not (tmp_path / "run").exists()
+
+
+HAVE_CC = _kernels.find_compiler() is not None
+
+
+def _backend(name):
+    """The named kernel backend; C is skipped where no compiler is."""
+    if name == "numpy":
+        return _kernels.make_numpy_backend()
+    if not HAVE_CC:
+        pytest.skip("no C compiler on PATH")
+    return _kernels.make_c_backend()
+
+
+def _simulated(sc, out):
+    """simulate's output files by name, after a clean exit."""
+    assert cli.main(["simulate", "--scenario", str(sc), "--out", str(out)]) == 0
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def test_edgeless_graph_simulates_alike_on_both_backends(tmp_path, monkeypatch):
+    doc = {
+        "schema": 1,
+        "graph": {"n": 3, "edges": []},
+        "configuration": {"points": [[0, 0], [1, 0], [0, 1]]},
+        "angles": {"source": "full"},
+    }
+    sc = _write(tmp_path, doc)
+    runs = []
+    for name in ("numpy", "c") if HAVE_CC else ("numpy",):
+        monkeypatch.setattr(_kernels, "_active", _backend(name))
+        files = _simulated(sc, tmp_path / name)
+        files["report.txt"] = files["report.txt"].replace(
+            f"backend={name}\n".encode(), b""
+        )
+        runs.append(files)
+    assert runs[0] == runs[-1]
+    assert runs[0]["trajectory.csv"] == (
+        b"t,p1x,p1y,p2x,p2y,p3x,p3y\n0.0,0.0,0.0,1.0,0.0,0.0,1.0\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["numpy", "c"])
+def test_record_stride_far_past_t_final(tmp_path, monkeypatch, name):
+    # a separate process: at 1e300 the C kernel once took a modulus by 0,
+    # and the signal would end the test run
+    backend = _backend(name)
+    doc = _base_doc()
+    doc["integrator"] = {"h": 0.01, "t_final": 1.0, "record_stride": 1e300}
+    sc = _write(tmp_path, doc, "far.json")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env[_kernels.ENV_FLAG] = "0" if name == "numpy" else "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "angleform", "simulate", "--scenario", str(sc),
+         "--out", str(tmp_path / "far")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    far = {f.name: f.read_bytes() for f in (tmp_path / "far").iterdir()}
+    assert f"backend={name}\n".encode() in far["report.txt"]
+    # the same files as a stride of exactly t_final: samples at 0 and 1
+    monkeypatch.setattr(_kernels, "_active", backend)
+    doc["integrator"]["record_stride"] = 1.0
+    at = _simulated(_write(tmp_path, doc, "at.json"), tmp_path / "at")
+    for f in ("trajectory.csv", "cost.csv"):
+        assert far[f] == at[f], f
+    rows = far["trajectory.csv"].decode().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0.0", "1.0"]
 
 
 @pytest.mark.parametrize(

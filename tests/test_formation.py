@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from angleform.errors import BlowUp, NonPositiveSeries, NoManeuverTarget
+from angleform.errors import (
+    BlowUp,
+    CoincidentPoints,
+    NonPositiveSeries,
+    NoManeuverTarget,
+)
 from angleform.formation import (
     FormationSpec,
     MAX_STEPS,
@@ -76,7 +81,7 @@ def test_perturbation_reproducible(pentagon):
 def test_residual_and_cost_zero_at_target(spec, pentagon):
     assert np.max(np.abs(residual(spec, pentagon))) == 0.0
     assert cost_VF(spec, pentagon) == 0.0
-    u = control_uF(spec, pentagon).velocity
+    u = control_uF(spec, pentagon)
     assert np.max(np.abs(u)) < 1e-15
 
 
@@ -85,7 +90,7 @@ def test_control_matches_negative_gradient(spec, pentagon):
     h = 1e-6
     for _ in range(5):
         p = Configuration(pentagon.pts + rng.uniform(-0.3, 0.3, (5, 2)))
-        u = control_uF(spec, p).velocity
+        u = control_uF(spec, p)
         grad = np.zeros(10)
         for c in range(10):
             vp, vm = p.vec.copy(), p.vec.copy()
@@ -96,15 +101,6 @@ def test_control_matches_negative_gradient(spec, pentagon):
                 - cost_VF(spec, Configuration.from_vec(vm))
             ) / (2 * h)
         assert np.max(np.abs(u + grad)) < 1e-6
-
-
-def test_control_terms_decompose(spec, pentagon):
-    rng = np.random.default_rng(31)
-    p = Configuration(pentagon.pts + rng.uniform(-0.2, 0.2, (5, 2)))
-    terms = control_uF(spec, p)
-    assert np.allclose(
-        terms.velocity, -(terms.apex_terms + terms.wing_terms).reshape(-1)
-    )
 
 
 def _control_cases(fan5, pentagon):
@@ -123,13 +119,10 @@ def _control_cases(fan5, pentagon):
 
 def test_control_matches_oracles(fan5, pentagon):
     for spec, p in _control_cases(fan5, pentagon):
-        terms = control_uF(spec, p)
-        u, apex, wing = control_per_agent(spec, p)
+        u = control_uF(spec, p)
         R = angle_matrix_product(spec.graph, p, spec.angle_set)
-        assert np.max(np.abs(terms.velocity - u)) <= 1e-10
-        assert np.max(np.abs(terms.apex_terms - apex)) <= 1e-10
-        assert np.max(np.abs(terms.wing_terms - wing)) <= 1e-10
-        assert np.max(np.abs(terms.velocity + R.T @ residual(spec, p))) <= 1e-10
+        assert np.max(np.abs(u - control_per_agent(spec, p))) <= 1e-10
+        assert np.max(np.abs(u + R.T @ residual(spec, p))) <= 1e-10
 
 
 def test_control_uM_differs_only_at_leaders(fan5, pentagon):
@@ -137,7 +130,7 @@ def test_control_uM_differs_only_at_leaders(fan5, pentagon):
     spec_m = FormationSpec(fan5, pentagon, maneuver=man)
     rng = np.random.default_rng(32)
     p = Configuration(pentagon.pts + rng.uniform(-0.2, 0.2, (5, 2)))
-    uf = control_uF(spec_m, p).velocity
+    uf = control_uF(spec_m, p)
     um = control_uM(spec_m, p)
     err = np.asarray(man.displacement) - (p.point(3) - p.point(4))
     diff = (um - uf).reshape(5, 2)
@@ -149,6 +142,23 @@ def test_control_uM_differs_only_at_leaders(fan5, pentagon):
 def test_control_uM_requires_maneuver(spec, pentagon):
     with pytest.raises(NoManeuverTarget):
         control_uM(spec, pentagon)
+
+
+@pytest.mark.parametrize("moved, onto", [(3, 1), (4, 3), (5, 4)])
+def test_control_and_cost_name_the_coincident_pair(fan5, pentagon, moved, onto):
+    # every pair here is an edge of some triple of the triangle set
+    man = Maneuver(LeaderPair(3, 4), (-0.5, 0.0))
+    spec = FormationSpec(fan5, pentagon, maneuver=man)
+    pts = pentagon.pts.copy()
+    pts[moved - 1] = pts[onto - 1]
+    p = Configuration(pts)
+    with pytest.raises(CoincidentPoints) as want:
+        residual(spec, p)
+    assert set(want.value.pair) == {moved, onto}
+    for law in (control_uF, control_uM, cost_VF):
+        with pytest.raises(CoincidentPoints) as got:
+            law(spec, p)
+        assert got.value.pair == want.value.pair, law.__name__
 
 
 def test_equivariance(spec, pentagon):
@@ -247,6 +257,13 @@ def test_integrator_config_caps_steps():
     for h, t_final in ((1.0, MAX_STEPS + 1.0), (1e-9, 50.0), (1e-300, 1e300)):
         with pytest.raises(ValueError, match="over the limit of 100000000"):
             IntegratorConfig(h=h, t_final=t_final, record_stride=1.0)
+
+
+def test_record_stride_past_t_final_records_as_t_final():
+    for h, t_final in ((1e-3, 1.0), (1e-9, 0.05)):
+        far = IntegratorConfig(h=h, t_final=t_final, record_stride=1e300)
+        at = IntegratorConfig(h=h, t_final=t_final, record_stride=t_final)
+        assert far.record_every == at.record_every == at.n_steps
 
 
 def test_simulate_starts_at_equilibrium(spec, pentagon):

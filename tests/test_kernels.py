@@ -6,11 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angleform import _kernels
-from angleform.formation import FormationSpec, PerturbationSpec
-from angleform.graph import Graph
-from angleform.rigidity import Configuration
+from angleform.formation import (
+    FormationSpec,
+    Maneuver,
+    PerturbationSpec,
+    control_uF,
+    control_uM,
+    cost_VF,
+)
+from angleform.graph import Graph, LeaderPair, build_laman
+from angleform.index_sets import laman_minimal_set
+from angleform.rigidity import EDGE_EPS, Configuration
+from helpers import nondegenerate_points, random_construction
 
 FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
 PENT = Configuration.regular_polygon(5)
@@ -101,6 +112,83 @@ def test_integrate_parity(compiled):
     assert n1 == n2 and s1 == s2 and e1 == e2
     assert np.array_equal(t1[:n1], t2[:n2])
     assert np.max(np.abs(tr1[:n1] - tr2[:n2])) < 1e-12
+
+
+def _assert_runs_agree(c_run, np_run):
+    t1, tr1, n1, s1, e1 = c_run
+    t2, tr2, n2, s2, e2 = np_run
+    assert (s1, n1, e1) == (s2, n2, e2)
+    assert np.array_equal(t1[:n1], t2[:n2])
+    assert np.max(np.abs(tr1[:n1] - tr2[:n2])) <= 1e-12
+
+
+@needs_cc
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+    leaders=st.booleans(),
+    h=st.sampled_from([1e-3, 4e-3]),
+    record_every=st.sampled_from([1, 7, 40]),
+)
+def test_kernel_parity_property(seed, n, leaders, h, record_every):
+    """C and numpy agree on a random vertex-insertion framework; the
+    runs stay short and start far from cost_tol, so no draw converges
+    near the threshold."""
+    rng = np.random.default_rng(seed)
+    c = random_construction(rng, n)
+    g = build_laman(c)
+    target = nondegenerate_points(rng, g)
+    maneuver = None
+    if leaders:
+        a, b = g.edges[int(rng.integers(g.m))]
+        maneuver = Maneuver(LeaderPair(a, b), tuple(rng.uniform(-1.0, 1.0, 2)))
+    spec = FormationSpec(g, target, laman_minimal_set(c), maneuver)
+    p = Configuration(target.pts + rng.uniform(-0.05, 0.05, (n, 2)))
+    cb = _kernels.make_c_backend()
+
+    u, cost, ok = cb.eval_control(
+        p.pts, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
+    )
+    assert ok
+    assert np.max(np.abs(control_uF(spec, p) - u.reshape(-1))) <= 1e-12
+    assert abs(cost_VF(spec, p) - cost) <= 1e-12
+    if leaders:
+        u, _, _ = cb.eval_control(
+            p.pts, spec._tri, spec.target_cosines, *spec._lead, *spec._dstar,
+            EDGE_EPS,
+        )
+        assert np.max(np.abs(control_uM(spec, p) - u.reshape(-1))) <= 1e-12
+
+    args = _integrate_args(
+        spec, p.pts, h=h, n_steps=60, record_every=record_every,
+        lead_a=spec._lead[0], lead_b=spec._lead[1],
+        dsx=float(spec._dstar[0]), dsy=float(spec._dstar[1]),
+    )
+    c_run = cb.integrate(*args)
+    assert c_run[3] == _kernels.STATUS_RAN  # no draw nears cost_tol
+    _assert_runs_agree(c_run, _kernels._integrate_np(*args))
+
+
+@needs_cc
+@pytest.mark.parametrize("case", ["collision", "blowup"])
+def test_kernel_parity_stops(case):
+    """Both kernels stop at the same step: an edge that is exactly
+    collapsed at t = 0, or a blow-up limit below the start radius."""
+    man = Maneuver(LeaderPair(3, 4), (0.5, 0.0))
+    spec = FormationSpec(FAN, PENT, maneuver=man)
+    pos = PerturbationSpec(0.2, 15).sample(PENT).pts.copy()
+    over = dict(lead_a=2, lead_b=3, dsx=0.5, dsy=0.0)
+    if case == "collision":
+        pos[4] = pos[3]  # (4, 5) is an edge
+        want = _kernels.STATUS_COINCIDENT
+    else:
+        over["blowup_limit"] = 0.5 * float(np.max(np.abs(pos)))
+        want = _kernels.STATUS_NONFINITE
+    args = _integrate_args(spec, pos, **over)
+    c_run = _kernels.make_c_backend().integrate(*args)
+    assert c_run[3] == want
+    _assert_runs_agree(c_run, _kernels._integrate_np(*args))
 
 
 def test_record_grid_and_final_sample():
