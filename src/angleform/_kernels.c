@@ -6,52 +6,130 @@
    i is p[2*i], p[2*i+1]. Expressions are evaluated in source order and
    the build uses -ffp-contract=off, so no multiply-add is fused.
 
-   The caller allocates every array. work holds 6 * 2n doubles: the
-   current position, the four RK4 stages and the stage position. */
+   A control evaluation first makes one pass over the sides of its
+   triples, whatever the graph's edges are. The caller lists the k
+   unique sides (a, b) and (a, c) of the triples as sides
+   (k, 2), each with a fixed orientation (i, j), and codes a triple's
+   two sides as code (w, 2), 2 * side + flip, flip = 1 where the triple
+   runs the side from j to i. The edge pass writes two records per side
+   to gtab (8 * k doubles): (g_x, g_y, l, l) with e = p_i - p_j,
+   l = sqrt(e_x * e_x + e_y * e_y) and g = e / l, and then the same
+   record with g negated, so a triple reads its bearings at
+   gtab + 4 * code. Two sides share a 2-lane vector in the edge pass,
+   and the x and y lanes of a triple's terms share one in its loop.
+
+   Every result is bit for bit what a triple-by-triple loop of scalar
+   operations gives, one that computes both sides of each triple itself
+   (tests/helpers.py transcribes it). Packed IEEE operations round each
+   lane exactly as the scalar ones do. p_j - p_i is exactly
+   -(p_i - p_j), and -e / l is exactly -(e / l), except that a zero
+   component comes out -0.0 where the scalar loop has +0.0. Every term
+   made from such a bearing then equals the scalar one but for the sign
+   of a zero, and no such zero changes a sum: u starts at +0.0, adding
+   either zero to a nonzero value leaves it as it is, +0.0 plus or
+   minus either zero is +0.0, and an exact cancellation gives +0.0, so
+   no entry of u is ever -0.0. The cost adds 0.5 * d * d, which is
+   +0.0 for either zero.
+
+   The caller allocates every array. work holds 6 * 2n doubles, the
+   current position, the four RK4 stages and the stage position, and
+   after them the 8 * k doubles of the side table. */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
 
 enum { STATUS_RAN = 0, STATUS_CONVERGED = 1, STATUS_NONFINITE = 2,
        STATUS_COINCIDENT = 3 };
 
+typedef double v2 __attribute__((vector_size(16)));
+
+static inline v2 load2(const double *p)
+{
+    v2 v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store2(double *p, v2 v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+static inline v2 sqrt2(v2 x)
+{
+#ifdef __SSE2__
+    return (v2)_mm_sqrt_pd((__m128d)x);
+#else
+    return (v2){sqrt(x[0]), sqrt(x[1])};
+#endif
+}
+
+/* the records of side s from its difference e and length l */
+static inline void put_side(double *gtab, int64_t s, v2 e, double l)
+{
+    v2 lv = {l, l}, g = e / lv;
+    store2(gtab + 8 * s, g);
+    store2(gtab + 8 * s + 2, lv);
+    store2(gtab + 8 * s + 4, -g);
+    store2(gtab + 8 * s + 6, lv);
+}
+
+static void edge_pass(const double *pos, int64_t k, const int64_t *sides,
+                      double *gtab)
+{
+    int64_t s = 0;
+    for (; s + 1 < k; s += 2) {
+        const int64_t *q = sides + 2 * s;
+        v2 e0 = load2(pos + 2 * q[0]) - load2(pos + 2 * q[1]);
+        v2 e1 = load2(pos + 2 * q[2]) - load2(pos + 2 * q[3]);
+        v2 sq0 = e0 * e0, sq1 = e1 * e1;
+        v2 xx = {sq0[0], sq1[0]}, yy = {sq0[1], sq1[1]};
+        v2 l = sqrt2(xx + yy);
+        put_side(gtab, s, e0, l[0]);
+        put_side(gtab, s + 1, e1, l[1]);
+    }
+    if (s < k) {
+        v2 e = load2(pos + 2 * sides[2 * s]) - load2(pos + 2 * sides[2 * s + 1]);
+        put_side(gtab, s, e, sqrt(e[0] * e[0] + e[1] * e[1]));
+    }
+}
+
 int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
+               const int64_t *code, int64_t k, const int64_t *sides,
                const double *cstar, int64_t lead_a, int64_t lead_b,
-               double dsx, double dsy, double edge_eps, double *u,
-               double *cost_out)
+               double dsx, double dsy, double edge_eps, double *gtab,
+               double *u, double *cost_out)
 {
     double cost = 0.0;
     for (int64_t i = 0; i < 2 * n; i++)
         u[i] = 0.0;
     *cost_out = 0.0;
+    edge_pass(pos, k, sides, gtab);
     for (int64_t t = 0; t < w; t++) {
-        int64_t a = tri[3 * t], b = tri[3 * t + 1], c = tri[3 * t + 2];
-        double eabx = pos[2 * a] - pos[2 * b];
-        double eaby = pos[2 * a + 1] - pos[2 * b + 1];
-        double eacx = pos[2 * a] - pos[2 * c];
-        double eacy = pos[2 * a + 1] - pos[2 * c + 1];
-        double lab = sqrt(eabx * eabx + eaby * eaby);
-        double lac = sqrt(eacx * eacx + eacy * eacy);
-        if (lab < edge_eps || lac < edge_eps) {
+        const double *ab = gtab + 4 * code[2 * t];
+        const double *ac = gtab + 4 * code[2 * t + 1];
+        if (ab[2] < edge_eps || ac[2] < edge_eps) {
             *cost_out = cost;
             return 0;
         }
-        double gabx = eabx / lab, gaby = eaby / lab;
-        double gacx = eacx / lac, gacy = eacy / lac;
-        double cosv = gabx * gacx + gaby * gacy;
+        v2 gab = load2(ab), gac = load2(ac);
+        v2 dot = gab * gac;
+        double cosv = dot[0] + dot[1];
         double d = cosv - cstar[t];
         cost += 0.5 * d * d;
         /* projector identity: P(g_ab) g_ac = g_ac - cos * g_ab */
-        double q1x = (gacx - cosv * gabx) / lab;
-        double q1y = (gacy - cosv * gaby) / lab;
-        double q2x = (gabx - cosv * gacx) / lac;
-        double q2y = (gaby - cosv * gacy) / lac;
-        u[2 * a] -= d * (q1x + q2x);
-        u[2 * a + 1] -= d * (q1y + q2y);
-        u[2 * b] += d * q1x;
-        u[2 * b + 1] += d * q1y;
-        u[2 * c] += d * q2x;
-        u[2 * c + 1] += d * q2y;
+        v2 cv = {cosv, cosv}, dv = {d, d};
+        v2 q1 = (gac - cv * gab) / load2(ab + 2);
+        v2 q2 = (gab - cv * gac) / load2(ac + 2);
+        double *ua = u + 2 * tri[3 * t], *ub = u + 2 * tri[3 * t + 1];
+        double *uc = u + 2 * tri[3 * t + 2];
+        store2(ua, load2(ua) - dv * (q1 + q2));
+        store2(ub, load2(ub) + dv * q1);
+        store2(uc, load2(uc) + dv * q2);
     }
     if (lead_a >= 0) {
         double ex = dsx - (pos[2 * lead_a] - pos[2 * lead_b]);
@@ -67,6 +145,7 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
 }
 
 int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
+                 const int64_t *code, int64_t k, const int64_t *sides,
                  const double *cstar, int64_t m, const int64_t *edges,
                  double h, int64_t n_steps, int64_t record_every,
                  int64_t lead_a, int64_t lead_b, double dsx, double dsy,
@@ -77,6 +156,7 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
     const int64_t d2 = 2 * n;
     double *pos = work, *k1 = work + d2, *k2 = work + 2 * d2;
     double *k3 = work + 3 * d2, *k4 = work + 4 * d2, *stage = work + 5 * d2;
+    double *gtab = work + 6 * d2;
     double cost, c_unused;
     int64_t n_rec = 1;
     int status = STATUS_RAN;
@@ -100,8 +180,8 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
             t_stop = t;
             break;
         }
-        if (!af_control(n, pos, w, tri, cstar, lead_a, lead_b, dsx, dsy,
-                        edge_eps, k1, &cost)) {
+        if (!af_control(n, pos, w, tri, code, k, sides, cstar, lead_a, lead_b,
+                        dsx, dsy, edge_eps, gtab, k1, &cost)) {
             status = STATUS_COINCIDENT;
             t_stop = t;
             break;
@@ -116,16 +196,16 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
         }
         for (int64_t i = 0; i < d2; i++)
             stage[i] = pos[i] + (0.5 * h) * k1[i];
-        int ok2 = af_control(n, stage, w, tri, cstar, lead_a, lead_b, dsx,
-                             dsy, edge_eps, k2, &c_unused);
+        int ok2 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
+                             lead_b, dsx, dsy, edge_eps, gtab, k2, &c_unused);
         for (int64_t i = 0; i < d2; i++)
             stage[i] = pos[i] + (0.5 * h) * k2[i];
-        int ok3 = af_control(n, stage, w, tri, cstar, lead_a, lead_b, dsx,
-                             dsy, edge_eps, k3, &c_unused);
+        int ok3 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
+                             lead_b, dsx, dsy, edge_eps, gtab, k3, &c_unused);
         for (int64_t i = 0; i < d2; i++)
             stage[i] = pos[i] + h * k3[i];
-        int ok4 = af_control(n, stage, w, tri, cstar, lead_a, lead_b, dsx,
-                             dsy, edge_eps, k4, &c_unused);
+        int ok4 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
+                             lead_b, dsx, dsy, edge_eps, gtab, k4, &c_unused);
         if (!(ok2 && ok3 && ok4)) {
             status = STATUS_COINCIDENT;
             t_stop = t;

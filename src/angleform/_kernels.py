@@ -17,6 +17,15 @@ the source and the compiler flags, so later processes only load it.
 Both backends stay constructible so they can be compared in one
 process, as the parity tests and selftest do.
 
+The C control loop takes each bearing from one edge pass per
+evaluation instead of recomputing both sides of every triple. Each
+eval_control and integrate call first builds that pass's table with
+numpy (_side_table): the triples' unique sides, and per triple which
+side it uses in which direction. The pass runs two sides per 2-lane
+vector and the triple loop runs x and y as one, and the results stay
+bit for bit those of a scalar loop over the triples (_kernels.c says
+why).
+
 Kernel contract
 ---------------
 eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
@@ -281,6 +290,22 @@ def _check_args(pos, tri, cstar, edges, lead_a, lead_b):
         raise IndexError(f"leader index out of range for {n} agents")
 
 
+def _side_table(tri, n):
+    """The edge table of the C control loop for 0-based triples tri
+    (w, 3) on n agents: sides (k, 2), the k unique unordered sides
+    (a, b) and (a, c) of the triples, each as (i, j) with i < j, and
+    code (w, 2), each triple side's 2 * row + flip, where flip is 1
+    when the triple runs the side from j to i (a > b)."""
+    apex, wings = tri[:, :1], tri[:, 1:]
+    keys, side = np.unique(
+        (np.minimum(apex, wings) * n + np.maximum(apex, wings)).ravel(),
+        return_inverse=True,
+    )
+    sides = np.column_stack([keys // n, keys % n])
+    code = 2 * side.reshape(-1, 2) + (apex > wings)
+    return sides, code
+
+
 def make_c_backend() -> Backend:
     """The C backend; raises CBuildError or OSError when it cannot be
     built or loaded."""
@@ -288,15 +313,15 @@ def make_c_backend() -> Backend:
     control = lib.af_control
     control.restype = ctypes.c_int
     control.argtypes = [
-        _int, _ptr, _int, _ptr, _ptr, _int, _int, _dbl, _dbl, _dbl, _ptr,
-        ctypes.POINTER(_dbl),
+        _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _ptr, _int, _int, _dbl,
+        _dbl, _dbl, _ptr, _ptr, ctypes.POINTER(_dbl),
     ]
     flow = lib.af_integrate
     flow.restype = ctypes.c_int
     flow.argtypes = [
-        _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _dbl, _int, _int, _int,
-        _int, _dbl, _dbl, _dbl, _dbl, _dbl, _dbl, _ptr, _ptr, _ptr,
-        ctypes.POINTER(_int), ctypes.POINTER(_dbl),
+        _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _ptr, _int, _ptr, _dbl,
+        _int, _int, _int, _int, _dbl, _dbl, _dbl, _dbl, _dbl, _dbl, _ptr,
+        _ptr, _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
     ]
 
     def eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
@@ -304,12 +329,15 @@ def make_c_backend() -> Backend:
         tri = np.ascontiguousarray(tri, dtype=np.int64)
         cstar = np.ascontiguousarray(cstar, dtype=np.float64)
         _check_args(pos, tri, cstar, _NO_EDGES, lead_a, lead_b)
+        sides, code = _side_table(tri, pos.shape[0])
+        gtab = np.empty(8 * sides.shape[0])
         u = np.empty_like(pos)
         cost = _dbl()
         ok = control(
             pos.shape[0], pos.ctypes.data, tri.shape[0], tri.ctypes.data,
+            code.ctypes.data, sides.shape[0], sides.ctypes.data,
             cstar.ctypes.data, int(lead_a), int(lead_b), dsx, dsy, edge_eps,
-            u.ctypes.data, ctypes.byref(cost),
+            gtab.ctypes.data, u.ctypes.data, ctypes.byref(cost),
         )
         return u, cost.value, bool(ok)
 
@@ -322,14 +350,16 @@ def make_c_backend() -> Backend:
         edges = np.ascontiguousarray(edges, dtype=np.int64)
         _check_args(pos0, tri, cstar, edges, lead_a, lead_b)
         n = pos0.shape[0]
+        sides, code = _side_table(tri, n)
         max_rec = n_steps // record_every + 2
         times = np.zeros(max_rec)
         traj = np.zeros((max_rec, n, 2))
-        work = np.empty(12 * n)
+        work = np.empty(12 * n + 8 * sides.shape[0])
         n_rec = _int()
         t_stop = _dbl()
         status = flow(
             n, pos0.ctypes.data, tri.shape[0], tri.ctypes.data,
+            code.ctypes.data, sides.shape[0], sides.ctypes.data,
             cstar.ctypes.data, edges.shape[0], edges.ctypes.data, h,
             int(n_steps), int(record_every), int(lead_a), int(lead_b), dsx,
             dsy, blowup_limit, edge_eps, cost_tol, grad_tol,

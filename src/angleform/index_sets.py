@@ -33,6 +33,7 @@ from .rigidity import (
     bearing,
     check_matrix_size,
     is_infinitesimally_bearing_rigid,
+    triangle_count,
 )
 
 
@@ -61,7 +62,16 @@ def _two_apex_triples(g: Graph) -> list:
 
 def triangle_formation_set(g: Graph) -> AngleIndexSet:
     """Two angle triples per graph triangle, apexes at the two smaller
-    labels."""
+    labels.
+
+    The set is refused (ValidationError) before it is built when its
+    angle rigidity matrix would be too large.
+    """
+    check_matrix_size(
+        "angle source 'triangle_formation' angle rigidity matrix",
+        2 * triangle_count(g),
+        2 * g.n,
+    )
     return AngleIndexSet(tuple(_two_apex_triples(g)), "triangle_formation")
 
 

@@ -15,6 +15,7 @@ vector pointing from j toward i.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,6 +41,8 @@ RANK_TOL_FACTOR = 100.0
 # largest matrix the benchmark builds (at n = 1000, the 1997 x 2000
 # distance and half-size bearing matrices)
 MAX_MATRIX_ENTRIES = 100_000_000
+# triangles is_strongly_nondegenerate tests per vectorized batch
+TRIANGLE_CHUNK = 65_536
 
 
 class Configuration:
@@ -444,12 +447,25 @@ def is_infinitesimally_angle_rigid(
     return _rank_report("angle", M, lambda info: info.nullspace_dim == 4)
 
 
-def _triangles(g: Graph) -> list:
-    """All vertex triangles a < b < c whose three edges exist."""
-    adj = {v: set(neighbors(g, v)) for v in range(1, g.n + 1)}
-    return sorted(
-        (a, b, c) for a, b in g.edges for c in adj[a] & adj[b] if c > b
-    )
+def _neighbor_sets(g: Graph) -> dict:
+    return {v: set(nb) for v, nb in g._adjacency.items()}
+
+
+def _triangles(g: Graph):
+    """The vertex triangles a < b < c whose three edges exist, in sorted
+    order: by canonical edge (a, b), then by c."""
+    adj = _neighbor_sets(g)
+    for a, b in g.edges:
+        for c in sorted(adj[a] & adj[b]):
+            if c > b:
+                yield a, b, c
+
+
+def triangle_count(g: Graph) -> int:
+    """Number of graph triangles, without listing them: each edge (a, b)
+    lies on |N(a) & N(b)| of them, and each triangle has three edges."""
+    adj = _neighbor_sets(g)
+    return sum(len(adj[a] & adj[b]) for a, b in g.edges) // 3
 
 
 def is_strongly_nondegenerate(
@@ -458,12 +474,31 @@ def is_strongly_nondegenerate(
     """No graph triangle is embedded collinearly.
 
     Returns the first offending triangle as a witness when one exists.
+    Triangles a < b < c are tested in sorted order, TRIANGLE_CHUNK at a
+    time: collinear when |g_ba . perp(g_ca)| <= COLLINEAR_EPS. The first
+    triangle with p_b or p_c within EDGE_EPS of p_a raises
+    CoincidentPoints for (b, a), else (c, a), unless an earlier one is
+    collinear.
     """
-    for a, b, c in _triangles(g):
-        gab = bearing(p, b, a)
-        gac = bearing(p, c, a)
-        if abs(gab @ perp(gac)) <= COLLINEAR_EPS:
-            return NondegeneracyReport(False, (a, b, c))
+    triangles = _triangles(g)
+    while chunk := list(islice(triangles, TRIANGLE_CHUNK)):
+        a, b, c = np.asarray(chunk, dtype=np.int64).T
+        eab = p.pts[b - 1] - p.pts[a - 1]
+        eac = p.pts[c - 1] - p.pts[a - 1]
+        lab = np.hypot(eab[:, 0], eab[:, 1])
+        lac = np.hypot(eac[:, 0], eac[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gab = eab / lab[:, None]
+            gac = eac / lac[:, None]
+            cross = gab[:, 0] * -gac[:, 1] + gab[:, 1] * gac[:, 0]
+        bad = (lab < EDGE_EPS) | (lac < EDGE_EPS) | (np.abs(cross) <= COLLINEAR_EPS)
+        if bad.any():
+            r = int(np.argmax(bad))
+            if lab[r] < EDGE_EPS:
+                raise CoincidentPoints(int(b[r]), int(a[r]), float(lab[r]))
+            if lac[r] < EDGE_EPS:
+                raise CoincidentPoints(int(c[r]), int(a[r]), float(lac[r]))
+            return NondegeneracyReport(False, chunk[r])
     return NondegeneracyReport(True, None)
 
 

@@ -900,3 +900,48 @@ def test_full_angle_set_of_a_large_star_is_refused(tmp_path, capsys, verb):
         "498501 x 2000 = 997002000 entries, over the limit of 100000000\n"
     )
     assert elapsed < 1.0
+
+
+def _complete_graph_doc(n):
+    return {
+        "schema": 1,
+        "graph": {
+            "n": n,
+            "edges": [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+        },
+        "configuration": {"generator": {"kind": "regular_polygon", "n": n}},
+        "angles": {"source": "triangle_formation"},
+    }
+
+
+# C(250, 3) = 2 573 000 triangles, two triples each
+K250_REFUSAL = (
+    "validation error: angle source 'triangle_formation' angle rigidity matrix "
+    "would be 5146000 x 500 = 2573000000 entries, over the limit of 100000000\n"
+)
+
+
+@pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
+def test_triangle_set_of_a_complete_graph_is_refused(tmp_path, capsys, verb):
+    sc = _write(tmp_path, _complete_graph_doc(250))
+    t0 = time.perf_counter()
+    code = cli.main([verb, "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert capsys.readouterr().out == K250_REFUSAL
+    assert elapsed < 2.0
+
+
+def test_triangle_set_refusal_lists_no_triangles(tmp_path):
+    """The count comes before the list: the refusing process stays small."""
+    sc = _write(tmp_path, _complete_graph_doc(250))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "angleform", "analyze", "--scenario", str(sc),
+         "--out", str(tmp_path / "o")],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+    assert os.waitstatus_to_exitcode(status) == 2
+    assert proc.stdout.read() == K250_REFUSAL
+    assert usage.ru_maxrss < 300 * 1024  # KiB; listing the set took 645 MB

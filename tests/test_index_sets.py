@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from angleform.errors import NotInfinitesimallyAngleRigid
+from angleform import index_sets, rigidity
+from angleform.errors import NotInfinitesimallyAngleRigid, ValidationError
 from angleform.graph import Graph, build_laman, recognize_triangulated_laman
 from angleform.index_sets import (
     algorithm1_set,
@@ -180,3 +181,15 @@ def test_index_sets_validate_against_graph(fan5, pentagon):
         algorithm1_set(fan5, pentagon),
     ):
         T.validate_for(fan5)  # must not raise
+
+
+def test_triangle_set_is_refused_before_it_is_listed(monkeypatch):
+    def listing(g):
+        raise AssertionError("the triangles were listed")
+
+    k6 = Graph.from_edges(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+    monkeypatch.setattr(index_sets, "_triangles", listing)
+    # 20 triangles: 40 triples x 12 columns
+    monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", 479)
+    with pytest.raises(ValidationError, match="'triangle_formation'.* 40 x 12 = 480"):
+        triangle_formation_set(k6)

@@ -18,10 +18,16 @@ from angleform.formation import (
     control_uM,
     cost_VF,
 )
+from angleform.geometry import angle_terms
 from angleform.graph import Graph, LeaderPair, build_laman
-from angleform.index_sets import laman_minimal_set
+from angleform.index_sets import full_angle_set, laman_global_set, laman_minimal_set
 from angleform.rigidity import EDGE_EPS, Configuration
-from helpers import nondegenerate_points, random_construction
+from helpers import (
+    kernel_control,
+    kernel_integrate,
+    nondegenerate_points,
+    random_construction,
+)
 
 FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
 PENT = Configuration.regular_polygon(5)
@@ -341,3 +347,213 @@ def test_c_refuses_out_of_range_indices():
         b.integrate(*_integrate_args(spec, pos, lead_a=0, lead_b=7))
     with pytest.raises(ValueError):
         b.integrate(*_integrate_args(spec, pos.ravel()))
+
+
+# ---------------------------------------------------------------------
+# bit-exact: the C kernels against the scalar triple-by-triple loop
+# ---------------------------------------------------------------------
+
+
+def _assert_bits(got, want):
+    """Equal values and equal zero signs."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_matches_oracle(pos, tri, cstar, edges, lead=(-1, -1), ds=(0.0, 0.0),
+                           h=1e-2, n_steps=50, edge_eps=EDGE_EPS):
+    """C eval_control and an n_steps C integrate recording every step
+    are bit-equal to tests/helpers.py's scalar loop; returns the
+    integrate's (status, t_stop)."""
+    b = _kernels.make_c_backend()
+    law = (
+        np.asarray(tri, dtype=np.int64).reshape(-1, 3),
+        np.asarray(cstar, dtype=float),
+        *lead, *ds, edge_eps,
+    )
+    u, cost, ok = b.eval_control(pos, *law)
+    u0, cost0, ok0 = kernel_control(pos, *law)
+    assert ok == ok0
+    _assert_bits(u, u0)
+    _assert_bits(cost, cost0)
+    args = (pos, law[0], law[1], np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            h, n_steps, 1, *lead, *ds, 1e9, edge_eps, 1e-14, 1e-10)
+    times, traj, n_rec, status, t_stop = b.integrate(*args)
+    times0, traj0, n_rec0, status0, t_stop0 = kernel_integrate(*args)
+    assert (n_rec, status) == (n_rec0, status0)
+    _assert_bits(t_stop, t_stop0)
+    _assert_bits(times[:n_rec], times0)
+    _assert_bits(traj[:n_rec], traj0)
+    return status, t_stop
+
+
+def _insertion_framework(seed, leaders=False):
+    """A random vertex-insertion framework under its global angle set,
+    started near its target: (pos, spec)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 16))
+    c = random_construction(rng, n)
+    g = build_laman(c)
+    target = nondegenerate_points(rng, g)
+    maneuver = None
+    if leaders:
+        a, b = g.edges[int(rng.integers(g.m))]
+        maneuver = Maneuver(LeaderPair(a, b), tuple(rng.uniform(-1.0, 1.0, 2)))
+    spec = FormationSpec(g, target, laman_global_set(c), maneuver)
+    return target.pts + rng.uniform(-0.05, 0.05, (n, 2)), spec
+
+
+def _law_of(spec):
+    return spec._tri, spec.target_cosines, spec._edges
+
+
+@needs_cc
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_c_kernels_bit_exact_on_insertion_frameworks(seed):
+    pos, spec = _insertion_framework(seed)
+    assert _assert_matches_oracle(pos, *_law_of(spec))[0] == _kernels.STATUS_RAN
+
+
+@needs_cc
+def test_c_kernels_bit_exact_with_leaders():
+    pos, spec = _insertion_framework(3, leaders=True)
+    lead, ds = spec._lead, tuple(float(x) for x in spec._dstar)
+    assert lead[0] >= 0
+    _assert_matches_oracle(pos, *_law_of(spec), lead=lead, ds=ds)
+
+
+# a 3 x 3 grid of integer points, each joined to its square and
+# diagonal neighbours: side components are exactly +-0 or +-1, both
+# orientations of a side meet, and right angles have cosines of +-0
+GRID = np.array([[x, y] for y in range(-1, 2) for x in range(-1, 2)], dtype=float)
+GRID_EDGES = [
+    (i, j) for i in range(9) for j in range(i + 1, 9)
+    if np.sum((GRID[i] - GRID[j]) ** 2) <= 2.0
+]
+
+
+@needs_cc
+@pytest.mark.parametrize("cstar", [0.0, 0.5])
+def test_c_kernels_bit_exact_on_axis_aligned_points(cstar):
+    g = Graph.from_edges(9, [(i + 1, j + 1) for i, j in GRID_EDGES])
+    tri = full_angle_set(g).as_array()
+    _assert_matches_oracle(GRID, tri, np.full(len(tri), cstar), GRID_EDGES,
+                           n_steps=20)
+
+
+@needs_cc
+def test_c_kernels_bit_exact_on_a_side_run_both_ways():
+    # (0, 1) runs 0 -> 1 in the first triple and 1 -> 0 in the next two
+    tri = [[0, 1, 2], [1, 0, 2], [1, 3, 0], [2, 0, 3]]
+    pos = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 1.2], [1.4, 0.9]])
+    _assert_matches_oracle(pos, tri, [0.2, 0.4, -0.1, 0.6], [[0, 1], [0, 2], [1, 2]])
+
+
+@needs_cc
+def test_c_control_stops_at_the_same_triple():
+    pos, spec = _insertion_framework(4)
+    tri = spec._tri
+    mid = len(tri) // 2
+    pos[tri[mid, 2]] = pos[tri[mid, 0]]  # the middle triple loses (a, c)
+    u, cost, ok = _kernels.make_c_backend().eval_control(
+        pos, tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
+    )
+    assert not ok and cost > 0.0 and np.any(u)  # the triples before it count
+    _assert_matches_oracle(pos, *_law_of(spec))
+
+
+@needs_cc
+def test_c_kernels_bit_exact_at_a_coincident_stop():
+    """A triple side shrinks through edge_eps mid-run; it is no graph
+    edge here, so a control evaluation stops the run."""
+    pos, spec = _insertion_framework(5)
+    tri, cstar, _ = _law_of(spec)
+    args = (pos, tri, cstar, _kernels._NO_EDGES, 1e-2, 50, 1, -1, -1, 0.0, 0.0,
+            1e9, EDGE_EPS, 1e-14, 1e-10)
+    traj = kernel_integrate(*args)[1]
+    sides = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]]])
+    gaps = traj[:, sides[:, 0]] - traj[:, sides[:, 1]]
+    lengths = np.hypot(gaps[..., 0], gaps[..., 1])  # (steps + 1, 2w)
+    assert np.any(lengths[25] < lengths[0])
+    edge_eps = float(np.min(lengths[25]))
+    status, t_stop = _assert_matches_oracle(
+        pos, tri, cstar, _kernels._NO_EDGES, edge_eps=edge_eps
+    )
+    assert status == _kernels.STATUS_COINCIDENT and 0.0 < t_stop < 0.5
+
+
+# ---------------------------------------------------------------------
+# the C side table: built from the triples alone
+# ---------------------------------------------------------------------
+
+K6 = Graph.from_edges(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+
+
+def test_side_table_lists_each_triple_side_once():
+    tri = full_angle_set(K6).as_array()
+    sides, code = _kernels._side_table(tri, 6)
+    assert sides.shape == (15, 2) and code.shape == (len(tri), 2)
+    assert np.all(sides[:, 0] < sides[:, 1])
+    assert np.all(np.diff(sides[:, 0] * 6 + sides[:, 1]) > 0)
+    ends = sides[code // 2]
+    ends = np.where((code % 2 == 1)[..., None], ends[..., ::-1], ends)
+    assert np.array_equal(ends, np.stack([tri[:, [0, 1]], tri[:, [0, 2]]], axis=1))
+
+
+def _k6_tri(name):
+    """(tri, edges) of one side-table edge case on six agents."""
+    laman = laman_minimal_set(random_construction(np.random.default_rng(8), 6))
+    return {
+        "no-triples": (np.zeros((0, 3), dtype=np.int64), [[0, 1]]),
+        "one-triple": ([[1, 0, 2]], [[0, 1], [1, 2]]),
+        "odd-side-count": ([[0, 1, 2], [1, 0, 2]], [[0, 1], [0, 2], [1, 2]]),
+        "one-side-in-many-triples": (full_angle_set(K6).as_array(), []),
+        "no-edges": (laman.as_array(), []),
+        "edges-miss-the-sides": (laman.as_array(), [[0, 5], [3, 4]]),
+    }[name]
+
+
+@needs_cc
+@pytest.mark.parametrize("name", [
+    "no-triples", "one-triple", "odd-side-count", "one-side-in-many-triples",
+    "no-edges", "edges-miss-the-sides",
+])
+def test_side_table_edge_cases(name):
+    tri, edges = _k6_tri(name)
+    tri = np.asarray(tri, dtype=np.int64).reshape(-1, 3)
+    sides, code = _kernels._side_table(tri, 6)
+    if name == "odd-side-count":
+        assert len(sides) % 2 == 1
+    if name == "one-side-in-many-triples":
+        assert np.max(np.bincount(code.ravel() // 2)) == 8
+    rng = np.random.default_rng(9)
+    pos = rng.uniform(-2.0, 2.0, (6, 2))
+    cstar = rng.uniform(-0.5, 0.5, len(tri))
+    _assert_matches_oracle(pos, tri, cstar, edges, lead=(0, 1), ds=(0.3, -0.2))
+
+
+@needs_cc
+@pytest.mark.parametrize("pair", ["graph-edge", "triple-side"])
+def test_stage_evaluations_fail_only_on_triple_sides(pair):
+    """Agent 6 sits two steps ahead of agent 2 on its path. As a graph
+    edge the pair drops under edge_eps at a stage of step 0 unseen, and
+    the check before step 1 stops the run; as a triple side it stops
+    step 0."""
+    spec = _spec()
+    h = 0.05
+    pos = PerturbationSpec(0.3, 11).sample(PENT).pts
+    u = kernel_control(pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS)[0]
+    pos = np.vstack([pos, pos[1] + 2.0 * h * u[1]])
+    tri, cstar = spec._tri, spec.target_cosines
+    if pair == "triple-side":
+        # its target is met at the start, so it adds no control there
+        tri = np.vstack([tri, [[5, 1, 0]]])
+        cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
+    status, t_stop = _assert_matches_oracle(
+        pos, tri, cstar, np.vstack([spec._edges, [[1, 5]]]), h=h, n_steps=5,
+        edge_eps=1.75 * h * float(np.hypot(*u[1])),
+    )
+    assert status == _kernels.STATUS_COINCIDENT
+    assert t_stop == (h if pair == "graph-edge" else 0.0)

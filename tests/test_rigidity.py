@@ -10,7 +10,7 @@ from angleform.errors import (
     VertexOutOfRange,
 )
 from angleform import rigidity
-from angleform.geometry import reflection, rotation
+from angleform.geometry import perp, reflection, rotation
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
     full_angle_set,
@@ -397,6 +397,87 @@ def test_strong_nondegeneracy():
     assert is_strongly_nondegenerate(
         path, Configuration([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     ).ok
+
+
+def _scalar_nondegenerate(g, p):
+    """The nondegeneracy test one triangle at a time, with bearing()."""
+    for a, b, c in rigidity._triangles(g):
+        gab, gac = bearing(p, b, a), bearing(p, c, a)
+        if abs(gab @ perp(gac)) <= rigidity.COLLINEAR_EPS:
+            return rigidity.NondegeneracyReport(False, (a, b, c))
+    return rigidity.NondegeneracyReport(True, None)
+
+
+K7 = Graph.from_edges(7, [(i, j) for i in range(1, 8) for j in range(i + 1, 8)])
+
+
+def _k7_points(on_line_12=()):
+    """Generic points, with the listed vertices moved onto the line
+    through points 1 and 2."""
+    pts = generic_points(np.random.default_rng(35), 7).pts.copy()
+    for r, v in enumerate(on_line_12):
+        pts[v - 1] = pts[0] + (2.5 + r) * (pts[1] - pts[0])
+    return pts
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, rigidity.TRIANGLE_CHUNK])
+def test_nondegenerate_witness_is_the_first_collinear_triangle(monkeypatch, chunk):
+    monkeypatch.setattr(rigidity, "TRIANGLE_CHUNK", chunk)
+    assert is_strongly_nondegenerate(K7, Configuration(_k7_points())).ok
+    # (1, 2, 5) is the first of the collinear (1, 2, 5), (1, 2, 7), (2, 5, 7)...
+    p = Configuration(_k7_points(on_line_12=(7, 5)))
+    assert is_strongly_nondegenerate(K7, p) == (False, (1, 2, 5))
+    assert _scalar_nondegenerate(K7, p) == (False, (1, 2, 5))
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        g = random_connected_graph(rng, 9, int(rng.integers(6, 20)))
+        # points on a coarse grid make collinear triangles common
+        p = Configuration(np.round(rng.uniform(-2.0, 2.0, (9, 2))))
+        try:
+            want = _scalar_nondegenerate(g, p)
+        except CoincidentPoints as exc:
+            with pytest.raises(CoincidentPoints) as got:
+                is_strongly_nondegenerate(g, p)
+            assert got.value.pair == exc.pair
+            continue
+        assert is_strongly_nondegenerate(g, p) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 4, rigidity.TRIANGLE_CHUNK])
+@pytest.mark.parametrize(
+    "moved, onto, on_line_12, want",
+    [
+        (2, 1, (), (2, 1)),  # (1, 2, 3) has p_b = p_a
+        (5, 1, (), (5, 1)),  # (1, 2, 5) has p_c = p_a
+        (3, 1, (5,), (3, 1)),  # (1, 2, 3) comes before the collinear (1, 2, 5)
+        (7, 1, (3,), (1, 2, 3)),  # the collinear (1, 2, 3) comes first
+        (7, 6, (), (1, 6, 7)),  # p_b = p_c is collinear, not coincident
+    ],
+)
+def test_nondegenerate_names_the_coincident_pair(monkeypatch, chunk, moved, onto,
+                                                 on_line_12, want):
+    """The first triangle with p_b or p_c on p_a raises for (b, a), else
+    (c, a), as bearing() does, unless a collinear triangle comes first."""
+    monkeypatch.setattr(rigidity, "TRIANGLE_CHUNK", chunk)
+    pts = _k7_points(on_line_12)
+    pts[moved - 1] = pts[onto - 1]
+    p = Configuration(pts)
+    for check in (is_strongly_nondegenerate, _scalar_nondegenerate):
+        if len(want) == 3:
+            assert check(K7, p) == (False, want)
+            continue
+        with pytest.raises(CoincidentPoints) as got:
+            check(K7, p)
+        assert got.value.pair == want
+
+
+def test_triangle_count_matches_the_listing():
+    rng = np.random.default_rng(34)
+    for n in (3, 5, 8, 12):
+        for extra in (0, n, 3 * n):
+            g = random_connected_graph(rng, n, min(extra, n * (n - 1) // 2 - n + 1))
+            assert rigidity.triangle_count(g) == len(list(rigidity._triangles(g)))
+    assert rigidity.triangle_count(K7) == 35
 
 
 # ---------------------------------------------------------------------
