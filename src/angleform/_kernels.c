@@ -1,8 +1,9 @@
 /* Compiled backend of angleform._kernels, loaded through ctypes.
 
    The loop form of _control_np and _integrate_np in _kernels.py, the
-   numpy reference it is tested against; see that module's docstring
-   for the contract. Positions are flat (n, 2) row-major arrays: agent
+   numpy reference; see that module's docstring for the contract. The
+   two backends give the same results bit for bit: _control_np sums in
+   this file's order. Positions are flat (n, 2) row-major arrays: agent
    i is p[2*i], p[2*i+1]. Expressions are evaluated in source order and
    the build uses -ffp-contract=off, so no multiply-add is fused.
 
@@ -17,19 +18,19 @@
    record with g negated, so a triple reads its bearings at
    gtab + 4 * code. Two sides share a 2-lane vector in the edge pass,
    and the x and y lanes of a triple's terms share one in its loop.
+   When a triple's side is under edge_eps the evaluation fails with
+   u = 0 and cost 0.0, as _control_np does.
 
-   Every result is bit for bit what a triple-by-triple loop of scalar
-   operations gives, one that computes both sides of each triple itself
-   (tests/helpers.py transcribes it). Packed IEEE operations round each
-   lane exactly as the scalar ones do. p_j - p_i is exactly
-   -(p_i - p_j), and -e / l is exactly -(e / l), except that a zero
-   component comes out -0.0 where the scalar loop has +0.0. Every term
-   made from such a bearing then equals the scalar one but for the sign
-   of a zero, and no such zero changes a sum: u starts at +0.0, adding
-   either zero to a nonzero value leaves it as it is, +0.0 plus or
-   minus either zero is +0.0, and an exact cancellation gives +0.0, so
-   no entry of u is ever -0.0. The cost adds 0.5 * d * d, which is
-   +0.0 for either zero.
+   The reference computes both sides of each triple itself, and yet the
+   table changes no result bit. Packed IEEE operations round each lane
+   exactly as scalar ones do. p_j - p_i is exactly -(p_i - p_j), and
+   -e / l is exactly -(e / l), except that a zero component comes out
+   -0.0 where the reference has +0.0. Every term made from such a
+   bearing then equals the reference's but for the sign of a zero, and
+   no such zero changes a sum: u starts at +0.0, adding either zero to
+   a nonzero value leaves it as it is, +0.0 plus or minus either zero
+   is +0.0, and an exact cancellation gives +0.0, so no entry of u is
+   ever -0.0. The cost adds 0.5 * d * d, which is +0.0 for either zero.
 
    The caller allocates every array. work holds 6 * 2n doubles, the
    current position, the four RK4 stages and the stage position, and
@@ -113,7 +114,7 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
         const double *ab = gtab + 4 * code[2 * t];
         const double *ac = gtab + 4 * code[2 * t + 1];
         if (ab[2] < edge_eps || ac[2] < edge_eps) {
-            *cost_out = cost;
+            memset(u, 0, 2 * n * sizeof *u);  /* *cost_out is still 0.0 */
             return 0;
         }
         v2 gab = load2(ab), gac = load2(ac);

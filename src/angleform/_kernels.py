@@ -4,8 +4,15 @@ Two interchangeable backends implement the same contract:
 
 * c: the loops of _kernels.c, built with the system C compiler on first
   use and loaded through ctypes;
-* numpy: vectorized control evaluation with the time stepping loop in
-  Python, the reference the C backend is tested against.
+* numpy: vectorized control evaluation (_control_np) with the time
+  stepping loop in Python (_integrate_np), the reference the C backend
+  is tested against.
+
+Both compute in one order, so their results are equal bit for bit, zero
+signs included: _control_np scatters triple by triple with one np.add.at
+and sums the cost and the gradient norm sequentially with
+np.add.accumulate, as the C loops do, and geometry.angle_terms takes
+lengths as sqrt(x*x + y*y), as C does.
 
 The active backend is chosen on first use. Setting the environment
 variable ANGLEFORM_NUMBA=0 forces the numpy backend; otherwise the C
@@ -23,8 +30,7 @@ eval_control and integrate call first builds that pass's table with
 numpy (_side_table): the triples' unique sides, and per triple which
 side it uses in which direction. The pass runs two sides per 2-lane
 vector and the triple loop runs x and y as one, and the results stay
-bit for bit those of a scalar loop over the triples (_kernels.c says
-why).
+bit for bit those of _control_np (_kernels.c says why).
 
 Kernel contract
 ---------------
@@ -34,7 +40,7 @@ eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
     (dsx, dsy) is the commanded leader displacement.
     Returns (u (n, 2), cost, ok). cost is the full tracking cost
     (angle term plus leader term when active); ok flips False when a
-    triple edge drops under edge_eps.
+    triple edge drops under edge_eps, and then u is 0 and cost 0.0.
 
 integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
           lead_b, dsx, dsy, blowup_limit, edge_eps, cost_tol, grad_tol)
@@ -83,20 +89,22 @@ class Backend(NamedTuple):
 
 
 def _control_np(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
+    # every sum runs in _kernels.c's order, so both backends agree bit
+    # for bit: no @, np.sum or hypot here, whose orders differ
     u = np.zeros_like(pos)
     cosv, q1, q2, lab, lac = angle_terms(pos, tri)
-    if lab.size and (lab.min() < edge_eps or lac.min() < edge_eps):
+    if (lab < edge_eps).any() or (lac < edge_eps).any():
         return u, 0.0, False
     d = cosv - cstar
-    cost = 0.5 * float(d @ d)
-    np.add.at(u, tri[:, 0], -d[:, None] * (q1 + q2))
-    np.add.at(u, tri[:, 1], d[:, None] * q1)
-    np.add.at(u, tri[:, 2], d[:, None] * q2)
+    cost = float(np.add.accumulate(0.5 * d * d)[-1]) if d.size else 0.0
+    # triple by triple, the apex, then wing j, then wing k, as C scatters
+    terms = d[:, None] * np.concatenate([-(q1 + q2), q1, q2], axis=1)
+    np.add.at(u, tri.reshape(-1), terms.reshape(-1, 2))
     if lead_a >= 0:
         err = np.array([dsx, dsy]) - (pos[lead_a] - pos[lead_b])
         u[lead_a] += err
         u[lead_b] -= err
-        cost += 0.5 * float(err @ err)
+        cost += 0.5 * float(err[0] * err[0] + err[1] * err[1])
     return u, cost, True
 
 
@@ -129,9 +137,8 @@ def _integrate_np(
     for step in range(n_steps):
         t = step * h
         gaps = pos[edges[:, 0]] - pos[edges[:, 1]]
-        if edges.size and float(
-            np.min(np.sqrt(np.sum(gaps * gaps, axis=1)))
-        ) < edge_eps:
+        gx, gy = gaps[:, 0], gaps[:, 1]
+        if (np.sqrt(gx * gx + gy * gy) < edge_eps).any():
             status = STATUS_COINCIDENT
             t_stop = t
             break
@@ -142,7 +149,8 @@ def _integrate_np(
             status = STATUS_COINCIDENT
             t_stop = t
             break
-        if cost < cost_tol and float(np.sqrt(np.sum(k1 * k1))) < grad_tol:
+        gsq = np.add.accumulate((k1 * k1).ravel())[-1]
+        if cost < cost_tol and float(np.sqrt(gsq)) < grad_tol:
             status = STATUS_CONVERGED
             t_stop = t
             break

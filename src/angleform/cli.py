@@ -539,7 +539,9 @@ def _indexset(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
     """The scenario's angle set as a canonical triple list."""
     n, m, source = sc.graph.n, sc.graph.m, sc.angle_source
     report.update(angle_source=source, size=len(T))
-    if source in ("laman_minimal", "triangle_formation"):
+    # the triangle set has 2n - 4 triples only on triangulated Laman graphs
+    laman = source == "triangle_formation" and sc.laman_witness[0] is not None
+    if source == "laman_minimal" or laman:
         report["expected_size"] = 2 * n - 4
     elif source == "laman_global":
         report["expected_size"] = (3 * n - 7) if n >= 4 else 2 * n - 4

@@ -57,6 +57,9 @@ MAX_RECORDED_POINTS = 2_000_000
 # most RK4 steps one run may take: 333x the 3e5 steps of the longest
 # shipped scenario (example3.json, t_final 300 at h 1e-3)
 MAX_STEPS = 100_000_000
+# most angle terms (snapshots x triples) the series hold at once: the
+# arrays of one chunk take some 100 MB
+SERIES_CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -379,9 +382,16 @@ def simulate(
     times = times[:n_rec].copy()
     traj = traj[:n_rec].copy()
 
-    # series are recomputed from all snapshots at once
-    delta = angle_terms(traj, spec._tri)[0] - spec.target_cosines
-    vf = 0.5 * np.sum(delta * delta, axis=1)
+    # V_F per snapshot, summed triple by triple as the kernels sum their
+    # cost, so no chunk size moves a bit; SERIES_CHUNK angle terms at a
+    # time, since all snapshots' terms can take gigabytes on a dense graph
+    vf = np.zeros(n_rec)
+    w = len(spec._tri)
+    rows = max(1, SERIES_CHUNK // max(1, w))
+    for start in range(0, n_rec if w else 0, rows):
+        part = traj[start : start + rows]
+        delta = angle_terms(part, spec._tri)[0] - spec.target_cosines
+        vf[start : start + rows] = np.add.accumulate(0.5 * delta * delta, axis=1)[:, -1]
     if spec.maneuver is not None:
         err = spec._dstar - (traj[:, lead_a] - traj[:, lead_b])
         vm = 0.5 * np.sum(err * err, axis=1)

@@ -73,8 +73,9 @@ def angle_terms(pts, tri):
     # no more (..., w, 2) arrays at once than the terms need
     gij = p[..., tri[:, 0], :] - p[..., tri[:, 1], :]
     gik = p[..., tri[:, 0], :] - p[..., tri[:, 2], :]
-    lij = np.hypot(gij[..., 0], gij[..., 1])
-    lik = np.hypot(gik[..., 0], gik[..., 1])
+    # sqrt(x*x + y*y), not hypot: the C kernel's lengths, bit for bit
+    lij = np.sqrt(gij[..., 0] * gij[..., 0] + gij[..., 1] * gij[..., 1])
+    lik = np.sqrt(gik[..., 0] * gik[..., 0] + gik[..., 1] * gik[..., 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         gij /= lij[..., None]
         gik /= lik[..., None]

@@ -1,15 +1,7 @@
 """Shared generators for the test suite."""
 
-import math
-
 import numpy as np
 
-from angleform._kernels import (
-    STATUS_COINCIDENT,
-    STATUS_CONVERGED,
-    STATUS_NONFINITE,
-    STATUS_RAN,
-)
 from angleform.formation import residual
 from angleform.graph import Graph, LamanConstruction, expanded_incidence
 from angleform.rigidity import (
@@ -149,110 +141,3 @@ def control_per_agent(spec, p):
         grad[j - 1] -= d * qj
         grad[k - 1] -= d * qk
     return -grad.reshape(-1)
-
-
-# ---------------------------------------------------------------------
-# oracle: the C kernels as a triple-by-triple loop of scalar float
-# operations, in _kernels.c's expression order; each triple computes
-# both of its sides' lengths and bearings itself
-# ---------------------------------------------------------------------
-
-
-def kernel_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
-    """(u (n, 2), cost, ok) of the control evaluation; when a triple
-    side is under edge_eps, u and cost hold the triples before it."""
-    p = [float(x) for x in np.asarray(pos, dtype=float).reshape(-1)]
-    u = [0.0] * len(p)
-    cost = 0.0
-    ok = True
-    for t, (a, b, c) in enumerate(np.asarray(tri).tolist()):
-        eabx = p[2 * a] - p[2 * b]
-        eaby = p[2 * a + 1] - p[2 * b + 1]
-        eacx = p[2 * a] - p[2 * c]
-        eacy = p[2 * a + 1] - p[2 * c + 1]
-        lab = math.sqrt(eabx * eabx + eaby * eaby)
-        lac = math.sqrt(eacx * eacx + eacy * eacy)
-        if lab < edge_eps or lac < edge_eps:
-            ok = False
-            break
-        gabx, gaby = eabx / lab, eaby / lab
-        gacx, gacy = eacx / lac, eacy / lac
-        cosv = gabx * gacx + gaby * gacy
-        d = cosv - float(cstar[t])
-        cost += 0.5 * d * d
-        q1x = (gacx - cosv * gabx) / lab
-        q1y = (gacy - cosv * gaby) / lab
-        q2x = (gabx - cosv * gacx) / lac
-        q2y = (gaby - cosv * gacy) / lac
-        u[2 * a] -= d * (q1x + q2x)
-        u[2 * a + 1] -= d * (q1y + q2y)
-        u[2 * b] += d * q1x
-        u[2 * b + 1] += d * q1y
-        u[2 * c] += d * q2x
-        u[2 * c + 1] += d * q2y
-    if ok and lead_a >= 0:
-        ex = dsx - (p[2 * lead_a] - p[2 * lead_b])
-        ey = dsy - (p[2 * lead_a + 1] - p[2 * lead_b + 1])
-        u[2 * lead_a] += ex
-        u[2 * lead_a + 1] += ey
-        u[2 * lead_b] -= ex
-        u[2 * lead_b + 1] -= ey
-        cost += 0.5 * (ex * ex + ey * ey)
-    return np.array(u).reshape(-1, 2), cost, ok
-
-
-def kernel_integrate(pos0, tri, cstar, edges, h, n_steps, record_every,
-                     lead_a, lead_b, dsx, dsy, blowup_limit, edge_eps,
-                     cost_tol, grad_tol):
-    """(times, traj, n_rec, status, t_stop) of the RK4 flow."""
-    law = (tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
-    pos = [float(x) for x in np.asarray(pos0, dtype=float).reshape(-1)]
-    times, traj = [0.0], [list(pos)]
-    status, t_stop = STATUS_RAN, n_steps * h
-    for step in range(n_steps):
-        t = step * h
-        collapsed = False
-        for i, j in np.asarray(edges).tolist():
-            dx = pos[2 * i] - pos[2 * j]
-            dy = pos[2 * i + 1] - pos[2 * j + 1]
-            collapsed |= math.sqrt(dx * dx + dy * dy) < edge_eps
-        if collapsed:
-            status, t_stop = STATUS_COINCIDENT, t
-            break
-        k1, cost, ok = kernel_control(pos, *law)
-        k1 = k1.reshape(-1).tolist()
-        if not ok:
-            status, t_stop = STATUS_COINCIDENT, t
-            break
-        gsq = 0.0
-        for v in k1:
-            gsq += v * v
-        if cost < cost_tol and math.sqrt(gsq) < grad_tol:
-            status, t_stop = STATUS_CONVERGED, t
-            break
-        ks, oks = [k1], []
-        for frac in (0.5 * h, 0.5 * h, h):
-            stage = [x + frac * k for x, k in zip(pos, ks[-1])]
-            k, _, ok = kernel_control(stage, *law)
-            ks.append(k.reshape(-1).tolist())
-            oks.append(ok)
-        if not all(oks):
-            status, t_stop = STATUS_COINCIDENT, t
-            break
-        pos = [
-            x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for x, a, b, c, d in zip(pos, *ks)
-        ]
-        if not all(abs(x) <= blowup_limit for x in pos):
-            status, t_stop = STATUS_NONFINITE, (step + 1) * h
-            break
-        if (step + 1) % record_every == 0:
-            times.append((step + 1) * h)
-            traj.append(list(pos))
-    if status in (STATUS_RAN, STATUS_CONVERGED):
-        t_end = t_stop if status == STATUS_CONVERGED else n_steps * h
-        if times[-1] < t_end:
-            times.append(t_end)
-            traj.append(list(pos))
-    n = len(pos) // 2
-    return np.array(times), np.array(traj).reshape(-1, n, 2), len(times), status, t_stop

@@ -172,6 +172,28 @@ def test_main_indexset_writes_triples(tmp_path, capsys):
     assert "size=6" in report and "expected_size=6" in report
 
 
+K4_EDGES = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+
+
+@pytest.mark.parametrize(
+    "edges, want",
+    [(None, ["size=6", "expected_size=6"]), (K4_EDGES, ["size=8"])],
+    ids=["fan", "K4"],
+)
+def test_indexset_expects_2n_minus_4_triangle_triples_on_laman_graphs_only(
+    tmp_path, capsys, edges, want
+):
+    """2n - 4 counts the triangle set of a triangulated Laman graph; K4
+    has four triangles, eight triples, and no such bound."""
+    doc = _base_doc()
+    if edges is not None:
+        doc["graph"] = {"n": 4, "edges": edges}
+        doc["configuration"]["generator"]["n"] = 4
+    assert cli.main(["indexset", "--scenario", str(_write(tmp_path, doc))]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith(("size=", "expected_size="))] == want
+
+
 def test_main_indexset_numerical_exit(tmp_path):
     doc = _base_doc()
     doc["graph"] = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -398,6 +420,21 @@ def _simulated(sc, out):
     return {f.name: f.read_bytes() for f in out.iterdir()}
 
 
+def _simulated_on_both_backends(sc, tmp_path, monkeypatch):
+    """simulate's files on the numpy and C backends, which must match
+    byte for byte but for the report's backend= line; returns numpy's."""
+    runs = []
+    for name in ("numpy", "c") if HAVE_CC else ("numpy",):
+        monkeypatch.setattr(_kernels, "_active", _backend(name))
+        files = _simulated(sc, tmp_path / name)
+        backend = f"backend={name}\n".encode()
+        assert backend in files["report.txt"]
+        files["report.txt"] = files["report.txt"].replace(backend, b"")
+        runs.append(files)
+    assert runs[0] == runs[-1]
+    return runs[0]
+
+
 def test_edgeless_graph_simulates_alike_on_both_backends(tmp_path, monkeypatch):
     doc = {
         "schema": 1,
@@ -405,19 +442,17 @@ def test_edgeless_graph_simulates_alike_on_both_backends(tmp_path, monkeypatch):
         "configuration": {"points": [[0, 0], [1, 0], [0, 1]]},
         "angles": {"source": "full"},
     }
-    sc = _write(tmp_path, doc)
-    runs = []
-    for name in ("numpy", "c") if HAVE_CC else ("numpy",):
-        monkeypatch.setattr(_kernels, "_active", _backend(name))
-        files = _simulated(sc, tmp_path / name)
-        files["report.txt"] = files["report.txt"].replace(
-            f"backend={name}\n".encode(), b""
-        )
-        runs.append(files)
-    assert runs[0] == runs[-1]
-    assert runs[0]["trajectory.csv"] == (
+    files = _simulated_on_both_backends(_write(tmp_path, doc), tmp_path, monkeypatch)
+    assert files["trajectory.csv"] == (
         b"t,p1x,p1y,p2x,p2y,p3x,p3y\n0.0,0.0,0.0,1.0,0.0,0.0,1.0\n"
     )
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
+def test_shipped_scenarios_simulate_alike_on_both_backends(tmp_path, monkeypatch, name):
+    # the backends share one arithmetic, so every file matches byte for byte
+    sc = _write(tmp_path, _shipped(name, t_final=1.0), name)
+    _simulated_on_both_backends(sc, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["numpy", "c"])
@@ -945,3 +980,23 @@ def test_triangle_set_refusal_lists_no_triangles(tmp_path):
     assert os.waitstatus_to_exitcode(status) == 2
     assert proc.stdout.read() == K250_REFUSAL
     assert usage.ru_maxrss < 300 * 1024  # KiB; listing the set took 645 MB
+
+
+def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
+    """K60's triangle set has 68 440 triples; its V_F series over 51
+    snapshots, taken all at once, peaked at 393 MB. In chunks of
+    formation.SERIES_CHUNK angle terms the child stays near 170 MB."""
+    doc = _complete_graph_doc(60)
+    doc["configuration"]["perturbation"] = {"amplitude": 0.01, "seed": 3}
+    doc["integrator"] = {"t_final": 0.05, "record_stride": 1e-3}
+    sc = _write(tmp_path, doc)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "angleform", "simulate", "--scenario", str(sc),
+         "--out", str(tmp_path / "o")],
+        stdout=subprocess.DEVNULL, env=env,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert "samples=51\n" in (tmp_path / "o" / "report.txt").read_text()
+    assert usage.ru_maxrss < 300 * 1024  # KiB

@@ -22,12 +22,7 @@ from angleform.geometry import angle_terms
 from angleform.graph import Graph, LeaderPair, build_laman
 from angleform.index_sets import full_angle_set, laman_global_set, laman_minimal_set
 from angleform.rigidity import EDGE_EPS, Configuration
-from helpers import (
-    kernel_control,
-    kernel_integrate,
-    nondegenerate_points,
-    random_construction,
-)
+from helpers import nondegenerate_points, random_construction
 
 FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
 PENT = Configuration.regular_polygon(5)
@@ -102,30 +97,40 @@ def test_control_parity(compiled):
     for _ in range(10):
         pos = PENT.pts + rng.uniform(-0.4, 0.4, (5, 2))
         args = (pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, 1e-9)
-        u1, c1, ok1 = compiled.eval_control(*args)
-        u2, c2, ok2 = npb.eval_control(*args)
-        assert ok1 and ok2
-        assert np.max(np.abs(u1 - u2)) < 1e-12
-        assert abs(c1 - c2) < 1e-12
+        _assert_controls_agree(compiled.eval_control(*args), npb.eval_control(*args))
 
 
 def test_integrate_parity(compiled):
     npb = _kernels.make_numpy_backend()
     spec = _spec()
     pos = PerturbationSpec(0.3, 11).sample(PENT).pts
-    t1, tr1, n1, s1, e1 = compiled.integrate(*_integrate_args(spec, pos))
-    t2, tr2, n2, s2, e2 = npb.integrate(*_integrate_args(spec, pos))
-    assert n1 == n2 and s1 == s2 and e1 == e2
-    assert np.array_equal(t1[:n1], t2[:n2])
-    assert np.max(np.abs(tr1[:n1] - tr2[:n2])) < 1e-12
+    args = _integrate_args(spec, pos)
+    _assert_runs_agree(compiled.integrate(*args), npb.integrate(*args))
+
+
+def _assert_bits(got, want):
+    """Equal values and equal zero signs."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_controls_agree(c_eval, np_eval):
+    """Two eval_control results (u, cost, ok), bit for bit."""
+    assert c_eval[2] == np_eval[2]
+    _assert_bits(c_eval[0], np_eval[0])
+    _assert_bits(c_eval[1], np_eval[1])
 
 
 def _assert_runs_agree(c_run, np_run):
+    """Two integrate results, bit for bit over the recorded samples."""
     t1, tr1, n1, s1, e1 = c_run
     t2, tr2, n2, s2, e2 = np_run
-    assert (s1, n1, e1) == (s2, n2, e2)
-    assert np.array_equal(t1[:n1], t2[:n2])
-    assert np.max(np.abs(tr1[:n1] - tr2[:n2])) <= 1e-12
+    assert (s1, n1) == (s2, n2)
+    _assert_bits(e1, e2)
+    _assert_bits(t1[:n1], t2[:n2])
+    _assert_bits(tr1[:n1], tr2[:n2])
 
 
 @needs_cc
@@ -157,14 +162,14 @@ def test_kernel_parity_property(seed, n, leaders, h, record_every):
         p.pts, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
     )
     assert ok
-    assert np.max(np.abs(control_uF(spec, p) - u.reshape(-1))) <= 1e-12
-    assert abs(cost_VF(spec, p) - cost) <= 1e-12
+    _assert_bits(u.reshape(-1), control_uF(spec, p))
+    _assert_bits(cost, cost_VF(spec, p))
     if leaders:
         u, _, _ = cb.eval_control(
             p.pts, spec._tri, spec.target_cosines, *spec._lead, *spec._dstar,
             EDGE_EPS,
         )
-        assert np.max(np.abs(control_uM(spec, p) - u.reshape(-1))) <= 1e-12
+        _assert_bits(u.reshape(-1), control_uM(spec, p))
 
     args = _integrate_args(
         spec, p.pts, h=h, n_steps=60, record_every=record_every,
@@ -317,6 +322,16 @@ def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
     assert names == sorted([_kernels._library_name(), "notes.txt"])
 
 
+@needs_cc
+def test_c_source_compiles_without_warnings(tmp_path):
+    """The runtime build passes no warning flags, so a kernel warning
+    would show nowhere else."""
+    cmd = [_kernels.find_compiler(), *_kernels.C_FLAGS, "-Wall", "-Wextra",
+           "-Werror", "-o", str(tmp_path / "k.so"), str(_kernels.C_SOURCE), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "compiler, reason",
     [(None, "no C compiler"), ("false", "exited with")],
@@ -350,43 +365,27 @@ def test_c_refuses_out_of_range_indices():
 
 
 # ---------------------------------------------------------------------
-# bit-exact: the C kernels against the scalar triple-by-triple loop
+# bit-exact: the C kernels against the numpy reference on hard cases
 # ---------------------------------------------------------------------
-
-
-def _assert_bits(got, want):
-    """Equal values and equal zero signs."""
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _assert_matches_oracle(pos, tri, cstar, edges, lead=(-1, -1), ds=(0.0, 0.0),
                            h=1e-2, n_steps=50, edge_eps=EDGE_EPS):
     """C eval_control and an n_steps C integrate recording every step
-    are bit-equal to tests/helpers.py's scalar loop; returns the
-    integrate's (status, t_stop)."""
-    b = _kernels.make_c_backend()
+    are bit-equal to the numpy backend's; returns the integrate's
+    (status, t_stop)."""
     law = (
         np.asarray(tri, dtype=np.int64).reshape(-1, 3),
         np.asarray(cstar, dtype=float),
         *lead, *ds, edge_eps,
     )
-    u, cost, ok = b.eval_control(pos, *law)
-    u0, cost0, ok0 = kernel_control(pos, *law)
-    assert ok == ok0
-    _assert_bits(u, u0)
-    _assert_bits(cost, cost0)
     args = (pos, law[0], law[1], np.asarray(edges, dtype=np.int64).reshape(-1, 2),
             h, n_steps, 1, *lead, *ds, 1e9, edge_eps, 1e-14, 1e-10)
-    times, traj, n_rec, status, t_stop = b.integrate(*args)
-    times0, traj0, n_rec0, status0, t_stop0 = kernel_integrate(*args)
-    assert (n_rec, status) == (n_rec0, status0)
-    _assert_bits(t_stop, t_stop0)
-    _assert_bits(times[:n_rec], times0)
-    _assert_bits(traj[:n_rec], traj0)
-    return status, t_stop
+    cb, npb = _kernels.make_c_backend(), _kernels.make_numpy_backend()
+    _assert_controls_agree(cb.eval_control(pos, *law), npb.eval_control(pos, *law))
+    run = cb.integrate(*args)
+    _assert_runs_agree(run, npb.integrate(*args))
+    return run[3], run[4]
 
 
 def _insertion_framework(seed, leaders=False):
@@ -460,7 +459,7 @@ def test_c_control_stops_at_the_same_triple():
     u, cost, ok = _kernels.make_c_backend().eval_control(
         pos, tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
     )
-    assert not ok and cost > 0.0 and np.any(u)  # the triples before it count
+    assert not ok and cost == 0.0 and not np.any(u)  # no partial sums
     _assert_matches_oracle(pos, *_law_of(spec))
 
 
@@ -472,7 +471,7 @@ def test_c_kernels_bit_exact_at_a_coincident_stop():
     tri, cstar, _ = _law_of(spec)
     args = (pos, tri, cstar, _kernels._NO_EDGES, 1e-2, 50, 1, -1, -1, 0.0, 0.0,
             1e9, EDGE_EPS, 1e-14, 1e-10)
-    traj = kernel_integrate(*args)[1]
+    traj = _kernels.make_numpy_backend().integrate(*args)[1]
     sides = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]]])
     gaps = traj[:, sides[:, 0]] - traj[:, sides[:, 1]]
     lengths = np.hypot(gaps[..., 0], gaps[..., 1])  # (steps + 1, 2w)
@@ -544,7 +543,8 @@ def test_stage_evaluations_fail_only_on_triple_sides(pair):
     spec = _spec()
     h = 0.05
     pos = PerturbationSpec(0.3, 11).sample(PENT).pts
-    u = kernel_control(pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS)[0]
+    u = _kernels._control_np(pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0,
+                             EDGE_EPS)[0]
     pos = np.vstack([pos, pos[1] + 2.0 * h * u[1]])
     tri, cstar = spec._tri, spec.target_cosines
     if pair == "triple-side":
