@@ -18,8 +18,9 @@
    record with g negated, so a triple reads its bearings at
    gtab + 4 * code. Two sides share a 2-lane vector in the edge pass,
    and the x and y lanes of a triple's terms share one in its loop.
-   When a triple's side is under edge_eps the evaluation fails with
-   u = 0 and cost 0.0, as _control_np does.
+   cost_out gets the full cost and then V_F, the triple sum before the
+   leader term. When a triple's side is under edge_eps the evaluation
+   fails with u = 0 and both 0.0, as _control_np does.
 
    The reference computes both sides of each triple itself, and yet the
    table changes no result bit. Packed IEEE operations round each lane
@@ -108,13 +109,13 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
     double cost = 0.0;
     for (int64_t i = 0; i < 2 * n; i++)
         u[i] = 0.0;
-    *cost_out = 0.0;
+    cost_out[0] = cost_out[1] = 0.0;
     edge_pass(pos, k, sides, gtab);
     for (int64_t t = 0; t < w; t++) {
         const double *ab = gtab + 4 * code[2 * t];
         const double *ac = gtab + 4 * code[2 * t + 1];
         if (ab[2] < edge_eps || ac[2] < edge_eps) {
-            memset(u, 0, 2 * n * sizeof *u);  /* *cost_out is still 0.0 */
+            memset(u, 0, 2 * n * sizeof *u);  /* cost_out is still 0.0 */
             return 0;
         }
         v2 gab = load2(ab), gac = load2(ac);
@@ -132,6 +133,7 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
         store2(ub, load2(ub) + dv * q1);
         store2(uc, load2(uc) + dv * q2);
     }
+    cost_out[1] = cost;
     if (lead_a >= 0) {
         double ex = dsx - (pos[2 * lead_a] - pos[2 * lead_b]);
         double ey = dsy - (pos[2 * lead_a + 1] - pos[2 * lead_b + 1]);
@@ -141,7 +143,7 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
         u[2 * lead_b + 1] -= ey;
         cost += 0.5 * (ex * ex + ey * ey);
     }
-    *cost_out = cost;
+    cost_out[0] = cost;
     return 1;
 }
 
@@ -151,14 +153,14 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
                  double h, int64_t n_steps, int64_t record_every,
                  int64_t lead_a, int64_t lead_b, double dsx, double dsy,
                  double blowup_limit, double edge_eps, double cost_tol,
-                 double grad_tol, double *times, double *traj, double *work,
-                 int64_t *n_rec_out, double *t_stop_out)
+                 double grad_tol, double *times, double *traj, double *vf,
+                 double *work, int64_t *n_rec_out, double *t_stop_out)
 {
     const int64_t d2 = 2 * n;
     double *pos = work, *k1 = work + d2, *k2 = work + 2 * d2;
     double *k3 = work + 3 * d2, *k4 = work + 4 * d2, *stage = work + 5 * d2;
     double *gtab = work + 6 * d2;
-    double cost, c_unused;
+    double cost[2], c_unused[2];
     int64_t n_rec = 1;
     int status = STATUS_RAN;
     double t_stop = n_steps * h;
@@ -182,15 +184,17 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
             break;
         }
         if (!af_control(n, pos, w, tri, code, k, sides, cstar, lead_a, lead_b,
-                        dsx, dsy, edge_eps, gtab, k1, &cost)) {
+                        dsx, dsy, edge_eps, gtab, k1, cost)) {
             status = STATUS_COINCIDENT;
             t_stop = t;
             break;
         }
+        if (step % record_every == 0)  /* this state is the last snapshot */
+            vf[n_rec - 1] = cost[1];
         double gsq = 0.0;
         for (int64_t i = 0; i < d2; i++)
             gsq += k1[i] * k1[i];
-        if (cost < cost_tol && sqrt(gsq) < grad_tol) {
+        if (cost[0] < cost_tol && sqrt(gsq) < grad_tol) {
             status = STATUS_CONVERGED;
             t_stop = t;
             break;
@@ -198,15 +202,15 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
         for (int64_t i = 0; i < d2; i++)
             stage[i] = pos[i] + (0.5 * h) * k1[i];
         int ok2 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
-                             lead_b, dsx, dsy, edge_eps, gtab, k2, &c_unused);
+                             lead_b, dsx, dsy, edge_eps, gtab, k2, c_unused);
         for (int64_t i = 0; i < d2; i++)
             stage[i] = pos[i] + (0.5 * h) * k2[i];
         int ok3 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
-                             lead_b, dsx, dsy, edge_eps, gtab, k3, &c_unused);
+                             lead_b, dsx, dsy, edge_eps, gtab, k3, c_unused);
         for (int64_t i = 0; i < d2; i++)
             stage[i] = pos[i] + h * k3[i];
         int ok4 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
-                             lead_b, dsx, dsy, edge_eps, gtab, k4, &c_unused);
+                             lead_b, dsx, dsy, edge_eps, gtab, k4, c_unused);
         if (!(ok2 && ok3 && ok4)) {
             status = STATUS_COINCIDENT;
             t_stop = t;
@@ -239,6 +243,11 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
                 traj[n_rec * d2 + i] = pos[i];
             n_rec++;
         }
+        /* a converged run's last k1 was at its final state */
+        if (status == STATUS_RAN)
+            af_control(n, pos, w, tri, code, k, sides, cstar, lead_a, lead_b,
+                       dsx, dsy, edge_eps, gtab, k1, cost);
+        vf[n_rec - 1] = cost[1];
     }
     *n_rec_out = n_rec;
     *t_stop_out = t_stop;

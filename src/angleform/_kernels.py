@@ -46,11 +46,14 @@ integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
           lead_b, dsx, dsy, blowup_limit, edge_eps, cost_tol, grad_tol)
     Classical fixed-step RK4 on pdot = u(p). Records a snapshot every
     record_every steps, plus the initial state and the final state.
-    Returns (times, traj, n_rec, status, t_stop) with status codes
+    Returns (times, traj, n_rec, status, t_stop, vf) with status codes
     STATUS_RAN, STATUS_CONVERGED (cost under cost_tol and |u| under
     grad_tol), STATUS_NONFINITE (a coordinate left [-blowup, blowup] or
     went non-finite), STATUS_COINCIDENT (a graph edge or a triple edge
-    collapsed under edge_eps).
+    collapsed under edge_eps). vf is each snapshot's V_F, the cost's
+    triple sum without the leader term, from the k1 evaluation of the
+    step that starts there; a STATUS_RAN run evaluates its final state
+    once more (vf 0.0 there if that fails; the status stays).
 """
 
 import contextlib
@@ -89,14 +92,15 @@ class Backend(NamedTuple):
 
 
 def _control_np(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
-    # every sum runs in _kernels.c's order, so both backends agree bit
-    # for bit: no @, np.sum or hypot here, whose orders differ
+    # eval_control's (u, cost, ok), then vf, the cost before the leader
+    # term. Every sum runs in _kernels.c's order, so both backends agree
+    # bit for bit: no @, np.sum or hypot here, whose orders differ
     u = np.zeros_like(pos)
     cosv, q1, q2, lab, lac = angle_terms(pos, tri)
     if (lab < edge_eps).any() or (lac < edge_eps).any():
-        return u, 0.0, False
+        return u, 0.0, False, 0.0
     d = cosv - cstar
-    cost = float(np.add.accumulate(0.5 * d * d)[-1]) if d.size else 0.0
+    cost = vf = float(np.add.accumulate(0.5 * d * d)[-1]) if d.size else 0.0
     # triple by triple, the apex, then wing j, then wing k, as C scatters
     terms = d[:, None] * np.concatenate([-(q1 + q2), q1, q2], axis=1)
     np.add.at(u, tri.reshape(-1), terms.reshape(-1, 2))
@@ -105,7 +109,7 @@ def _control_np(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
         u[lead_a] += err
         u[lead_b] -= err
         cost += 0.5 * float(err[0] * err[0] + err[1] * err[1])
-    return u, cost, True
+    return u, cost, True, vf
 
 
 def _integrate_np(
@@ -129,11 +133,13 @@ def _integrate_np(
     max_rec = n_steps // record_every + 2
     times = np.zeros(max_rec)
     traj = np.zeros((max_rec, n, 2))
+    vf = np.zeros(max_rec)
     pos = pos0.copy()
     traj[0] = pos
     n_rec = 1
     status = STATUS_RAN
     t_stop = n_steps * h
+    law = (tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
     for step in range(n_steps):
         t = step * h
         gaps = pos[edges[:, 0]] - pos[edges[:, 1]]
@@ -142,27 +148,21 @@ def _integrate_np(
             status = STATUS_COINCIDENT
             t_stop = t
             break
-        k1, cost, ok1 = _control_np(
-            pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-        )
+        k1, cost, ok1, vf_now = _control_np(pos, *law)
         if not ok1:
             status = STATUS_COINCIDENT
             t_stop = t
             break
+        if step % record_every == 0:  # this state is the last snapshot
+            vf[n_rec - 1] = vf_now
         gsq = np.add.accumulate((k1 * k1).ravel())[-1]
         if cost < cost_tol and float(np.sqrt(gsq)) < grad_tol:
             status = STATUS_CONVERGED
             t_stop = t
             break
-        k2, _, ok2 = _control_np(
-            pos + (0.5 * h) * k1, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-        )
-        k3, _, ok3 = _control_np(
-            pos + (0.5 * h) * k2, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-        )
-        k4, _, ok4 = _control_np(
-            pos + h * k3, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps
-        )
+        k2, _, ok2, _ = _control_np(pos + (0.5 * h) * k1, *law)
+        k3, _, ok3, _ = _control_np(pos + (0.5 * h) * k2, *law)
+        k4, _, ok4, _ = _control_np(pos + h * k3, *law)
         if not (ok2 and ok3 and ok4):
             status = STATUS_COINCIDENT
             t_stop = t
@@ -182,7 +182,11 @@ def _integrate_np(
             times[n_rec] = t_end
             traj[n_rec] = pos
             n_rec += 1
-    return times, traj, n_rec, status, t_stop
+        # a converged run evaluated its final state in the last k1
+        if status == STATUS_RAN:
+            vf_now = _control_np(pos, *law)[3]
+        vf[n_rec - 1] = vf_now
+    return times, traj, n_rec, status, t_stop, vf
 
 
 # ---------------------------------------------------------------------
@@ -329,7 +333,7 @@ def make_c_backend() -> Backend:
     flow.argtypes = [
         _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _ptr, _int, _ptr, _dbl,
         _int, _int, _int, _int, _dbl, _dbl, _dbl, _dbl, _dbl, _dbl, _ptr,
-        _ptr, _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
+        _ptr, _ptr, _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
     ]
 
     def eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
@@ -340,14 +344,14 @@ def make_c_backend() -> Backend:
         sides, code = _side_table(tri, pos.shape[0])
         gtab = np.empty(8 * sides.shape[0])
         u = np.empty_like(pos)
-        cost = _dbl()
+        cost = (_dbl * 2)()  # the full cost, then V_F
         ok = control(
             pos.shape[0], pos.ctypes.data, tri.shape[0], tri.ctypes.data,
             code.ctypes.data, sides.shape[0], sides.ctypes.data,
             cstar.ctypes.data, int(lead_a), int(lead_b), dsx, dsy, edge_eps,
-            gtab.ctypes.data, u.ctypes.data, ctypes.byref(cost),
+            gtab.ctypes.data, u.ctypes.data, cost,
         )
-        return u, cost.value, bool(ok)
+        return u, cost[0], bool(ok)
 
     def integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
                   lead_b, dsx, dsy, blowup_limit, edge_eps, cost_tol,
@@ -362,6 +366,7 @@ def make_c_backend() -> Backend:
         max_rec = n_steps // record_every + 2
         times = np.zeros(max_rec)
         traj = np.zeros((max_rec, n, 2))
+        vf = np.zeros(max_rec)
         work = np.empty(12 * n + 8 * sides.shape[0])
         n_rec = _int()
         t_stop = _dbl()
@@ -371,10 +376,10 @@ def make_c_backend() -> Backend:
             cstar.ctypes.data, edges.shape[0], edges.ctypes.data, h,
             int(n_steps), int(record_every), int(lead_a), int(lead_b), dsx,
             dsy, blowup_limit, edge_eps, cost_tol, grad_tol,
-            times.ctypes.data, traj.ctypes.data, work.ctypes.data,
-            ctypes.byref(n_rec), ctypes.byref(t_stop),
+            times.ctypes.data, traj.ctypes.data, vf.ctypes.data,
+            work.ctypes.data, ctypes.byref(n_rec), ctypes.byref(t_stop),
         )
-        return times, traj, n_rec.value, status, t_stop.value
+        return times, traj, n_rec.value, status, t_stop.value, vf
 
     return Backend("c", eval_control, integrate)
 
@@ -385,7 +390,7 @@ def make_c_backend() -> Backend:
 
 
 def make_numpy_backend() -> Backend:
-    return Backend("numpy", _control_np, _integrate_np)
+    return Backend("numpy", lambda *args: _control_np(*args)[:3], _integrate_np)
 
 
 def _select() -> Backend:

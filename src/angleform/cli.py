@@ -41,7 +41,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -610,6 +610,8 @@ def cmd_selftest(stream=sys.stdout) -> int:
 # ---------------------------------------------------------------------
 
 
+# built on first use, not at import; each parse fills a fresh namespace
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="angleform",

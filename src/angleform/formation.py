@@ -26,7 +26,6 @@ from .errors import (
     NonPositiveSeries,
     ValidationError,
 )
-from .geometry import angle_terms
 from .graph import Graph, LamanConstruction, LeaderPair, build_laman
 from .index_sets import triangle_formation_set
 from .rigidity import (
@@ -57,9 +56,10 @@ MAX_RECORDED_POINTS = 2_000_000
 # most RK4 steps one run may take: 333x the 3e5 steps of the longest
 # shipped scenario (example3.json, t_final 300 at h 1e-3)
 MAX_STEPS = 100_000_000
-# most angle terms (snapshots x triples) the series hold at once: the
-# arrays of one chunk take some 100 MB
-SERIES_CHUNK = 2**20
+# most steps x (triples + edges) one run may take, whatever the backend:
+# 256x the 3.9e6 of the largest shipped or benchmarked run (example3.json,
+# 3e5 steps x (6 + 7); laman-flow's n = 200 takes 2000 x (396 + 397))
+MAX_WORK = 1_000_000_000
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def residual(spec: FormationSpec, p: Configuration) -> np.ndarray:
 def _law(spec: FormationSpec, p: Configuration, lead: tuple) -> tuple:
     """(u stacked (2n,), cost) from _kernels._control_np; lead (-1, -1)
     drops the leader term."""
-    u, cost, ok = _kernels._control_np(
+    u, cost, ok, _ = _kernels._control_np(
         p.pts, spec._tri, spec.target_cosines, *lead, *spec._dstar, EDGE_EPS
     )
     if not ok:
@@ -341,7 +341,9 @@ def simulate(
     pure formation law. Raises BlowUp (with a time stamp) if a coordinate
     leaves the trusted range or adjacent agents collide mid-run, and
     ValidationError before the run if it could record more than
-    MAX_RECORDED_POINTS agent positions.
+    MAX_RECORDED_POINTS agent positions or its steps times its triples
+    and edges exceed MAX_WORK. V_F comes from the integrator's own
+    control evaluations; V_M, V and the monitors from the trajectory.
     """
     if config is None:
         config = IntegratorConfig()
@@ -355,9 +357,17 @@ def simulate(
             f"records up to {samples} samples of {spec.n} agents, over the "
             f"limit of {MAX_RECORDED_POINTS} recorded points"
         )
+    w, m = len(spec._tri), len(spec._edges)
+    work = config.n_steps * (w + m)
+    if work > MAX_WORK:
+        raise ValidationError(
+            f"t_final {config.t_final} at h {config.h} takes {config.n_steps} "
+            f"RK4 steps over {w} angle triples and {m} edges, {work} step "
+            f"terms, over the limit of {MAX_WORK}"
+        )
 
     lead_a, lead_b = spec._lead
-    times, traj, n_rec, status, t_stop = _kernels.integrate(
+    times, traj, n_rec, status, t_stop, vf = _kernels.integrate(
         p0.pts.astype(float),
         spec._tri,
         spec.target_cosines,
@@ -381,17 +391,7 @@ def simulate(
 
     times = times[:n_rec].copy()
     traj = traj[:n_rec].copy()
-
-    # V_F per snapshot, summed triple by triple as the kernels sum their
-    # cost, so no chunk size moves a bit; SERIES_CHUNK angle terms at a
-    # time, since all snapshots' terms can take gigabytes on a dense graph
-    vf = np.zeros(n_rec)
-    w = len(spec._tri)
-    rows = max(1, SERIES_CHUNK // max(1, w))
-    for start in range(0, n_rec if w else 0, rows):
-        part = traj[start : start + rows]
-        delta = angle_terms(part, spec._tri)[0] - spec.target_cosines
-        vf[start : start + rows] = np.add.accumulate(0.5 * delta * delta, axis=1)[:, -1]
+    vf = vf[:n_rec].copy()
     if spec.maneuver is not None:
         err = spec._dstar - (traj[:, lead_a] - traj[:, lead_b])
         vm = 0.5 * np.sum(err * err, axis=1)

@@ -56,7 +56,10 @@ def full_angle_set(g: Graph) -> AngleIndexSet:
 
 def _two_apex_triples(g: Graph) -> list:
     return sorted(
-        t for a, b, c in _triangles(g) for t in ((a, b, c), (b, a, c))
+        t
+        for block in _triangles(g)
+        for a, b, c in block.tolist()
+        for t in ((a, b, c), (b, a, c))
     )
 
 

@@ -15,7 +15,6 @@ vector pointing from j toward i.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,7 +40,7 @@ RANK_TOL_FACTOR = 100.0
 # largest matrix the benchmark builds (at n = 1000, the 1997 x 2000
 # distance and half-size bearing matrices)
 MAX_MATRIX_ENTRIES = 100_000_000
-# triangles is_strongly_nondegenerate tests per vectorized batch
+# candidate triangles listed, counted or tested per vectorized batch
 TRIANGLE_CHUNK = 65_536
 
 
@@ -447,25 +446,48 @@ def is_infinitesimally_angle_rigid(
     return _rank_report("angle", M, lambda info: info.nullspace_dim == 4)
 
 
-def _neighbor_sets(g: Graph) -> dict:
-    return {v: set(nb) for v, nb in g._adjacency.items()}
+def _triangle_candidates(g: Graph):
+    """Candidate triangles a < b < c in sorted order (by canonical edge
+    (a, b), then by c), over chunks of edges with at most TRIANGLE_CHUNK
+    candidates (or one edge): per chunk (ab, c, hit), with ab (k, 2) an
+    edge (a, b) per candidate, c the far end of an edge (b, c), and hit
+    where (a, c) is an edge too."""
+    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
+    keys = e[:, 0] * (g.n + 1) + e[:, 1]  # sorted, as the edges are
+    # the edges (v, .) are the rows first[v] to first[v + 1] - 1, so the
+    # edges (b, c) of an edge (a, b) are its rows lo to hi - 1
+    first = np.searchsorted(e[:, 0], np.arange(g.n + 2))
+    lo, hi = first[e[:, 1]], first[e[:, 1] + 1]
+    ends = np.cumsum(hi - lo)
+    start = 0
+    while start < len(e):
+        done = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, done + TRIANGLE_CHUNK, side="right"))
+        stop = max(start + 1, stop)
+        cnt = hi[start:stop] - lo[start:stop]
+        ab = np.repeat(e[start:stop], cnt, axis=0)
+        # a candidate's edge (b, c): its edge's first one, plus its offset
+        skip = np.repeat(lo[start:stop] - (ends[start:stop] - cnt - done), cnt)
+        c = e[np.arange(ends[stop - 1] - done) + skip, 1]
+        q = ab[:, 0] * (g.n + 1) + c
+        # the keys (a, .) of this chunk's own apexes: a short search
+        hay = keys[first[e[start, 0]] : first[e[stop - 1, 0] + 1]]
+        hit = hay[np.minimum(np.searchsorted(hay, q), len(hay) - 1)] == q
+        yield ab, c, hit
+        start = stop
 
 
 def _triangles(g: Graph):
     """The vertex triangles a < b < c whose three edges exist, in sorted
-    order: by canonical edge (a, b), then by c."""
-    adj = _neighbor_sets(g)
-    for a, b in g.edges:
-        for c in sorted(adj[a] & adj[b]):
-            if c > b:
-                yield a, b, c
+    order (by canonical edge (a, b), then by c), as (k, 3) int64 blocks
+    of at most TRIANGLE_CHUNK rows."""
+    for ab, c, hit in _triangle_candidates(g):
+        yield np.column_stack([ab[hit], c[hit]])
 
 
 def triangle_count(g: Graph) -> int:
-    """Number of graph triangles, without listing them: each edge (a, b)
-    lies on |N(a) & N(b)| of them, and each triangle has three edges."""
-    adj = _neighbor_sets(g)
-    return sum(len(adj[a] & adj[b]) for a, b in g.edges) // 3
+    """Number of graph triangles, counted without listing them."""
+    return sum(int(np.count_nonzero(hit)) for _, _, hit in _triangle_candidates(g))
 
 
 def is_strongly_nondegenerate(
@@ -474,15 +496,14 @@ def is_strongly_nondegenerate(
     """No graph triangle is embedded collinearly.
 
     Returns the first offending triangle as a witness when one exists.
-    Triangles a < b < c are tested in sorted order, TRIANGLE_CHUNK at a
-    time: collinear when |g_ba . perp(g_ca)| <= COLLINEAR_EPS. The first
-    triangle with p_b or p_c within EDGE_EPS of p_a raises
-    CoincidentPoints for (b, a), else (c, a), unless an earlier one is
-    collinear.
+    Triangles a < b < c are tested in sorted order, at most
+    TRIANGLE_CHUNK at a time: collinear when |g_ba . perp(g_ca)| <=
+    COLLINEAR_EPS. The first triangle with p_b or p_c within EDGE_EPS of
+    p_a raises CoincidentPoints for (b, a), else (c, a), unless an
+    earlier one is collinear.
     """
-    triangles = _triangles(g)
-    while chunk := list(islice(triangles, TRIANGLE_CHUNK)):
-        a, b, c = np.asarray(chunk, dtype=np.int64).T
+    for chunk in _triangles(g):
+        a, b, c = chunk.T
         eab = p.pts[b - 1] - p.pts[a - 1]
         eac = p.pts[c - 1] - p.pts[a - 1]
         lab = np.hypot(eab[:, 0], eab[:, 1])
@@ -498,7 +519,7 @@ def is_strongly_nondegenerate(
                 raise CoincidentPoints(int(b[r]), int(a[r]), float(lab[r]))
             if lac[r] < EDGE_EPS:
                 raise CoincidentPoints(int(c[r]), int(a[r]), float(lac[r]))
-            return NondegeneracyReport(False, chunk[r])
+            return NondegeneracyReport(False, tuple(chunk[r].tolist()))
     return NondegeneracyReport(True, None)
 
 

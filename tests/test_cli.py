@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 
 from angleform import _kernels, cli
 from angleform.errors import ParseError, ValidationError
-from angleform.formation import FormationSpec, cost_VF
+from angleform.formation import FormationSpec, IntegratorConfig, cost_VF, simulate
+from angleform.geometry import angle_terms
+from angleform.graph import build_laman
+from angleform.index_sets import laman_minimal_set
 from angleform.rigidity import Configuration
+from helpers import nondegenerate_points, random_construction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -984,8 +988,9 @@ def test_triangle_set_refusal_lists_no_triangles(tmp_path):
 
 def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
     """K60's triangle set has 68 440 triples; its V_F series over 51
-    snapshots, taken all at once, peaked at 393 MB. In chunks of
-    formation.SERIES_CHUNK angle terms the child stays near 170 MB."""
+    snapshots, recomputed from the trajectory all at once, peaked at
+    393 MB. The integrator records V_F as it runs, so the series takes
+    no angle terms of its own."""
     doc = _complete_graph_doc(60)
     doc["configuration"]["perturbation"] = {"amplitude": 0.01, "seed": 3}
     doc["integrator"] = {"t_final": 0.05, "record_stride": 1e-3}
@@ -1000,3 +1005,163 @@ def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
     assert os.waitstatus_to_exitcode(status) == 0
     assert "samples=51\n" in (tmp_path / "o" / "report.txt").read_text()
     assert usage.ru_maxrss < 300 * 1024  # KiB
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
+def test_cost_csv_vf_is_the_trajectory_series(tmp_path, name):
+    """The V_F column the integrator records equals, byte for byte, the
+    series recomputed from trajectory.csv by angle_terms and the
+    kernels' sequential sum."""
+    sc = _write(tmp_path, _shipped(name, t_final=1.0), name)
+    files = _simulated(sc, tmp_path / "run")
+    loaded = cli.load_scenario(sc)
+    spec = FormationSpec(loaded.graph, loaded.base, cli.resolve_angle_set(loaded))
+    rows = [r.split(",") for r in files["trajectory.csv"].decode().splitlines()[1:]]
+    traj = np.array([[float(x) for x in r[1:]] for r in rows]).reshape(len(rows), -1, 2)
+    d = angle_terms(traj, spec._tri)[0] - spec.target_cosines
+    want = np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
+    got = [r.split(",")[1] for r in files["cost.csv"].decode().splitlines()[1:]]
+    assert got == [repr(float(v)) for v in want]
+
+
+# ---------------------------------------------------------------------
+# the work cap: steps x (triples + edges)
+# ---------------------------------------------------------------------
+
+
+def test_simulate_over_the_work_cap_exits_2(tmp_path, capsys):
+    doc = _shipped("example1.json")
+    # 8e7 steps, under MAX_STEPS, over 6 triples and 7 edges: 1.04e9 terms
+    doc["integrator"].update(h=1e-6, t_final=80.0)
+    sc = _write(tmp_path, doc)
+    t0 = time.perf_counter()
+    code = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "validation error: t_final 80.0 at h 1e-06 takes 80000000 RK4 steps "
+        "over 6 angle triples and 7 edges, 1040000000 step terms, over the "
+        "limit of 1000000000\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+class _Reached(Exception):
+    """Raised in place of the integration: the run passed every cap."""
+
+
+def _passes_the_caps(monkeypatch, spec, p0, config):
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(_kernels, "integrate", reached)
+    with pytest.raises(_Reached):
+        simulate(spec, p0, config)
+    return config.n_steps * (len(spec._tri) + len(spec._edges))
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
+def test_shipped_horizons_pass_the_work_cap(monkeypatch, name):
+    sc = cli.load_scenario(SCENARIOS / name)
+    spec = FormationSpec(sc.graph, sc.base, cli.resolve_angle_set(sc), sc.maneuver)
+    work = _passes_the_caps(monkeypatch, spec, sc.initial_configuration(), sc.integrator)
+    assert work <= (3_900_000 if name == "example3.json" else 650_000)
+
+
+def test_laman_flow_size_passes_the_work_cap(monkeypatch):
+    """The benchmark's largest flow: n = 200, laman_minimal, 2000 steps."""
+    c = random_construction(np.random.default_rng(5), 200)
+    g = build_laman(c)
+    target = nondegenerate_points(np.random.default_rng(6), g)
+    spec = FormationSpec(g, target, laman_minimal_set(c), witness=c)
+    config = IntegratorConfig(h=1e-3, t_final=2.0, record_stride=0.01)
+    assert _passes_the_caps(monkeypatch, spec, target, config) == 2000 * (396 + 397)
+
+
+# ---------------------------------------------------------------------
+# one argument parser per process
+# ---------------------------------------------------------------------
+
+
+def _calls(tmp_path):
+    """CLI calls that mix verbs, --batch, seeds and usage errors."""
+    short = _write(tmp_path, _shipped("example1.json"), "short.json")
+    ex2, ex3 = str(SCENARIOS / "example2.json"), str(SCENARIOS / "example3.json")
+    out = tmp_path / "out"
+    return [
+        ["simulate", "--scenario", str(short), "--out", str(out / "sim")],
+        ["indexset", "--batch", "--scenario", str(short), "--scenario", ex3,
+         "--out", str(out / "batch")],
+        ["analyze", "--scenario", ex2, "--out", str(out / "single")],
+        ["simulate", "--scenario", str(short), "--seed-override", "7",
+         "--out", str(out / "seeded")],
+        ["simulate", "--scenario", str(short), "--seed-override", "-3",
+         "--out", str(out / "negative")],
+        ["analyze", "--scenario"],
+        ["indexset", "--scenario", str(short), "--scenario", ex3],
+        ["indexset", "--scenario", ex2],
+        ["simulate", "--scenario", str(short), "--out", str(out / "again")],
+    ]
+
+
+def _files(root):
+    return {
+        str(f.relative_to(root)): f.read_bytes()
+        for f in sorted(root.rglob("*")) if f.is_file()
+    }
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(
+    tmp_path, monkeypatch, capsys
+):
+    """No argument or default carries over from one main() call to the
+    next through the kept parser: each call in this process writes the
+    stdout, stderr, exit code and files of the same call in a fresh
+    interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
+    calls = _calls(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "angleform", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    fresh_files = _files(tmp_path / "out")
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "out").rename(tmp_path / "fresh" / "out")
+
+    for argv, want in zip(calls, fresh):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == want, argv
+    assert _files(tmp_path / "out") == fresh_files
+    assert fresh[5][0] == 2 and "usage: angleform analyze" in fresh[5][2]
+    assert fresh[4][1].startswith("validation error: --seed-override")
+
+
+def test_parser_is_built_once_and_not_at_import():
+    code = f"""
+import argparse, contextlib, io
+made = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import angleform.cli as cli
+print(len(made))
+for argv in (["indexset", "--scenario", {str(SCENARIOS / "example1.json")!r}],
+             ["analyze", "--scenario", {str(SCENARIOS / "example2.json")!r}]) * 3:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    print(made.count("angleform"), len(made))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # none at import; then one parser and its four verb subparsers, kept
+    assert proc.stdout.split("\n") == ["0"] + ["1 5"] * 6 + [""]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from angleform import _kernels
 from angleform.errors import (
     BlowUp,
     CoincidentPoints,
@@ -244,6 +245,45 @@ def test_simulate_blowup_on_coincident_start(fan5, pentagon):
     with pytest.raises(BlowUp) as err:
         simulate(spec, Configuration(pts))
     assert err.value.time == 0.0
+
+
+@pytest.fixture(params=["numpy", "c"])
+def backend(request, monkeypatch):
+    """simulate on the named kernel backend; C is skipped where no
+    compiler is."""
+    if request.param == "numpy":
+        chosen = _kernels.make_numpy_backend()
+    elif _kernels.find_compiler() is None:
+        pytest.skip("no C compiler on PATH")
+    else:
+        chosen = _kernels.make_c_backend()
+    monkeypatch.setattr(_kernels, "_active", chosen)
+    return chosen.name
+
+
+def test_simulate_without_steps_records_the_start(spec, pentagon, backend):
+    p0 = PerturbationSpec(0.3, 3).sample(pentagon)
+    res = simulate(spec, p0, IntegratorConfig(h=1e-3, t_final=4e-4))  # 0 steps
+    assert res.backend == backend
+    assert res.times.tolist() == [0.0] and res.t_end == 0.0
+    assert res.vf.tolist() == [cost_VF(spec, p0)]
+
+
+def test_simulate_collapsed_final_state_raises_as_membership_does(
+    spec, pentagon, backend
+):
+    """With no step, only the integrator's own evaluation of the final
+    state sees the collapsed triple side. The run still ends as
+    STATUS_RAN, so simulate raises equilibrium_membership's
+    CoincidentPoints, not BlowUp."""
+    pts = pentagon.pts.copy()
+    pts[2] = pts[0]  # triple (1, 2, 3) loses its side (1, 3)
+    p0 = Configuration(pts)
+    with pytest.raises(CoincidentPoints) as want:
+        equilibrium_membership(spec, p0)
+    with pytest.raises(CoincidentPoints) as got:
+        simulate(spec, p0, IntegratorConfig(h=1e-3, t_final=4e-4))
+    assert (got.value.pair, got.value.distance) == (want.value.pair, want.value.distance)
 
 
 def test_simulate_validates_size(spec):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angleform import _kernels
+from angleform.cli import load_scenario, resolve_angle_set
 from angleform.formation import (
     FormationSpec,
     Maneuver,
@@ -125,12 +126,13 @@ def _assert_controls_agree(c_eval, np_eval):
 
 def _assert_runs_agree(c_run, np_run):
     """Two integrate results, bit for bit over the recorded samples."""
-    t1, tr1, n1, s1, e1 = c_run
-    t2, tr2, n2, s2, e2 = np_run
+    t1, tr1, n1, s1, e1, vf1 = c_run
+    t2, tr2, n2, s2, e2, vf2 = np_run
     assert (s1, n1) == (s2, n2)
     _assert_bits(e1, e2)
     _assert_bits(t1[:n1], t2[:n2])
     _assert_bits(tr1[:n1], tr2[:n2])
+    _assert_bits(vf1[:n1], vf2[:n2])
 
 
 @needs_cc
@@ -206,7 +208,7 @@ def test_record_grid_and_final_sample():
     spec = _spec()
     pos = PerturbationSpec(0.2, 12).sample(PENT).pts
     for b in _backends():
-        times, traj, n_rec, status, t_stop = b.integrate(
+        times, traj, n_rec, status, t_stop, _ = b.integrate(
             *_integrate_args(spec, pos, n_steps=250, record_every=100)
         )
         # grid records at 0, 0.1, 0.2 plus the off-grid final state at 0.25
@@ -219,7 +221,7 @@ def test_status_converged():
     spec = _spec()
     for b in _backends():
         # start exactly at the target: step 0 meets any sane tolerance
-        times, traj, n_rec, status, t_stop = b.integrate(
+        times, traj, n_rec, status, t_stop, _ = b.integrate(
             *_integrate_args(spec, PENT.pts.copy(), cost_tol=1e-8, grad_tol=1e-4)
         )
         assert status == _kernels.STATUS_CONVERGED, b.name
@@ -231,7 +233,7 @@ def test_status_coincident():
     pos = PENT.pts.copy()
     pos[1] = pos[0]  # (1, 2) is an edge
     for b in _backends():
-        times, traj, n_rec, status, t_stop = b.integrate(
+        times, traj, n_rec, status, t_stop, _ = b.integrate(
             *_integrate_args(spec, pos)
         )
         assert status == _kernels.STATUS_COINCIDENT, b.name
@@ -254,7 +256,7 @@ def test_status_nonfinite():
     pos = PerturbationSpec(0.2, 13).sample(PENT).pts
     for b in _backends():
         # a blow-up limit below the configuration radius trips immediately
-        times, traj, n_rec, status, t_stop = b.integrate(
+        times, traj, n_rec, status, t_stop, _ = b.integrate(
             *_integrate_args(spec, pos, blowup_limit=0.1)
         )
         assert status == _kernels.STATUS_NONFINITE, b.name
@@ -557,3 +559,110 @@ def test_stage_evaluations_fail_only_on_triple_sides(pair):
     )
     assert status == _kernels.STATUS_COINCIDENT
     assert t_stop == (h if pair == "graph-edge" else 0.0)
+
+
+# ---------------------------------------------------------------------
+# V_F recorded by the integrator
+# ---------------------------------------------------------------------
+
+
+def _vf_series(run, tri, cstar):
+    """V_F of each snapshot of an integrate run, recomputed from its
+    trajectory: angle_terms, then the kernels' sequential sum."""
+    traj, n_rec = run[1], run[2]
+    if not len(tri):
+        return np.zeros(n_rec)
+    d = angle_terms(traj[:n_rec], tri)[0] - cstar
+    return np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
+
+
+def _assert_records_vf(args):
+    """Every backend records the recomputed V_F bit for bit, and C and
+    numpy agree on the whole run; returns the numpy run."""
+    runs = [b.integrate(*args) for b in _backends()]
+    for run in runs:
+        _assert_bits(run[5][: run[2]], _vf_series(run, args[1], args[2]))
+    _assert_runs_agree(runs[-1], runs[0])
+    return runs[0]
+
+
+def _shipped_spec(name):
+    sc = load_scenario(SRC.parent / "scenarios" / name)
+    spec = FormationSpec(sc.graph, sc.base, resolve_angle_set(sc), sc.maneuver)
+    return sc.initial_configuration().pts, spec
+
+
+def _leader_args(spec):
+    lead, ds = spec._lead, spec._dstar
+    return dict(lead_a=lead[0], lead_b=lead[1], dsx=float(ds[0]), dsy=float(ds[1]))
+
+
+@pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
+def test_vf_recorded_on_shipped_scenarios(name):
+    pos, spec = _shipped_spec(name)
+    args = _integrate_args(spec, pos, n_steps=300, record_every=20,
+                           **_leader_args(spec))
+    run = _assert_records_vf(args)
+    assert run[3] == _kernels.STATUS_RAN and run[2] == 16
+    assert (spec.maneuver is not None) == (name == "example3.json")
+
+
+@pytest.mark.parametrize("seed, leaders", [(0, False), (1, True), (2, False), (3, True)])
+def test_vf_recorded_on_insertion_frameworks(seed, leaders):
+    pos, spec = _insertion_framework(seed, leaders)
+    args = _integrate_args(spec, pos, h=1e-2, n_steps=50, record_every=3,
+                           **_leader_args(spec))
+    assert _assert_records_vf(args)[3] == _kernels.STATUS_RAN
+
+
+def test_vf_recorded_at_a_convergence_at_step_0():
+    args = _integrate_args(_spec(), PENT.pts.copy(), cost_tol=1e-8, grad_tol=1e-4)
+    run = _assert_records_vf(args)
+    assert (run[2], run[3], run[4]) == (1, _kernels.STATUS_CONVERGED, 0.0)
+
+
+def test_vf_recorded_at_a_convergence_off_the_record_grid():
+    pos = PerturbationSpec(1e-4, 3).sample(PENT).pts
+    args = _integrate_args(_spec(), pos, h=1e-2, record_every=7, cost_tol=2e-9,
+                           grad_tol=1e-4)
+    run = _assert_records_vf(args)
+    assert run[3] == _kernels.STATUS_CONVERGED
+    assert run[0][run[2] - 1] == run[4] and round(run[4] / 1e-2) % 7 != 0
+
+
+def test_vf_recorded_when_record_every_leaves_a_final_sample():
+    pos = PerturbationSpec(0.2, 12).sample(PENT).pts
+    run = _assert_records_vf(_integrate_args(_spec(), pos, n_steps=250,
+                                             record_every=100))
+    assert run[2] == 4 and run[0][3] == 0.25
+
+
+def test_vf_recorded_for_no_steps():
+    pos = PerturbationSpec(0.2, 12).sample(PENT).pts
+    run = _assert_records_vf(_integrate_args(_spec(), pos, n_steps=0))
+    assert (run[2], run[3]) == (1, _kernels.STATUS_RAN)
+    assert run[5][0] == cost_VF(_spec(), Configuration(pos))
+
+
+def test_vf_recorded_on_the_edgeless_graph():
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    no_tri = np.zeros((0, 3), dtype=np.int64)
+    # cost_tol 0: a zero cost does not converge, so all 10 steps run
+    args = (pos, no_tri, np.zeros(0), _kernels._NO_EDGES, 1e-3, 10, 4, -1, -1,
+            0.0, 0.0, 1e9, EDGE_EPS, 0.0, 1e-10)
+    run = _assert_records_vf(args)
+    assert (run[2], run[3]) == (4, _kernels.STATUS_RAN)
+    _assert_bits(run[5][:4], np.zeros(4))
+
+
+def test_vf_of_a_collapsed_final_state_is_zero_and_the_run_ran():
+    """The final state's own evaluation fails on a triple side that no
+    step checked: vf is 0.0 there and the status stays STATUS_RAN."""
+    spec = _spec()
+    pos = PENT.pts.copy()
+    pos[2] = pos[0]  # triple (1, 2, 3) loses its side (1, 3)
+    runs = [b.integrate(*_integrate_args(spec, pos, n_steps=0)) for b in _backends()]
+    for run in runs:
+        assert (run[2], run[3]) == (1, _kernels.STATUS_RAN)
+        _assert_bits(run[5][:1], [0.0])
+    _assert_runs_agree(runs[-1], runs[0])

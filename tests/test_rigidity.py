@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -399,9 +401,15 @@ def test_strong_nondegeneracy():
     ).ok
 
 
+def _sorted_triangles(g):
+    """The graph triangles a < b < c in sorted order, by brute force."""
+    return [t for t in combinations(range(1, g.n + 1), 3)
+            if g.has_edge(*t[:2]) and g.has_edge(*t[1:]) and g.has_edge(*t[::2])]
+
+
 def _scalar_nondegenerate(g, p):
     """The nondegeneracy test one triangle at a time, with bearing()."""
-    for a, b, c in rigidity._triangles(g):
+    for a, b, c in _sorted_triangles(g):
         gab, gac = bearing(p, b, a), bearing(p, c, a)
         if abs(gab @ perp(gac)) <= rigidity.COLLINEAR_EPS:
             return rigidity.NondegeneracyReport(False, (a, b, c))
@@ -471,12 +479,25 @@ def test_nondegenerate_names_the_coincident_pair(monkeypatch, chunk, moved, onto
         assert got.value.pair == want
 
 
-def test_triangle_count_matches_the_listing():
+def test_triangle_count_matches_the_listing(monkeypatch):
+    """Listed in sorted order in blocks of at most TRIANGLE_CHUNK
+    candidates (or one edge's), and counted alike, whatever the chunk."""
     rng = np.random.default_rng(34)
+    graphs = [K7, Graph.from_edges(4, []), Graph.from_edges(1, [])]
     for n in (3, 5, 8, 12):
         for extra in (0, n, 3 * n):
-            g = random_connected_graph(rng, n, min(extra, n * (n - 1) // 2 - n + 1))
-            assert rigidity.triangle_count(g) == len(list(rigidity._triangles(g)))
+            graphs.append(
+                random_connected_graph(rng, n, min(extra, n * (n - 1) // 2 - n + 1))
+            )
+    for chunk in (1, 4, rigidity.TRIANGLE_CHUNK):
+        monkeypatch.setattr(rigidity, "TRIANGLE_CHUNK", chunk)
+        for g in graphs:
+            blocks = list(rigidity._triangles(g))
+            assert all(b.dtype == np.int64 and len(b) <= max(chunk, g.n)
+                       for b in blocks)
+            listed = [tuple(t) for b in blocks for t in b.tolist()]
+            assert listed == _sorted_triangles(g)
+            assert rigidity.triangle_count(g) == len(listed)
     assert rigidity.triangle_count(K7) == 35
 
 
