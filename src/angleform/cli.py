@@ -4,22 +4,13 @@ Verbs: analyze (rigidity verdicts for a framework), indexset (emit an
 angle index set), simulate (integrate the gradient flow and write CSV
 series), selftest (run the embedded property suites).
 
-Scenario files are JSON with this shape (all vertex ids 1-based):
-
-    {
-      "schema": 1,
-      "graph": {"n": 5, "edges": [[1, 2], [1, 3], ...]},
-      "configuration": {
-        "points": [[x, y], ...],                   # exactly one of
-        "generator": {"kind": "regular_polygon",   # points/generator
-                      "n": 5, "radius": 1.0},
-        "perturbation": {"amplitude": 0.5, "seed": 2}   # optional
-      },
-      "angles": {"source": "triangle_formation"},
-      "construction": {"steps": [[3, 1, 2], [4, 1, 3], ...]},  # optional
-      "maneuver": {"leaders": [3, 4], "displacement": [-0.5, 0.0]},
-      "integrator": {"h": 1e-3, "t_final": 50.0, "record_stride": 0.1}
-    }
+A scenario file is one JSON object: the framework (graph, configuration),
+the angle index set (angles), and optionally a vertex-insertion
+construction, a leader maneuver and integrator settings. _FIELDS lists
+every field with its type, and README "Scenario files" shows a file.
+Vertex ids are 1-based. The whole structure is checked against _FIELDS
+before any meaning, so a file with both a parse fault and a validation
+fault reports the parse fault.
 
 Angle sources: full, triangle_formation, laman_minimal, laman_global,
 algorithm1, explicit (the last requires "triples": [[i, j, k], ...]).
@@ -43,7 +34,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -146,14 +137,11 @@ class Scenario:
     maneuver: Optional[Maneuver]
     integrator: IntegratorConfig
 
-    def initial_configuration(self, seed_override: Optional[int] = None):
+    def initial_configuration(self) -> Configuration:
         """The simulation start: base, perturbed when the block exists."""
         if self.perturbation is None:
             return self.base
-        pert = self.perturbation
-        if seed_override is not None:
-            pert = PerturbationSpec(pert.amplitude, seed_override)
-        return pert.sample(self.base)
+        return self.perturbation.sample(self.base)
 
     @cached_property
     def laman_witness(self) -> tuple:
@@ -171,16 +159,82 @@ class Scenario:
         return None, "scenario"
 
 
-# the two kinds of scenario number; _typed checks exact types, so JSON
-# true and false are neither
+# the JSON value types of a scenario field; _typed checks exact types, so
+# JSON true and false are neither integer nor number
 _INTEGER = (int,)
 _NUMBER = (int, float)
+_TEXT = (str,)
 
 
-def _typed(val, kinds, where: str):
+class _Rows(NamedTuple):
+    """A field of rows, each a list of size values of one of kinds; shape
+    describes a row in errors. many: a list of rows, else one row."""
+
+    size: int
+    kinds: tuple
+    shape: str
+    many: bool = True
+
+
+# every scenario field, block -> field -> (kind, required); a kind is a
+# tuple of JSON types, a nested block or a _Rows. load_scenario reads the
+# file through it, and the scenario fuzzer draws its paths from it.
+_FIELDS = {
+    "schema": (_INTEGER, True),
+    "graph": (
+        {"n": (_INTEGER, True), "edges": (_Rows(2, _INTEGER, "a pair [i, j]"), True)},
+        True,
+    ),
+    "configuration": (
+        {
+            "points": (_Rows(2, _NUMBER, "a pair [x, y]"), False),
+            "generator": (
+                {
+                    "kind": (_TEXT, True),
+                    "n": (_INTEGER, True),
+                    "radius": (_NUMBER, False),
+                },
+                False,
+            ),
+            "perturbation": (
+                {"amplitude": (_NUMBER, True), "seed": (_INTEGER, True)},
+                False,
+            ),
+        },
+        True,
+    ),
+    "angles": (
+        {"source": (_TEXT, True), "triples": (_Rows(3, _INTEGER, "[i, j, k]"), False)},
+        True,
+    ),
+    "construction": (
+        {"steps": (_Rows(3, _INTEGER, "[new_vertex, i, j]"), True)},
+        False,
+    ),
+    "maneuver": (
+        {
+            "leaders": (_Rows(2, _INTEGER, "a pair [l1, l2]", many=False), True),
+            "displacement": (_Rows(2, _NUMBER, "a pair [dx, dy]", many=False), True),
+        },
+        False,
+    ),
+    "integrator": (
+        {
+            "h": (_NUMBER, False),
+            "t_final": (_NUMBER, False),
+            "record_stride": (_NUMBER, False),
+            "cost_tol": (_NUMBER, False),
+            "grad_tol": (_NUMBER, False),
+            "method": (_TEXT, False),
+        },
+        False,
+    ),
+}
+
+
+def _typed(val, kinds: tuple, where: str):
     """val when its type is one of kinds, as a float when kinds is
     _NUMBER; else ParseError."""
-    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     if type(val) not in kinds:
         names = "/".join(k.__name__ for k in kinds)
         raise ParseError(f"{where}: expected {names}, got {type(val).__name__}")
@@ -190,54 +244,76 @@ def _typed(val, kinds, where: str):
         raise ParseError(f"{where}: integer too large for a float") from None
 
 
-def _expect(block: dict, key: str, kinds, where: str, required=True, default=None):
-    if key not in block:
-        if required:
-            raise ParseError(f"{where}: missing field {key!r}")
-        return default
-    return _typed(block[key], kinds, f"{where}.{key}")
-
-
-def _row(item, kinds, size: int, where: str, shape: str) -> tuple:
-    """A JSON list of exactly size values, each of one of kinds, as
-    floats when kinds is _NUMBER."""
-    if not isinstance(item, list) or len(item) != size:
-        raise ParseError(f"{where}: expected {shape}")
-    for val in item:
-        if type(val) not in kinds:
-            break
-    else:
-        try:
-            return tuple(map(float, item) if kinds is _NUMBER else item)
-        except OverflowError:
-            pass
+def _row(item, rows: _Rows, path: str, k=None) -> tuple:
+    """A JSON list of exactly rows.size values, each of one of rows.kinds,
+    as floats when those are _NUMBER. Errors name it path, or path[k]
+    when it is row k of a list."""
+    kinds = rows.kinds
+    if isinstance(item, list) and len(item) == rows.size:
+        for val in item:
+            if type(val) not in kinds:
+                break
+        else:
+            try:
+                return tuple(map(float, item) if kinds is _NUMBER else item)
+            except OverflowError:
+                pass
     # the error path, where _typed names the offending index
-    return tuple(_typed(val, kinds, f"{where}[{k}]") for k, val in enumerate(item))
+    where = path if k is None else f"{path}[{k}]"
+    if not isinstance(item, list) or len(item) != rows.size:
+        raise ParseError(f"{where}: expected {rows.shape}")
+    return tuple(_typed(val, kinds, f"{where}[{j}]") for j, val in enumerate(item))
 
 
-def _rows(raw, kinds, size: int, where: str, shape: str) -> list:
-    return [
-        _row(item, kinds, size, f"{where}[{idx}]", shape)
-        for idx, item in enumerate(raw)
-    ]
-
-
-def _reject_unknown(block: dict, allowed, where: str) -> None:
-    extra = sorted(set(block) - set(allowed))
+def _walk(block: dict, fields: dict, where: str, prefix: str = "") -> dict:
+    """block's fields, typed, in table order (absent optional ones left
+    out): ParseError for an unknown field, a missing required one or a
+    value of the wrong type. Errors name a field where.field, and its
+    rows and nested blocks by their path from the top, prefix + field
+    (at the top, where is the file's path and prefix is "")."""
+    extra = block.keys() - fields.keys()
     if extra:
-        raise ParseError(f"{where}: unknown field(s) {', '.join(extra)}")
+        raise ParseError(f"{where}: unknown field(s) {', '.join(sorted(extra))}")
+    typed = {}
+    for key, (kind, required) in fields.items():
+        if key not in block:
+            if required:
+                raise ParseError(f"{where}: missing field {key!r}")
+            continue
+        val, at, path = block[key], f"{where}.{key}", prefix + key
+        if type(kind) is dict:
+            val = _walk(_typed(val, (dict,), at), kind, path, path + ".")
+        elif type(kind) is not _Rows:
+            val = _typed(val, kind, at)
+        elif kind.many:
+            rows = _typed(val, (list,), at)
+            val = [_row(item, kind, path, k) for k, item in enumerate(rows)]
+        else:
+            val = _row(_typed(val, (list,), at), kind, path)
+        typed[key] = val
+    return typed
+
+
+def _refuse_repeat(rows, key, where: str) -> None:
+    """ValidationError naming the first of rows whose key repeats an
+    earlier row's; called once a count has shown that one does."""
+    seen = {}
+    for k, row in enumerate(rows):
+        first = seen.setdefault(key(row), k)
+        if first != k:
+            raise ValidationError(f"{where}[{k}]: {row} repeats {where}[{first}]")
 
 
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Structural problems (bad JSON, missing/unknown fields, wrong types)
-    raise ParseError; semantic problems (out-of-range vertices, vertex
-    count mismatches) raise ValidationError or a more specific subclass.
+    The whole structure is checked first: bad JSON, missing, unknown or
+    mistyped fields (_FIELDS) and unknown names raise ParseError. Then
+    the meaning: out-of-range vertices, repeated edges and vertex count
+    mismatches raise ValidationError or a more specific subclass.
     """
-    p = Path(path)
     try:
-        raw_bytes = p.read_bytes()
+        raw_bytes = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
     digest = hashlib.sha256(raw_bytes).hexdigest()
@@ -249,140 +325,60 @@ def load_scenario(path) -> Scenario:
         ) from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    _reject_unknown(
-        doc,
-        (
-            "schema",
-            "graph",
-            "configuration",
-            "angles",
-            "construction",
-            "maneuver",
-            "integrator",
-        ),
-        path,
-    )
-
-    schema = _expect(doc, "schema", int, str(path))
-    if schema != SCHEMA_VERSION:
-        raise ParseError(f"{path}.schema: unrecognized version {schema}")
-
-    gblock = _expect(doc, "graph", dict, str(path))
-    _reject_unknown(gblock, ("n", "edges"), "graph")
-    n = _expect(gblock, "n", int, "graph")
-    if n < 1:
-        raise ValidationError(f"graph.n must be positive, got {n}")
-    if n > MAX_AGENTS:
-        raise ValidationError(f"graph.n {n} is over the limit of {MAX_AGENTS}")
-    edges_raw = _expect(gblock, "edges", list, "graph")
-    graph = Graph.from_edges(
-        n, _rows(edges_raw, _INTEGER, 2, "graph.edges", "a pair [i, j]")
-    )
-
-    cblock = _expect(doc, "configuration", dict, str(path))
-    _reject_unknown(cblock, ("points", "generator", "perturbation"), "configuration")
-    has_points = "points" in cblock
-    has_gen = "generator" in cblock
-    if has_points == has_gen:
+    doc = _walk(doc, _FIELDS, str(path))
+    # the structure that spans fields, also checked before any meaning
+    config, source = doc["configuration"], doc["angles"]["source"]
+    gen, triples = config.get("generator"), doc["angles"].get("triples")
+    if doc["schema"] != SCHEMA_VERSION:
+        raise ParseError(f"{path}.schema: unrecognized version {doc['schema']}")
+    if ("points" in config) == (gen is not None):
         raise ParseError(
             "configuration: exactly one of 'points'/'generator' is required"
         )
-    if has_points:
-        pts = _expect(cblock, "points", list, "configuration")
-        base = Configuration(
-            _rows(pts, _NUMBER, 2, "configuration.points", "a pair [x, y]")
+    if gen is not None and gen["kind"] != "regular_polygon":
+        raise ParseError(
+            f"configuration.generator.kind: unknown generator {gen['kind']!r}"
         )
-        if base.n != graph.n:
-            raise ValidationError(
-                f"configuration has {base.n} points, graph has {graph.n} vertices"
-            )
-    else:
-        gen = _expect(cblock, "generator", dict, "configuration")
-        _reject_unknown(gen, ("kind", "n", "radius"), "configuration.generator")
-        kind = _expect(gen, "kind", str, "configuration.generator")
-        if kind != "regular_polygon":
-            raise ParseError(
-                f"configuration.generator.kind: unknown generator {kind!r}"
-            )
-        gn = _expect(gen, "n", int, "configuration.generator")
-        if gn != graph.n:  # checked first: gn sizes the polygon
-            raise ValidationError(
-                f"configuration has {gn} points, graph has {graph.n} vertices"
-            )
-        radius = _expect(
-            gen, "radius", _NUMBER, "configuration.generator",
-            required=False, default=1.0,
-        )
-        base = Configuration.regular_polygon(gn, radius)
-
-    perturbation = None
-    if "perturbation" in cblock:
-        pblock = _expect(cblock, "perturbation", dict, "configuration")
-        _reject_unknown(pblock, ("amplitude", "seed"), "configuration.perturbation")
-        amp = _expect(pblock, "amplitude", _NUMBER, "configuration.perturbation")
-        seed = _expect(pblock, "seed", int, "configuration.perturbation")
-        perturbation = PerturbationSpec(amp, seed)
-
-    ablock = _expect(doc, "angles", dict, str(path))
-    _reject_unknown(ablock, ("source", "triples"), "angles")
-    source = _expect(ablock, "source", str, "angles")
     if source not in ANGLE_SOURCES:
         raise ParseError(
             f"angles.source: {source!r} is not one of {', '.join(ANGLE_SOURCES)}"
         )
-    explicit = None
-    if source == "explicit":
-        triples_raw = _expect(ablock, "triples", list, "angles")
-        explicit = tuple(
-            _rows(triples_raw, _INTEGER, 3, "angles.triples", "[i, j, k]")
-        )
-    elif "triples" in ablock:
+    if source == "explicit" and triples is None:
+        raise ParseError("angles: missing field 'triples'")
+    if source != "explicit" and triples is not None:
         raise ParseError("angles.triples: only valid with source 'explicit'")
 
-    construction = None
-    if "construction" in doc:
-        wblock = _expect(doc, "construction", dict, str(path))
-        _reject_unknown(wblock, ("steps",), "construction")
-        steps_raw = _expect(wblock, "steps", list, "construction")
-        steps = _rows(
-            steps_raw, _INTEGER, 3, "construction.steps", "[new_vertex, i, j]"
-        )
-        construction = LamanConstruction(tuple(steps))
+    n, edges = doc["graph"]["n"], doc["graph"]["edges"]
+    if n < 1:
+        raise ValidationError(f"graph.n must be positive, got {n}")
+    if n > MAX_AGENTS:
+        raise ValidationError(f"graph.n {n} is over the limit of {MAX_AGENTS}")
+    graph = Graph.from_edges(n, edges)
+    if graph.m != len(edges):
+        _refuse_repeat(edges, frozenset, "graph.edges")
 
-    maneuver = None
+    if gen is None:
+        base = Configuration(config["points"])
+    count = base.n if gen is None else gen["n"]
+    if count != graph.n:  # checked first: a generator's n sizes the polygon
+        raise ValidationError(
+            f"configuration has {count} points, graph has {graph.n} vertices"
+        )
+    if gen is not None:
+        base = Configuration.regular_polygon(count, gen.get("radius", 1.0))
+    pert = config.get("perturbation")
+    perturbation = None if pert is None else PerturbationSpec(**pert)
+    construction = maneuver = None
+    if "construction" in doc:
+        construction = LamanConstruction(tuple(doc["construction"]["steps"]))
     if "maneuver" in doc:
-        mblock = _expect(doc, "maneuver", dict, str(path))
-        _reject_unknown(mblock, ("leaders", "displacement"), "maneuver")
-        leaders = _row(
-            _expect(mblock, "leaders", list, "maneuver"),
-            _INTEGER, 2, "maneuver.leaders", "a pair [l1, l2]",
-        )
-        displacement = _row(
-            _expect(mblock, "displacement", list, "maneuver"),
-            _NUMBER, 2, "maneuver.displacement", "a pair [dx, dy]",
-        )
-        maneuver = Maneuver(LeaderPair(*leaders), displacement)
+        leaders = doc["maneuver"]["leaders"]
+        maneuver = Maneuver(LeaderPair(*leaders), doc["maneuver"]["displacement"])
         if not maneuver.leaders.spans_edge(graph):
             raise ValidationError(
-                f"maneuver.leaders: ({leaders[0]}, {leaders[1]}) is not an edge "
-                f"of the graph on vertices 1..{graph.n}"
+                f"maneuver.leaders: {leaders} is not an edge of the graph on "
+                f"vertices 1..{graph.n}"
             )
-
-    integ = IntegratorConfig()
-    if "integrator" in doc:
-        iblock = _expect(doc, "integrator", dict, str(path))
-        _reject_unknown(
-            iblock,
-            ("h", "t_final", "record_stride", "cost_tol", "grad_tol", "method"),
-            "integrator",
-        )
-        kwargs = {}
-        for key in ("h", "t_final", "record_stride", "cost_tol", "grad_tol"):
-            if key in iblock:
-                kwargs[key] = _expect(iblock, key, _NUMBER, "integrator")
-        if "method" in iblock:
-            kwargs["method"] = _expect(iblock, "method", str, "integrator")
-        integ = IntegratorConfig(**kwargs)
 
     return Scenario(
         path=str(path),
@@ -391,10 +387,10 @@ def load_scenario(path) -> Scenario:
         base=base,
         perturbation=perturbation,
         angle_source=source,
-        explicit_triples=explicit,
+        explicit_triples=None if triples is None else tuple(triples),
         construction=construction,
         maneuver=maneuver,
-        integrator=integ,
+        integrator=IntegratorConfig(**doc.get("integrator", {})),
     )
 
 
@@ -409,7 +405,10 @@ def resolve_angle_set(
     if source == "triangle_formation":
         return triangle_formation_set(g)
     if source == "explicit":
-        T = AngleIndexSet.from_triples(scenario.explicit_triples)
+        rows = scenario.explicit_triples
+        T = AngleIndexSet.from_triples(rows)
+        if len(T) != len(rows):  # two rows name one angle
+            _refuse_repeat(rows, lambda t: (t[0], *sorted(t[1:])), "angles.triples")
         T.validate_for(g)
         return T
     if source == "algorithm1":
@@ -661,6 +660,13 @@ def _check_out(out_dir) -> None:
         raise ValidationError(f"--out {out_dir}: {exc.strerror}") from exc
 
 
+def _failed(exc, stream) -> int:
+    """Write exc under its _EXIT_POLICY prefix; its exit code."""
+    code, kind = next(row[1:] for row in _EXIT_POLICY if isinstance(exc, row[0]))
+    stream.write(f"{kind}: {exc}\n")
+    return code
+
+
 def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
     """One verb on one scenario: load it, apply the seed policy, resolve
     the angle set, run the verb body and write its outputs; the exit
@@ -709,9 +715,7 @@ def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
         stream.write(text)
         return EXIT_OK
     except (AngleformError, ArithmeticError, ValueError) as exc:
-        code, kind = next(row[1:] for row in _EXIT_POLICY if isinstance(exc, row[0]))
-        stream.write(f"{kind}: {exc}\n")
-        return code
+        return _failed(exc, stream)
 
 
 def main(argv=None) -> int:
@@ -724,32 +728,24 @@ def main(argv=None) -> int:
         sys.stderr.write(f"selftest took {time.perf_counter() - t0:.1f}s\n")
         return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
-    if args.seed_override is not None and args.seed_override < 0:
-        stream.write(
-            "validation error: --seed-override must be nonnegative, "
-            f"got {args.seed_override}\n"
-        )
-        return EXIT_VALIDATION
-    scenarios = args.scenario
-    if len(scenarios) > 1 and not args.batch:
-        stream.write("validation error: multiple scenarios need --batch\n")
-        return EXIT_VALIDATION
-    if args.batch:
-        stems = [Path(s).stem for s in scenarios]
-        if len(set(stems)) != len(stems):
-            stream.write(
-                "validation error: batch scenarios must have distinct names\n"
+    stems = [Path(s).stem for s in args.scenario]
+    try:
+        if args.seed_override is not None and args.seed_override < 0:
+            raise ValidationError(
+                f"--seed-override must be nonnegative, got {args.seed_override}"
             )
-            return EXIT_VALIDATION
+        if len(args.scenario) > 1 and not args.batch:
+            raise ValidationError("multiple scenarios need --batch")
+        if args.batch and len(set(stems)) != len(stems):
+            raise ValidationError("batch scenarios must have distinct names")
+    except ValidationError as exc:
+        return _failed(exc, stream)
 
     worst = EXIT_OK
-    for sc_path in scenarios:
-        if args.out is None:
-            out_dir = None
-        elif args.batch:
-            out_dir = Path(args.out) / Path(sc_path).stem
-        else:
-            out_dir = Path(args.out)
+    for sc_path, stem in zip(args.scenario, stems):
+        out_dir = None if args.out is None else Path(args.out)
+        if args.batch and out_dir is not None:
+            out_dir = out_dir / stem
         code = _run_one(args.verb, sc_path, out_dir, args.seed_override, stream)
         worst = max(worst, code)
     return worst

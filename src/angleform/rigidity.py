@@ -243,14 +243,15 @@ def _angle_terms(pts, tri):
     return cos, qj, qk
 
 
-def _angle_matrix(tri, qj, qk, n) -> np.ndarray:
-    """(w, 2n) rows holding q_j + q_k at i, -q_j at j and -q_k at k."""
-    rows = np.arange(len(tri))
-    R = np.zeros((len(tri), n, 2))
-    R[rows, tri[:, 0]] = qj + qk
-    R[rows, tri[:, 1]] = -qj
-    R[rows, tri[:, 2]] = -qk
-    return R.reshape(len(tri), 2 * n)
+def _block_rows(n: int, at, blocks) -> np.ndarray:
+    """A (k, 2n) or (2k, 2n) matrix, zero but for item r of each blocks[c],
+    a (2,) row or a (2, 2) pair of rows, at the columns of 0-based vertex
+    at[c][r]; the blocks are written in order."""
+    k, rows = len(at[0]), blocks[0].ndim - 1  # 1 or 2 rows per item
+    R = np.zeros((k, rows, n, 2))
+    for cols, blk in zip(at, blocks):
+        R[np.arange(k), :, cols] = blk.reshape(k, rows, 2)
+    return R.reshape(k * rows, 2 * n)
 
 
 def check_matrix_size(what: str, rows: int, cols: int) -> None:
@@ -294,9 +295,7 @@ def distance_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     check_matrix_size("distance rigidity matrix", g.m, 2 * p.n)
     i, j = _edge_ends(g)
     e = 2.0 * (p.pts[i] - p.pts[j])
-    R = np.zeros((g.m, p.n, 2))
-    R[np.arange(g.m), i], R[np.arange(g.m), j] = e, -e
-    return R.reshape(g.m, 2 * p.n)
+    return _block_rows(p.n, (i, j), (e, -e))
 
 
 def bearing_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
@@ -310,10 +309,7 @@ def bearing_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     i, j = _edge_ends(g)
     gab, dist = _bearing_terms(p, i, j)
     blk = (np.eye(2) - gab[:, :, None] * gab[:, None, :]) / dist[:, None, None]
-    R = np.zeros((g.m, 2, g.n, 2))
-    R[np.arange(g.m), :, i] = blk
-    R[np.arange(g.m), :, j] = -blk + 0.0  # the product's zeros are +0.0
-    return R.reshape(2 * g.m, 2 * g.n)
+    return _block_rows(g.n, (i, j), (blk, -blk + 0.0))  # the product's zeros are +0.0
 
 
 def _bearing_half_matrix(g: Graph, p: Configuration) -> np.ndarray:
@@ -328,9 +324,7 @@ def _bearing_half_matrix(g: Graph, p: Configuration) -> np.ndarray:
     i, j = _edge_ends(g)
     gab, dist = _bearing_terms(p, i, j)
     row = np.column_stack([-gab[:, 1], gab[:, 0]]) / dist[:, None]
-    R = np.zeros((g.m, g.n, 2))
-    R[np.arange(g.m), i], R[np.arange(g.m), j] = row, -row
-    return R.reshape(g.m, 2 * g.n)
+    return _block_rows(g.n, (i, j), (row, -row))
 
 
 def angle_rigidity_matrix(
@@ -349,7 +343,7 @@ def angle_rigidity_matrix(
     tri = T.as_array()
     _, qj, qk = _angle_terms(p.pts, tri)
     _bearing_terms(p, *_edge_ends(g))
-    return _angle_matrix(tri, qj, qk, g.n)
+    return _block_rows(g.n, tri.T, (qj + qk, -qj, -qk))
 
 
 def trivial_motion_basis(p: Configuration) -> np.ndarray:
@@ -593,7 +587,7 @@ def jacobian_spectrum(
             raise NotAnEquilibrium(
                 f"angle residual {resid:.3e} exceeds 1e-9"
             )
-    R = _angle_matrix(tri, qj, qk, p_eq.n)
+    R = _block_rows(p_eq.n, tri.T, (qj + qk, -qj, -qk))
     J = -(R.T @ R)
     if maneuver is not None:
         J = J - np.asarray(maneuver, dtype=float)

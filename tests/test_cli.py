@@ -1,7 +1,11 @@
+import contextlib
 import errno
+import functools
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,9 +20,9 @@ from angleform import _kernels, cli
 from angleform.errors import ParseError, ValidationError
 from angleform.formation import FormationSpec, IntegratorConfig, cost_VF, simulate
 from angleform.geometry import angle_terms
-from angleform.graph import build_laman
+from angleform.graph import Graph, build_laman
 from angleform.index_sets import laman_minimal_set
-from angleform.rigidity import Configuration
+from angleform.rigidity import AngleIndexSet, Configuration
 from helpers import nondegenerate_points, random_construction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -44,6 +48,26 @@ def _base_doc():
         "angles": {"source": "triangle_formation"},
         "integrator": {"t_final": 1.0},
     }
+
+
+def _table(fields=cli._FIELDS, path=()):
+    """(key path, kind, required) of every field and block of the
+    scenario table."""
+    for key, (kind, required) in fields.items():
+        yield path + (key,), kind, required
+        if isinstance(kind, dict):
+            yield from _table(kind, path + (key,))
+
+
+_TABLE_PATHS = [".".join(path) for path, _, _ in _table()]
+
+
+def _names_a_field(message, scenario):
+    """Whether a parse error message starts with a table path (indices
+    aside) or with the scenario's path."""
+    field = message.split(": ")[0]
+    named = re.sub(r"\[\d+\]", "", field)
+    return named in _TABLE_PATHS or field.startswith(str(scenario))
 
 
 # ---------------------------------------------------------------------
@@ -96,9 +120,45 @@ def test_load_scenario_points(tmp_path):
 def test_load_scenario_parse_errors(tmp_path, mutate, needle):
     doc = _base_doc()
     mutate(doc)
+    sc = _write(tmp_path, doc)
     with pytest.raises(ParseError) as err:
-        cli.load_scenario(_write(tmp_path, doc))
+        cli.load_scenario(sc)
     assert needle in str(err.value)
+    assert _names_a_field(str(err.value), sc)
+
+
+def _full_doc():
+    """_base_doc with every optional block of the table present."""
+    doc = _base_doc()
+    doc["construction"] = {"steps": [[3, 1, 2], [4, 1, 3], [5, 1, 4]]}
+    doc["maneuver"] = {"leaders": [3, 4], "displacement": [-0.5, 0.0]}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,kind,required", [pytest.param(*f, id=".".join(f[0])) for f in _table()]
+)
+def test_every_table_field_is_typed_and_named(tmp_path, path, kind, required):
+    """A mistyped field, an unknown field in a block and a missing
+    required field are each a parse error that names the field."""
+    *parents, key = path
+    where = ".".join(parents) if parents else str(tmp_path / "s.json")
+
+    def refused(mutate):
+        doc = _full_doc()
+        mutate(doc)
+        with pytest.raises(ParseError) as err:
+            cli.load_scenario(_write(tmp_path, doc))
+        return str(err.value)
+
+    wrong = "x" if isinstance(kind, (dict, cli._Rows)) else {}
+    assert refused(_set(path, wrong)).startswith(f"{where}.{key}: expected ")
+    if isinstance(kind, dict):
+        unknown = refused(_set(path + ("zz",), 1))
+        assert unknown == f"{'.'.join(path)}: unknown field(s) zz"
+    if required:
+        missing = refused(lambda doc: functools.reduce(dict.get, parents, doc).pop(key))
+        assert missing == f"{where}: missing field {key!r}"
 
 
 def test_load_scenario_bad_json(tmp_path):
@@ -120,6 +180,53 @@ def test_load_scenario_semantic_errors(tmp_path):
     doc["configuration"] = {"points": [[0, 0], [1, 0]]}
     with pytest.raises(ValidationError):
         cli.load_scenario(_write(tmp_path, doc))
+
+
+def test_repeated_edge_rows_are_refused(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    doc["graph"]["edges"].append([2, 1])  # row 0 is [1, 2]
+    assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 2
+    assert capsys.readouterr().out == (
+        "validation error: graph.edges[7]: (2, 1) repeats graph.edges[0]\n"
+    )
+    assert Graph.from_edges(5, [[1, 2], [2, 1]]).m == 1  # the library merges them
+
+
+def test_repeated_explicit_triples_are_refused(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "example2.json").read_text())
+    doc["angles"]["triples"] = [[1, 2, 3], [1, 3, 2], [1, 2, 3]]
+    assert cli.main(["indexset", "--scenario", str(_write(tmp_path, doc))]) == 2
+    assert capsys.readouterr().out == (
+        "validation error: angles.triples[1]: (1, 3, 2) repeats angles.triples[0]\n"
+    )
+    assert len(AngleIndexSet.from_triples(doc["angles"]["triples"])) == 1
+
+
+def test_shipped_scenarios_never_search_for_repeats(monkeypatch):
+    """The repeat search runs only once a count shows a repeat."""
+
+    def searched(*args):
+        raise AssertionError("searched for a repeat")
+
+    monkeypatch.setattr(cli, "_refuse_repeat", searched)
+    for name in ("example1.json", "example2.json", "example3.json"):
+        cli.resolve_angle_set(cli.load_scenario(SCENARIOS / name))
+
+
+@pytest.mark.parametrize(
+    "angles,message",
+    [
+        ({}, "angles: missing field 'source'"),
+        ({"source": "bogus"}, "angles.source: 'bogus' is not one of"),
+    ],
+    ids=["missing-source", "unknown-source"],
+)
+def test_structure_is_checked_before_meaning(tmp_path, capsys, angles, message):
+    doc = _base_doc()
+    doc["graph"]["n"] = 0  # a validation fault, found only after the parse fault
+    doc["angles"] = angles
+    assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 4
+    assert capsys.readouterr().out.startswith(f"parse error: {message}")
 
 
 def test_resolve_angle_set_needs_witness_or_laman(tmp_path):
@@ -253,12 +360,13 @@ def test_main_rejects_non_finite_integrator_field(tmp_path, capsys, field, liter
 
 
 def _set(path, value):
-    """A mutation of the scenario document that sets one nested field."""
+    """A mutation of the scenario document that sets one nested field,
+    creating the blocks on its path that are absent."""
 
     def mutate(doc):
         *parents, last = path
-        for key in parents:
-            doc = doc[key]
+        for key in parents:  # an absent block is created
+            doc = doc.setdefault(key, {}) if isinstance(doc, dict) else doc[key]
         doc[last] = value
 
     return mutate
@@ -543,7 +651,14 @@ def _leaf_paths(node, path=()):
 _SHIPPED = {
     p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))
 }
-_LEAVES = [(name, path) for name, doc in _SHIPPED.items() for path in _leaf_paths(doc)]
+# every scalar of a shipped file, and every table path, whether the file
+# has that field or not
+_LEAVES = [
+    (name, path)
+    for name, doc in _SHIPPED.items()
+    for path in dict.fromkeys([*_leaf_paths(doc), *(path for path, _, _ in _table())])
+]
+_PREFIXES = {2: "validation error: ", 3: "numerical failure: ", 4: "parse error: "}
 _SCALARS = st.one_of(
     st.integers(),
     st.floats(),  # NaN and +-inf included
@@ -566,7 +681,13 @@ def test_mutated_shipped_scenario_exits_with_a_documented_code(
     doc = json.loads(json.dumps(_SHIPPED[name]))
     _set(path, value)(doc)
     sc = _write(tmp_path_factory.mktemp("mutant"), doc, name)
-    assert cli.main(["analyze", "--scenario", str(sc)]) in (0, 2, 3, 4)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["analyze", "--scenario", str(sc)])
+    text = out.getvalue()
+    assert code in (0, 2, 3, 4)
+    assert text.startswith(_PREFIXES.get(code, "command=analyze\n")), text
+    if code == 4:
+        assert _names_a_field(text.removeprefix(_PREFIXES[4]), sc), text
 
 
 def test_cost_csv_roundtrips_against_trajectory(tmp_path):
@@ -720,6 +841,28 @@ def test_batch_mode(tmp_path, capsys):
             "--out", str(out_dir),
         ]
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "args,line",
+    [
+        (
+            ["--seed-override", "-1"],
+            "validation error: --seed-override must be nonnegative, got -1\n",
+        ),
+        (["--scenario", "{s}"], "validation error: multiple scenarios need --batch\n"),
+        (
+            ["--batch", "--scenario", "{s}"],
+            "validation error: batch scenarios must have distinct names\n",
+        ),
+    ],
+    ids=["negative-seed", "no-batch", "same-stems"],
+)
+def test_main_refusals_before_any_scenario(tmp_path, capsys, args, line):
+    sc = str(_write(tmp_path, _base_doc()))
+    argv = ["analyze", "--scenario", sc] + [a.format(s=sc) for a in args]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == line
 
 
 def test_batch_worst_exit_wins(tmp_path):
