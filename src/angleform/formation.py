@@ -33,7 +33,6 @@ from .rigidity import (
     AngleIndexSet,
     Configuration,
     SimilarityTransform,
-    _edge_ends,
     angle_rigidity_function,
     is_strongly_nondegenerate,
     shape_class_membership,
@@ -195,7 +194,7 @@ class FormationSpec:
         self.target_cosines = angle_rigidity_function(graph, target, angle_set)
         # 0-based arrays for the kernels
         self._tri = angle_set.as_array()
-        self._edges = _edge_ends(graph).T  # (m, 2), also when m = 0
+        self._edges = graph.edge_array
         if maneuver is not None:
             self._lead = (
                 maneuver.leaders.first - 1,

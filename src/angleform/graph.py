@@ -2,16 +2,17 @@
 triangulated Laman constructions.
 
 Edges are stored canonically: each edge is (i, j) with i < j, and the edge
-tuple is sorted lexicographically. The incidence matrix orients every edge
-from its smaller to its larger endpoint (+1 at i, -1 at j), so the stacked
-edge-difference vector of a configuration p is H_bar @ p_stacked with
-block entries p_i - p_j.
+tuple is sorted lexicographically (Graph.edge_array: the same, 0-based,
+as one array). The incidence matrix orients every edge from its smaller
+to its larger endpoint (+1 at i, -1 at j), so the stacked edge-difference
+vector of a configuration p is H_bar @ p_stacked with block entries
+p_i - p_j. replay() is the one replay of a construction's steps.
 """
 
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -60,6 +61,13 @@ class Graph:
         return frozenset(self.edges)
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """(m, 2) read-only int64 array of the canonical edges, 0-based."""
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2) - 1
+        e.setflags(write=False)
+        return e
+
+    @cached_property
     def _adjacency(self) -> dict:
         """Vertex -> sorted tuple of its neighbors."""
         adj = {v: [] for v in range(1, self.n + 1)}
@@ -90,9 +98,7 @@ def neighbors(g: Graph, i: int) -> tuple:
 def incidence_matrix(g: Graph) -> np.ndarray:
     """(m, n) oriented incidence matrix H: +1 at i, -1 at j per edge."""
     H = np.zeros((g.m, g.n))
-    for r, (i, j) in enumerate(g.edges):
-        H[r, i - 1] = 1.0
-        H[r, j - 1] = -1.0
+    H[np.arange(g.m)[:, None], g.edge_array] = (1.0, -1.0)
     return H
 
 
@@ -130,25 +136,30 @@ class LamanConstruction:
         return 2 + len(self.steps)
 
 
-def build_laman(construction: LamanConstruction) -> Graph:
-    """Replay a construction into its graph.
+def replay(construction: LamanConstruction) -> Iterator[tuple]:
+    """Yield each step (v, i, j) with the adjacency built before it, a
+    dict vertex -> neighbor set that the replay grows after the yield.
 
-    Raises InvalidStep if any attachment pair is not an edge already built,
-    which also rejects references to not-yet-inserted vertices.
+    Raises InvalidStep at the first attachment pair that is not an edge
+    already built, which also rejects not-yet-inserted vertices.
     """
-    edges = {(1, 2)}
-    present = {1, 2}
+    adj = {1: {2}, 2: {1}}
     for v, i, j in construction.steps:
-        a, b = (i, j) if i < j else (j, i)
-        if (a, b) not in edges:
+        if j not in adj.get(i, ()):
             raise InvalidStep(
                 f"step inserts {v} on ({i}, {j}), not an edge built so far"
             )
-        if v in present:
-            raise InvalidStep(f"vertex {v} inserted twice")
-        edges.add((min(v, i), max(v, i)))
-        edges.add((min(v, j), max(v, j)))
-        present.add(v)
+        yield (v, i, j), adj
+        adj[v] = {i, j}
+        adj[i].add(v)
+        adj[j].add(v)
+
+
+def build_laman(construction: LamanConstruction) -> Graph:
+    """The graph of a construction: the base edge and two edges per step."""
+    edges = [(1, 2)]
+    for (v, i, j), _ in replay(construction):
+        edges += [(v, i) if v < i else (i, v), (v, j) if v < j else (j, v)]
     return Graph(construction.n, tuple(sorted(edges)))
 
 

@@ -10,11 +10,11 @@ Five constructors with distinct provenance tags:
 * laman_global_set: the minimal set plus one disambiguating triple per
   insertion after the first, 3n - 7 triples total for n >= 4.
 * algorithm1_set: a per-vertex greedy cover that handles collinear
-  bearing classes, 2m - n triples on a framework with m edges. It first
-  requires the framework to be infinitesimally bearing rigid, which in
-  the plane is equivalent to infinitesimal angle rigidity under the full
-  angle set, and costs one SVD of an m x 2n matrix instead of one of
-  the full set's sum C(deg, 2) x 2n.
+  bearing classes (rigidity.collinear), 2m - n triples on a framework
+  with m edges. It first requires the framework to be infinitesimally
+  bearing rigid, which in the plane is equivalent to infinitesimal angle
+  rigidity under the full angle set, and costs one SVD of an m x 2n
+  matrix instead of one of the full set's sum C(deg, 2) x 2n.
 """
 
 from itertools import combinations
@@ -23,15 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotInfinitesimallyAngleRigid
-from .geometry import perp
-from .graph import Graph, LamanConstruction, build_laman, neighbors
+from .graph import Graph, LamanConstruction, neighbors, replay
 from .rigidity import (
-    COLLINEAR_EPS,
     AngleIndexSet,
     Configuration,
     _triangles,
     bearing,
     check_matrix_size,
+    collinear,
     is_infinitesimally_bearing_rigid,
     triangle_count,
 )
@@ -43,7 +42,7 @@ def full_angle_set(g: Graph) -> AngleIndexSet:
     The set has sum C(deg, 2) triples; it is refused (ValidationError)
     before it is built when its angle rigidity matrix would be too large.
     """
-    deg = np.bincount(np.asarray(g.edges, dtype=np.int64).ravel(), minlength=g.n + 1)
+    deg = np.bincount(g.edge_array.ravel(), minlength=g.n)
     w = int(np.sum(deg * (deg - 1) // 2))
     check_matrix_size("angle source 'full' angle rigidity matrix", w, 2 * g.n)
     triples = (
@@ -54,13 +53,9 @@ def full_angle_set(g: Graph) -> AngleIndexSet:
     return AngleIndexSet(tuple(triples), "full")
 
 
-def _two_apex_triples(g: Graph) -> list:
-    return sorted(
-        t
-        for block in _triangles(g)
-        for a, b, c in block.tolist()
-        for t in ((a, b, c), (b, a, c))
-    )
+def _two_apex(a: int, b: int, c: int) -> tuple:
+    """The triples of triangle a < b < c with apexes at a and b."""
+    return (a, b, c), (b, a, c)
 
 
 def triangle_formation_set(g: Graph) -> AngleIndexSet:
@@ -75,13 +70,17 @@ def triangle_formation_set(g: Graph) -> AngleIndexSet:
         2 * triangle_count(g),
         2 * g.n,
     )
-    return AngleIndexSet(tuple(_two_apex_triples(g)), "triangle_formation")
+    rows = (row for block in _triangles(g) for row in block.tolist())
+    triples = sorted(t for row in rows for t in _two_apex(*row))
+    return AngleIndexSet(tuple(triples), "triangle_formation")
 
 
 def laman_minimal_set(construction: LamanConstruction) -> AngleIndexSet:
-    """Triangle set of the built graph; 2n - 4 triples."""
-    g = build_laman(construction)
-    return AngleIndexSet(tuple(_two_apex_triples(g)), "laman_minimal")
+    """The two-apex triples of each step's triangle: each step closes one
+    triangle and no other exists, so none is listed; 2n - 4 triples."""
+    steps = (sorted(step) for step, _ in replay(construction))
+    triples = sorted(t for abc in steps for t in _two_apex(*abc))
+    return AngleIndexSet(tuple(triples), "laman_minimal")
 
 
 def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
@@ -92,22 +91,14 @@ def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
     neighbor of i and j among vertices already present. The base triangle
     contributes no extra triple; 3n - 7 triples total for n >= 4.
     """
-    g = build_laman(construction)
-    triples = set(_two_apex_triples(g))
-    adj = {v: set() for v in (1, 2)}
-    adj[1].add(2)
-    adj[2].add(1)
-    for step_no, (v, i, j) in enumerate(construction.steps):
-        if step_no > 0:
-            a, b = (i, j) if i < j else (j, i)
-            common = sorted(adj[a] & adj[b])
-            # a common neighbor always exists: the edge (a, b) was created
-            # by an earlier insertion or carries the base triangle
-            k = common[0]
-            triples.add((a, min(k, v), max(k, v)))
-        adj[v] = {i, j}
-        adj[i].add(v)
-        adj[j].add(v)
+    triples = []
+    for (v, i, j), adj in replay(construction):
+        triples += _two_apex(*sorted((v, i, j)))
+        # empty only at the first step: a later (i, j) is in a triangle
+        common = adj[i] & adj[j]
+        if common:
+            k = min(common)
+            triples.append((min(i, j), min(k, v), max(k, v)))
     return AngleIndexSet(tuple(sorted(triples)), "laman_global")
 
 
@@ -154,7 +145,7 @@ def algorithm1_set(
         for k in nb:
             if k == j_ref:
                 continue
-            if abs(g_ref @ perp(bearing(p, i, k))) <= COLLINEAR_EPS:
+            if collinear(g_ref, bearing(p, i, k)):
                 cls.append(k)
             else:
                 rest.append(k)

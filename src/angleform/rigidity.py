@@ -27,8 +27,8 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .geometry import angle_terms, perp, rotation
-from .graph import Graph, neighbors
+from .geometry import angle_terms, rotation
+from .graph import Graph
 
 # adjacent points closer than this are treated as coincident
 EDGE_EPS = 1e-9
@@ -212,9 +212,10 @@ def bearing(p: Configuration, i: int, j: int) -> np.ndarray:
     return e / dist
 
 
-def _edge_ends(g: Graph) -> np.ndarray:
-    """(2, m) 0-based endpoints of the canonical edges."""
-    return np.asarray(g.edges, dtype=np.int64).reshape(-1, 2).T - 1
+def collinear(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """|g x h| <= COLLINEAR_EPS for unit directions (..., 2), from two
+    products and a difference: a BLAS dot product may round otherwise."""
+    return np.abs(g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]) <= COLLINEAR_EPS
 
 
 def _bearing_terms(p: Configuration, a, b):
@@ -266,16 +267,14 @@ def check_matrix_size(what: str, rows: int, cols: int) -> None:
 
 def distance_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
     """Squared edge lengths in canonical edge order, shape (m,)."""
-    out = np.empty(g.m)
-    for r, (i, j) in enumerate(g.edges):
-        e = p.point(i) - p.point(j)
-        out[r] = e @ e
-    return out
+    i, j = g.edge_array.T
+    e = p.pts[i] - p.pts[j]
+    return e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
 
 
 def bearing_rigidity_function(g: Graph, p: Configuration) -> np.ndarray:
     """Stacked bearings g_ij per canonical edge, shape (2m,)."""
-    return _bearing_terms(p, *_edge_ends(g))[0].reshape(-1)
+    return _bearing_terms(p, *g.edge_array.T)[0].reshape(-1)
 
 
 def angle_rigidity_function(
@@ -293,7 +292,7 @@ def angle_rigidity_function(
 def distance_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     """(m, 2n) Jacobian of the squared-length function."""
     check_matrix_size("distance rigidity matrix", g.m, 2 * p.n)
-    i, j = _edge_ends(g)
+    i, j = g.edge_array.T
     e = 2.0 * (p.pts[i] - p.pts[j])
     return _block_rows(p.n, (i, j), (e, -e))
 
@@ -306,7 +305,7 @@ def bearing_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
     block at the columns of i and the negated block at those of j.
     """
     check_matrix_size("bearing rigidity matrix", 2 * g.m, 2 * g.n)
-    i, j = _edge_ends(g)
+    i, j = g.edge_array.T
     gab, dist = _bearing_terms(p, i, j)
     blk = (np.eye(2) - gab[:, :, None] * gab[:, None, :]) / dist[:, None, None]
     return _block_rows(g.n, (i, j), (blk, -blk + 0.0))  # the product's zeros are +0.0
@@ -321,7 +320,7 @@ def _bearing_half_matrix(g: Graph, p: Configuration) -> np.ndarray:
     nonzero singular values, in half the rows.
     """
     check_matrix_size("half-size bearing matrix", g.m, 2 * g.n)
-    i, j = _edge_ends(g)
+    i, j = g.edge_array.T
     gab, dist = _bearing_terms(p, i, j)
     row = np.column_stack([-gab[:, 1], gab[:, 0]]) / dist[:, None]
     return _block_rows(g.n, (i, j), (row, -row))
@@ -342,7 +341,7 @@ def angle_rigidity_matrix(
     T.validate_for(g)
     tri = T.as_array()
     _, qj, qk = _angle_terms(p.pts, tri)
-    _bearing_terms(p, *_edge_ends(g))
+    _bearing_terms(p, *g.edge_array.T)
     return _block_rows(g.n, tri.T, (qj + qk, -qj, -qk))
 
 
@@ -441,16 +440,16 @@ def is_infinitesimally_angle_rigid(
 
 
 def _triangle_candidates(g: Graph):
-    """Candidate triangles a < b < c in sorted order (by canonical edge
-    (a, b), then by c), over chunks of edges with at most TRIANGLE_CHUNK
-    candidates (or one edge): per chunk (ab, c, hit), with ab (k, 2) an
-    edge (a, b) per candidate, c the far end of an edge (b, c), and hit
-    where (a, c) is an edge too."""
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    keys = e[:, 0] * (g.n + 1) + e[:, 1]  # sorted, as the edges are
+    """Candidate triangles a < b < c of 0-based vertices in sorted order
+    (by canonical edge (a, b), then by c), over chunks of edges with at
+    most TRIANGLE_CHUNK candidates (or one edge): per chunk (ab, c, hit),
+    with ab (k, 2) an edge (a, b) per candidate, c the far end of an edge
+    (b, c), and hit where (a, c) is an edge too."""
+    e = g.edge_array
+    keys = e[:, 0] * g.n + e[:, 1]  # sorted, as the edges are
     # the edges (v, .) are the rows first[v] to first[v + 1] - 1, so the
     # edges (b, c) of an edge (a, b) are its rows lo to hi - 1
-    first = np.searchsorted(e[:, 0], np.arange(g.n + 2))
+    first = np.searchsorted(e[:, 0], np.arange(g.n + 1))
     lo, hi = first[e[:, 1]], first[e[:, 1] + 1]
     ends = np.cumsum(hi - lo)
     start = 0
@@ -463,7 +462,7 @@ def _triangle_candidates(g: Graph):
         # a candidate's edge (b, c): its edge's first one, plus its offset
         skip = np.repeat(lo[start:stop] - (ends[start:stop] - cnt - done), cnt)
         c = e[np.arange(ends[stop - 1] - done) + skip, 1]
-        q = ab[:, 0] * (g.n + 1) + c
+        q = ab[:, 0] * g.n + c
         # the keys (a, .) of this chunk's own apexes: a short search
         hay = keys[first[e[start, 0]] : first[e[stop - 1, 0] + 1]]
         hit = hay[np.minimum(np.searchsorted(hay, q), len(hay) - 1)] == q
@@ -476,7 +475,7 @@ def _triangles(g: Graph):
     order (by canonical edge (a, b), then by c), as (k, 3) int64 blocks
     of at most TRIANGLE_CHUNK rows."""
     for ab, c, hit in _triangle_candidates(g):
-        yield np.column_stack([ab[hit], c[hit]])
+        yield np.column_stack([ab[hit], c[hit]]) + 1
 
 
 def triangle_count(g: Graph) -> int:
@@ -491,10 +490,10 @@ def is_strongly_nondegenerate(
 
     Returns the first offending triangle as a witness when one exists.
     Triangles a < b < c are tested in sorted order, at most
-    TRIANGLE_CHUNK at a time: collinear when |g_ba . perp(g_ca)| <=
-    COLLINEAR_EPS. The first triangle with p_b or p_c within EDGE_EPS of
-    p_a raises CoincidentPoints for (b, a), else (c, a), unless an
-    earlier one is collinear.
+    TRIANGLE_CHUNK at a time, by collinear(g_ba, g_ca). The first
+    triangle with p_b or p_c within EDGE_EPS of p_a raises
+    CoincidentPoints for (b, a), else (c, a), unless an earlier one is
+    collinear.
     """
     for chunk in _triangles(g):
         a, b, c = chunk.T
@@ -505,8 +504,7 @@ def is_strongly_nondegenerate(
         with np.errstate(divide="ignore", invalid="ignore"):
             gab = eab / lab[:, None]
             gac = eac / lac[:, None]
-            cross = gab[:, 0] * -gac[:, 1] + gab[:, 1] * gac[:, 0]
-        bad = (lab < EDGE_EPS) | (lac < EDGE_EPS) | (np.abs(cross) <= COLLINEAR_EPS)
+            bad = (lab < EDGE_EPS) | (lac < EDGE_EPS) | collinear(gab, gac)
         if bad.any():
             r = int(np.argmax(bad))
             if lab[r] < EDGE_EPS:

@@ -305,6 +305,65 @@ def test_indexset_expects_2n_minus_4_triangle_triples_on_laman_graphs_only(
     assert [r for r in rows if r.startswith(("size=", "expected_size="))] == want
 
 
+def test_laman_global_source_end_to_end(tmp_path, capsys):
+    """The recognized fan's global set: 3n - 7 triples, as indexset
+    expects, and angle rigid at the pentagon."""
+    doc = _base_doc()
+    doc["angles"] = {"source": "laman_global"}
+    sc = str(_write(tmp_path, doc))
+    assert cli.main(["indexset", "--scenario", sc]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [r for r in rows if r.startswith(("size=", "expected_size="))] == [
+        "size=8", "expected_size=8",
+    ]
+    assert "triples=1,2,3;1,2,4;1,3,4;1,3,5;1,4,5;2,1,3;3,1,4;4,1,5" in rows
+    assert cli.main(["analyze", "--scenario", sc]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert {"angle_source=laman_global", "angle_set_size=8", "angle_rigid=true",
+            "witness_source=recognized"} <= set(rows)
+
+
+def test_analyze_names_the_degenerate_triangle(tmp_path, capsys):
+    doc = _base_doc()
+    # (1, 2, 3) lies on the x axis, the first triangle and the only flat one
+    doc["configuration"] = {"points": [[0, 0], [1, 0], [2, 0], [1, 1], [0, 1]]}
+    assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    at = rows.index("strongly_nondegenerate=false")
+    assert rows[at + 1] == "degenerate_triangle=1,2,3"
+    assert {"witness_strongly_nondegenerate=false", "witness_satisfied=false"} <= set(
+        rows
+    )
+
+
+def test_simulate_far_from_the_origin_exits_3(tmp_path, capsys):
+    """Every agent starts beyond the blow-up limit of 1e9, perturbed off
+    its target so that step 0 does not converge: the check after the
+    first step stops the run."""
+    doc = _base_doc()
+    pts = Configuration.regular_polygon(5).pts + 2e9
+    doc["configuration"]["points"] = pts.tolist()
+    del doc["configuration"]["generator"]
+    sc = str(_write(tmp_path, doc))
+    assert cli.main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().out == (
+        "numerical failure: simulation aborted at t=0.001000: "
+        "coordinate magnitude exceeded 1e+09\n"
+    )
+
+
+def test_simulate_refuses_a_witness_off_the_graph(tmp_path, capsys):
+    """The construction block builds a graph the fan does not contain;
+    the triangle angle source does not need it, simulate checks it."""
+    doc = _base_doc()
+    doc["construction"] = {"steps": [[3, 1, 2], [4, 1, 2], [5, 1, 2]]}
+    sc = str(_write(tmp_path, doc))
+    assert cli.main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == (
+        "validation error: witness edges [(2, 4), (2, 5)] absent from graph\n"
+    )
+
+
 def test_main_indexset_numerical_exit(tmp_path):
     doc = _base_doc()
     doc["graph"] = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -651,11 +710,28 @@ def _leaf_paths(node, path=()):
 _SHIPPED = {
     p.name: json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))
 }
-# every scalar of a shipped file, and every table path, whether the file
+# the shipped files all use a generator; this one gives the fuzzer
+# configuration.points, explicit triples and a maneuver to mutate
+_VARIANT = {
+    "schema": 1,
+    "graph": {"n": 5, "edges": [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [3, 4], [4, 5]]},
+    "configuration": {
+        "points": [[1.0, 0.0], [0.3, 0.95], [-0.8, 0.6], [-0.8, -0.6], [0.3, -0.95]],
+        "perturbation": {"amplitude": 0.1, "seed": 3},
+    },
+    "angles": {
+        "source": "explicit",
+        "triples": [[1, 2, 3], [1, 3, 4], [1, 4, 5], [2, 1, 3], [3, 1, 4], [4, 1, 5]],
+    },
+    "maneuver": {"leaders": [3, 4], "displacement": [-0.5, 0.0]},
+    "integrator": {"t_final": 1.0},
+}
+_FUZZED = {**_SHIPPED, "variant.json": _VARIANT}
+# every scalar of a fuzzed file, and every table path, whether the file
 # has that field or not
 _LEAVES = [
     (name, path)
-    for name, doc in _SHIPPED.items()
+    for name, doc in _FUZZED.items()
     for path in dict.fromkeys([*_leaf_paths(doc), *(path for path, _, _ in _table())])
 ]
 _PREFIXES = {2: "validation error: ", 3: "numerical failure: ", 4: "parse error: "}
@@ -678,7 +754,7 @@ def test_mutated_shipped_scenario_exits_with_a_documented_code(
     tmp_path_factory, leaf, value
 ):
     name, path = leaf
-    doc = json.loads(json.dumps(_SHIPPED[name]))
+    doc = json.loads(json.dumps(_FUZZED[name]))
     _set(path, value)(doc)
     sc = _write(tmp_path_factory.mktemp("mutant"), doc, name)
     with contextlib.redirect_stdout(io.StringIO()) as out:

@@ -87,6 +87,15 @@ def test_construction_label_validation():
         LamanConstruction(((3, 2, 2),))  # degenerate attachment
 
 
+def test_edge_array_is_the_edges_zero_based_once():
+    g = build_laman(fan_construction(5))
+    e = g.edge_array
+    assert e.dtype == np.int64 and e.shape == (g.m, 2) and not e.flags.writeable
+    assert [tuple(r) for r in (e + 1).tolist()] == list(g.edges)
+    assert g.edge_array is e
+    assert Graph.from_edges(3, []).edge_array.shape == (0, 2)
+
+
 def test_build_laman_fan():
     g = build_laman(fan_construction(5))
     assert g.edges == (

@@ -1,0 +1,32 @@
+"""Every module of the package uses each name it imports.
+
+No lint tool is a dependency, so this parses the sources with ast. The
+package __init__ is left out: it imports names to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "angleform"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """The names the module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(_imported(tree)) - used)
+    assert not unused, f"{path.name} never uses the imported {unused}"

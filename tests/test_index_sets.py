@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angleform import index_sets, rigidity
 from angleform.errors import NotInfinitesimallyAngleRigid, ValidationError
-from angleform.graph import Graph, build_laman, recognize_triangulated_laman
+from angleform.graph import (
+    Graph,
+    LamanConstruction,
+    build_laman,
+    recognize_triangulated_laman,
+)
 from angleform.index_sets import (
     algorithm1_set,
     full_angle_set,
@@ -14,6 +21,7 @@ from angleform.index_sets import (
 from angleform.rigidity import (
     Configuration,
     is_infinitesimally_angle_rigid,
+    is_strongly_nondegenerate,
     angle_rigidity_function,
 )
 from helpers import (
@@ -90,6 +98,36 @@ def test_counts(n):
         assert set(laman_minimal_set(c).triples) <= set(
             laman_global_set(c).triples
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+def test_laman_sets_from_steps_equal_the_listed_triangles(seed, n):
+    """The Laman sets read off the steps equal those built from the
+    graph: the two-apex triples of every listed triangle, and for each
+    step after the first the smallest common neighbor of its attachment
+    pair among the vertices inserted before it. Labels are inserted out
+    of order."""
+    rng = np.random.default_rng(seed)
+    perm = [1, 2, *(int(v) for v in rng.permutation(np.arange(3, n + 1)))]
+    steps = tuple(
+        tuple(perm[x - 1] for x in step) for step in random_construction(rng, n).steps
+    )
+    c = LamanConstruction(steps)
+    g = build_laman(c)
+    tstar = sorted(
+        t
+        for block in rigidity._triangles(g)
+        for a, b, d in block.tolist()
+        for t in ((a, b, d), (b, a, d))
+    )
+    assert laman_minimal_set(c).triples == tuple(tstar)
+    extra = []
+    for r, (v, i, j) in enumerate(steps[1:], 1):
+        present = {1, 2} | {step[0] for step in steps[:r]}
+        k = min(x for x in present if g.has_edge(i, x) and g.has_edge(j, x))
+        extra.append((min(i, j), min(k, v), max(k, v)))
+    assert laman_global_set(c).triples == tuple(sorted(tstar + extra))
 
 
 def test_minimal_set_is_rigid_generic():
@@ -172,6 +210,30 @@ def test_algorithm1_collinear_bearings():
     assert is_infinitesimally_angle_rigid(g, p, T).verdict
     # no triple at apex 1 pairs the two collinear neighbors 2 and 3
     assert (1, 2, 3) not in T.triples
+
+
+K4 = Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+
+
+# apex 1 sees 2 and 3 on nearly opposite rays, |g_12 x g_13| within 3e-17
+# of COLLINEAR_EPS: there a BLAS dot product g_12 . perp(g_13) and the two
+# products of the cross product can round to opposite sides of it
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[0.275, -0.538], [-0.9823739506623467, -0.7480246456599926],
+         [0.9398829725097045, -0.4269417014783186], [0.575, 0.562]],
+        [[0.229, -0.282], [0.5881036096945899, -1.149317058369055],
+         [-0.1696241809034704, 0.6807682419896544], [0.529, 0.8180000000000001]],
+    ],
+)
+def test_algorithm1_classes_agree_with_the_nondegeneracy_test(pts):
+    p = Configuration(pts)
+    nd = is_strongly_nondegenerate(K4, p)
+    assert nd.witness in (None, (1, 2, 3))
+    # 3 joins the class of the reference neighbor 2 (and is paired with
+    # 4, not 2) exactly when the triangle (1, 2, 3) is collinear
+    assert ((1, 2, 3) in algorithm1_set(K4, p).triples) == nd.ok
 
 
 def test_index_sets_validate_against_graph(fan5, pentagon):

@@ -561,6 +561,21 @@ def test_stage_evaluations_fail_only_on_triple_sides(pair):
     assert t_stop == (h if pair == "graph-edge" else 0.0)
 
 
+@needs_cc
+def test_step_start_evaluation_fails_on_a_triple_side_off_the_graph():
+    """Agent 6 starts on agent 2, a triple side that no edge covers: the
+    edge check passes and step 0's first control evaluation stops the
+    run at t = 0 on both kernels."""
+    spec = _spec()
+    pos = PerturbationSpec(0.3, 11).sample(PENT).pts
+    pos = np.vstack([pos, pos[1]])
+    tri = np.vstack([spec._tri, [[5, 1, 0]]])
+    cstar = np.append(spec.target_cosines, 0.5)
+    status, t_stop = _assert_matches_oracle(pos, tri, cstar, spec._edges)
+    assert status == _kernels.STATUS_COINCIDENT
+    assert t_stop == 0.0
+
+
 # ---------------------------------------------------------------------
 # V_F recorded by the integrator
 # ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ from angleform.errors import (
     VertexOutOfRange,
 )
 from angleform import rigidity
-from angleform.geometry import perp, reflection, rotation
+from angleform.geometry import reflection, rotation
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
     full_angle_set,
@@ -411,7 +411,8 @@ def _scalar_nondegenerate(g, p):
     """The nondegeneracy test one triangle at a time, with bearing()."""
     for a, b, c in _sorted_triangles(g):
         gab, gac = bearing(p, b, a), bearing(p, c, a)
-        if abs(gab @ perp(gac)) <= rigidity.COLLINEAR_EPS:
+        # the cross product as two products, never a BLAS dot product
+        if abs(gab[0] * gac[1] - gab[1] * gac[0]) <= rigidity.COLLINEAR_EPS:
             return rigidity.NondegeneracyReport(False, (a, b, c))
     return rigidity.NondegeneracyReport(True, None)
 
