@@ -253,3 +253,215 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
     *t_stop_out = t_stop;
     return status;
 }
+
+/* CSV cells, written as Python's repr writes a float.
+
+   af_format_rows writes a (rows, cols) row-major table as CSV text into
+   buf, cells split by ',' and each row ended by '\n', and returns the
+   bytes written. A cell takes at most 24 bytes
+   ("-2.2250738585072014e-308"), so buf must hold rows * (25 * cols + 1).
+
+   The digits are the shortest that read back to the same double, the
+   nearest such string when several have that length, as CPython's
+   _Py_dg_dtoa gives them in repr's mode 0; Ryu (U. Adams, "Ryu: fast
+   float-to-string conversion", PLDI 2018) finds them with one 64 x 128
+   bit product per bound. pow5 holds Ryu's multipliers as (668, 2)
+   uint64 rows, low word first (_kernels._pow5_table): for q < 342,
+   floor(2^(bits(5^q) - 1 + 125) / 5^q) + 1, then for i < 326, 5^i cut
+   or padded to 125 bits. The layout is CPython's float_repr: exponent
+   form when the decimal point falls at decpt <= -4 or decpt > 16 (the
+   value is 0.d1d2... * 10^decpt), with a sign and at least two exponent
+   digits; else positional, with ".0" after an integer; "nan" for every
+   NaN whatever its sign bit. */
+
+typedef unsigned __int128 u128;
+
+enum { POW5_INV_ROWS = 342, POW5_BITS = 125 };
+
+/* ceil(log2(5^e)) (1 for e = 0), floor(log10(2^e)), floor(log10(5^e)),
+   exact over the exponents of a double */
+static inline int32_t pow5bits(int32_t e) { return ((e * 1217359) >> 19) + 1; }
+static inline int32_t log10pow2(int32_t e) { return (e * 78913) >> 18; }
+static inline int32_t log10pow5(int32_t e) { return (e * 732923) >> 20; }
+
+static int32_t pow5_factor(uint64_t v)  /* v > 0 */
+{
+    int32_t count = 0;
+    for (; v % 5 == 0; v /= 5)
+        count++;
+    return count;
+}
+
+/* (m * mul) >> j, mul a 128-bit multiplier given low word first */
+static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    u128 lo = (u128)m * mul[0], hi = (u128)m * mul[1];
+    return (uint64_t)(((lo >> 64) + hi) >> (j - 64));
+}
+
+/* the shortest digits of the finite nonzero double with fraction bits
+   frac and biased exponent expo, as an integer; *e10 gets their power
+   of ten. Ryu's d2d, step for step. */
+static uint64_t shortest(uint64_t frac, uint32_t expo, const uint64_t *pow5,
+                         int32_t *e10)
+{
+    /* two more bits than the mantissa, for the interval's bounds */
+    int32_t e2 = (expo ? (int32_t)expo : 1) - 1023 - 52 - 2;
+    uint64_t m2 = expo ? (UINT64_C(1) << 52) | frac : frac;
+    int even = (m2 & 1) == 0;
+    uint64_t mv = 4 * m2;
+    uint32_t mm_shift = frac != 0 || expo <= 1;
+    uint64_t vr, vp, vm;
+    int vm_zeros = 0, vr_zeros = 0;
+
+    if (e2 >= 0) {
+        int32_t q = log10pow2(e2) - (e2 > 3);
+        int32_t j = -e2 + q + POW5_BITS + pow5bits(q) - 1;
+        const uint64_t *mul = pow5 + 2 * q;
+        *e10 = q;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 21) {  /* at most one of mv, mp and mm is a multiple of 5 */
+            if (mv % 5 == 0)
+                vr_zeros = pow5_factor(mv) >= q;
+            else if (even)
+                vm_zeros = pow5_factor(mv - 1 - mm_shift) >= q;
+            else
+                vp -= pow5_factor(mv + 2) >= q;
+        }
+    } else {
+        int32_t q = log10pow5(-e2) - (-e2 > 1);
+        int32_t i = -e2 - q;
+        int32_t j = q - (pow5bits(i) - POW5_BITS);
+        const uint64_t *mul = pow5 + 2 * (POW5_INV_ROWS + i);
+        *e10 = q + e2;
+        vr = mul_shift(mv, mul, j);
+        vp = mul_shift(mv + 2, mul, j);
+        vm = mul_shift(mv - 1 - mm_shift, mul, j);
+        if (q <= 1) {  /* mv has two trailing zero bits, mp one */
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((UINT64_C(1) << q) - 1)) == 0;
+        }
+    }
+
+    /* drop digits while the interval [vm, vp] still holds a shorter one */
+    int32_t removed = 0;
+    uint64_t out;
+    if (vm_zeros || vr_zeros) {
+        uint32_t last = 0;
+        for (; vp / 10 > vm / 10; removed++) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (uint32_t)(vr % 10);
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        if (vm_zeros)
+            for (; vm % 10 == 0; removed++) {
+                vr_zeros &= last == 0;
+                last = (uint32_t)(vr % 10);
+                vr /= 10;
+                vp /= 10;
+                vm /= 10;
+            }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4;  /* an exact tie rounds to even */
+        out = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    } else {
+        int round_up = 0;
+        for (; vp / 10 > vm / 10; removed++) {
+            round_up = vr % 10 >= 5;
+            vr /= 10;
+            vp /= 10;
+            vm /= 10;
+        }
+        out = vr + (vr == vm || round_up);
+    }
+    *e10 += removed;
+    return out;
+}
+
+static char *put_repr(char *p, double x, const uint64_t *pow5)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t frac = bits & ((UINT64_C(1) << 52) - 1);
+    uint32_t expo = (uint32_t)(bits >> 52) & 0x7ff;
+    if (expo == 0x7ff && frac) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (bits >> 63)
+        *p++ = '-';
+    if (expo == 0x7ff || (expo == 0 && frac == 0)) {
+        memcpy(p, expo ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+
+    int32_t e10;
+    uint64_t v = shortest(frac, expo, pow5, &e10);
+    char tmp[20];
+    int nd = 0;
+    for (; v; v /= 10)
+        tmp[19 - nd++] = (char)('0' + v % 10);
+    const char *d = tmp + 20 - nd;
+    int decpt = nd + e10;
+
+    if (decpt <= -4 || decpt > 16) {
+        int e = decpt - 1;
+        *p++ = d[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        e = e < 0 ? -e : e;
+        if (e >= 100)
+            *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (decpt <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', -decpt);
+        p += -decpt;
+        memcpy(p, d, nd);
+        p += nd;
+    } else if (decpt >= nd) {
+        memcpy(p, d, nd);
+        memset(p + nd, '0', decpt - nd);
+        p += decpt;
+        *p++ = '.';
+        *p++ = '0';
+    } else {
+        memcpy(p, d, decpt);
+        p[decpt] = '.';
+        memcpy(p + decpt + 1, d + decpt, nd - decpt);
+        p += nd + 1;
+    }
+    return p;
+}
+
+int64_t af_format_rows(const double *a, int64_t rows, int64_t cols,
+                       const uint64_t *pow5, char *buf)
+{
+    char *p = buf;
+    for (int64_t r = 0; r < rows; r++) {
+        for (int64_t c = 0; c < cols; c++) {
+            if (c)
+                *p++ = ',';
+            p = put_repr(p, a[r * cols + c], pow5);
+        }
+        *p++ = '\n';
+    }
+    return p - buf;
+}

@@ -18,7 +18,8 @@ The laman_* sources use the construction block when present, otherwise
 the graph must be recognizably triangulated Laman.
 
 Reports are key=value text, one pair per line, deterministic for a fixed
-scenario, seed, and version. CSVs carry full double precision (repr).
+scenario, seed, and version. CSV cells are repr's bytes (full double
+precision) on either kernel backend.
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 parse
 error. A --batch run processes scenarios sequentially in argument order,
 writing each one's files under a subdirectory named by scenario stem.
@@ -38,7 +39,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .errors import (
     AngleformError,
     BlowUp,
@@ -59,7 +60,6 @@ from .graph import (
     Graph,
     LamanConstruction,
     LeaderPair,
-    build_laman,
     recognize_triangulated_laman,
 )
 from .index_sets import (
@@ -153,7 +153,7 @@ class Scenario:
         if self.construction is None:
             found = recognize_triangulated_laman(g)
             return found, "none" if found is None else "recognized"
-        built = build_laman(self.construction)
+        built = self.construction.graph
         if built.n == g.n and set(built.edges) == set(g.edges):
             return self.construction, "scenario"
         return None, "scenario"
@@ -457,11 +457,11 @@ def _sigma_tail(values, k: int = 6) -> str:
 
 def _write_table(stream, header, columns) -> None:
     """A CSV of the header and the float columns side by side, each an
-    (s,) or (s, k) array, every value written with repr (full double
-    precision, byte-stable across reruns)."""
+    (s,) or (s, k) array, every value written as repr writes it (full
+    double precision, byte-stable across reruns) by the active kernel
+    backend."""
     stream.write(",".join(header) + "\n")
-    for row in np.column_stack(columns):
-        stream.write(",".join(map(repr, row.tolist())) + "\n")
+    _kernels.write_rows(stream, np.column_stack(columns))
 
 
 def _trajectory_csv(result, stream) -> None:

@@ -26,14 +26,14 @@ from .errors import (
     NonPositiveSeries,
     ValidationError,
 )
-from .graph import Graph, LamanConstruction, LeaderPair, build_laman
+from .graph import Graph, LamanConstruction, LeaderPair
 from .index_sets import triangle_formation_set
 from .rigidity import (
     EDGE_EPS,
     AngleIndexSet,
     Configuration,
     SimilarityTransform,
-    angle_rigidity_function,
+    angle_cosines,
     is_strongly_nondegenerate,
     shape_class_membership,
 )
@@ -173,7 +173,7 @@ class FormationSpec:
             a, b = maneuver.leaders.first, maneuver.leaders.second
             raise ValidationError(f"leader pair ({a}, {b}) is not an edge")
         if witness is not None:
-            wg = build_laman(witness)
+            wg = witness.graph
             if wg.n != graph.n:
                 raise ValidationError("witness vertex count differs from graph")
             missing = set(wg.edges) - set(graph.edges)
@@ -191,9 +191,9 @@ class FormationSpec:
         self.angle_set = angle_set
         self.maneuver = maneuver
         self.witness = witness
-        self.target_cosines = angle_rigidity_function(graph, target, angle_set)
         # 0-based arrays for the kernels
         self._tri = angle_set.as_array()
+        self.target_cosines = angle_cosines(target, self._tri)
         self._edges = graph.edge_array
         if maneuver is not None:
             self._lead = (
@@ -239,8 +239,7 @@ class EquilibriumMembership(NamedTuple):
 
 def residual(spec: FormationSpec, p: Configuration) -> np.ndarray:
     """f(p) - f(p*) over the spec's angle set, shape (w,)."""
-    vals = angle_rigidity_function(spec.graph, p, spec.angle_set)
-    return vals - spec.target_cosines
+    return angle_cosines(p, spec._tri) - spec.target_cosines
 
 
 def _law(spec: FormationSpec, p: Configuration, lead: tuple) -> tuple:

@@ -135,6 +135,11 @@ class LamanConstruction:
     def n(self) -> int:
         return 2 + len(self.steps)
 
+    @cached_property
+    def graph(self) -> Graph:
+        """build_laman(self), built once (cached_property bypasses frozen)."""
+        return build_laman(self)
+
 
 def replay(construction: LamanConstruction) -> Iterator[tuple]:
     """Yield each step (v, i, j) with the adjacency built before it, a

@@ -40,6 +40,11 @@ RANK_TOL_FACTOR = 100.0
 # largest matrix the benchmark builds (at n = 1000, the 1997 x 2000
 # distance and half-size bearing matrices)
 MAX_MATRIX_ENTRIES = 100_000_000
+# most work one rigidity verdict's SVD may take, min(rows, cols)^2 *
+# max(rows, cols): twice the 1997^2 * 2000 = 8.0e9 of the largest SVD
+# the benchmark runs (n = 1000); a Laman framework at n = 2000 would take
+# 6.4e10, about a minute
+MAX_SVD_WORK = 16_000_000_000
 # candidate triangles listed, counted or tested per vectorized batch
 TRIANGLE_CHUNK = 65_536
 
@@ -255,13 +260,22 @@ def _block_rows(n: int, at, blocks) -> np.ndarray:
     return R.reshape(k * rows, 2 * n)
 
 
-def check_matrix_size(what: str, rows: int, cols: int) -> None:
+def check_matrix_size(what: str, rows: int, cols: int, svd: bool = False) -> None:
     """ValidationError when a rows x cols matrix would exceed
-    MAX_MATRIX_ENTRIES; called before anything of that size exists."""
+    MAX_MATRIX_ENTRIES or, for a matrix to be factored (svd), when its
+    SVD's min(rows, cols)^2 * max(rows, cols) would exceed MAX_SVD_WORK;
+    called before anything of that size exists."""
     if rows * cols > MAX_MATRIX_ENTRIES:
         raise ValidationError(
             f"{what} would be {rows} x {cols} = {rows * cols} entries, "
             f"over the limit of {MAX_MATRIX_ENTRIES}"
+        )
+    work = min(rows, cols) ** 2 * max(rows, cols)
+    if svd and work > MAX_SVD_WORK:
+        raise ValidationError(
+            f"{what} would be {rows} x {cols}, whose SVD takes "
+            f"{min(rows, cols)}^2 x {max(rows, cols)} = {work} operations, "
+            f"over the limit of {MAX_SVD_WORK}"
         )
 
 
@@ -286,7 +300,13 @@ def angle_rigidity_function(
     collinear triples.
     """
     T.validate_for(g)
-    return np.clip(_angle_terms(p.pts, T.as_array())[0], -1.0, 1.0)
+    return angle_cosines(p, T.as_array())
+
+
+def angle_cosines(p: Configuration, tri: np.ndarray) -> np.ndarray:
+    """angle_rigidity_function for 0-based triples tri (w, 3) whose edges
+    the caller has already checked; CoincidentPoints as it raises."""
+    return np.clip(_angle_terms(p.pts, tri)[0], -1.0, 1.0)
 
 
 def distance_rigidity_matrix(g: Graph, p: Configuration) -> np.ndarray:
@@ -410,6 +430,7 @@ def is_infinitesimally_distance_rigid(
     g: Graph, p: Configuration
 ) -> RigidityReport:
     """Rank of the distance rigidity matrix equals 2n - 3."""
+    check_matrix_size("distance rigidity matrix", g.m, 2 * p.n, svd=True)
     M = distance_rigidity_matrix(g, p)
     want = 2 * p.n - 3
     return _rank_report("distance", M, lambda info: info.rank == want)
@@ -423,6 +444,7 @@ def is_infinitesimally_bearing_rigid(
     The SVD runs on the half-size matrix, which has the same nonzero
     singular values; the report is that of the (2m, 2n) Jacobian.
     """
+    check_matrix_size("half-size bearing matrix", g.m, 2 * g.n, svd=True)
     M = _bearing_half_matrix(g, p)
     want = 2 * p.n - 3
     return _rank_report(
@@ -435,6 +457,7 @@ def is_infinitesimally_angle_rigid(
 ) -> RigidityReport:
     """Nullspace of the angle rigidity matrix is exactly the 4 trivial
     motions."""
+    check_matrix_size("angle rigidity matrix", len(T), 2 * g.n, svd=True)
     M = angle_rigidity_matrix(g, p, T)
     return _rank_report("angle", M, lambda info: info.nullspace_dim == 4)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angleform import _kernels, cli
+from angleform import _kernels, cli, graph
 from angleform.errors import ParseError, ValidationError
 from angleform.formation import FormationSpec, IntegratorConfig, cost_VF, simulate
 from angleform.geometry import angle_terms
@@ -362,6 +362,31 @@ def test_simulate_refuses_a_witness_off_the_graph(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "validation error: witness edges [(2, 4), (2, 5)] absent from graph\n"
     )
+
+
+def test_simulate_builds_the_construction_and_checks_the_angle_set_once(
+    tmp_path, monkeypatch
+):
+    """laman_witness and the formation spec share one build, and only the
+    spec checks the angle set against the graph."""
+    calls = {"build_laman": 0, "validate_for": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(graph, "build_laman", counted("build_laman", graph.build_laman))
+    monkeypatch.setattr(
+        AngleIndexSet, "validate_for", counted("validate_for", AngleIndexSet.validate_for)
+    )
+    doc = _shipped("example1.json")
+    doc["angles"]["source"] = "laman_minimal"
+    sc = str(_write(tmp_path, doc))
+    assert cli.main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"build_laman": 1, "validate_for": 1}
 
 
 def test_main_indexset_numerical_exit(tmp_path):
@@ -1156,6 +1181,34 @@ def test_full_angle_set_of_a_large_star_is_refused(tmp_path, capsys, verb):
     assert capsys.readouterr().out == (
         "validation error: angle source 'full' angle rigidity matrix would be "
         "498501 x 2000 = 997002000 entries, over the limit of 100000000\n"
+    )
+    assert elapsed < 1.0
+
+
+def test_analyze_of_a_large_laman_framework_is_refused(tmp_path, capsys):
+    """At n = 2000 each verdict's SVD would take about a minute; the
+    refusal comes before any matrix exists."""
+    n = 2000
+    steps = [[v, v - 2, v - 1] for v in range(3, n + 1)]  # a triangle strip
+    doc = {
+        "schema": 1,
+        "graph": {
+            "n": n,
+            "edges": [[1, 2]] + [[a, v] for v, a, _ in steps] + [[b, v] for v, _, b in steps],
+        },
+        "configuration": {"points": [[v / 2, 0.87 * (v % 2)] for v in range(1, n + 1)]},
+        "angles": {"source": "laman_minimal"},
+        "construction": {"steps": steps},
+    }
+    sc = _write(tmp_path, doc)
+    t0 = time.perf_counter()
+    code = cli.main(["analyze", "--scenario", str(sc), "--out", str(tmp_path / "o")])
+    elapsed = time.perf_counter() - t0
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "validation error: distance rigidity matrix would be 3997 x 4000, whose "
+        "SVD takes 3997^2 x 4000 = 63904036000 operations, over the limit of "
+        "16000000000\n"
     )
     assert elapsed < 1.0
 

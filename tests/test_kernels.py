@@ -1,3 +1,4 @@
+import io
 import shutil
 import subprocess
 import sys
@@ -332,6 +333,37 @@ def test_c_source_compiles_without_warnings(tmp_path):
            "-Werror", "-o", str(tmp_path / "k.so"), str(_kernels.C_SOURCE), "-lm"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _repr_edge_values():
+    """Doubles where a shortest-digits formatter or repr's layout can
+    slip, each with its negation."""
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    vals = [0.0, np.inf, np.nan, 5e-324, tiny, np.nextafter(tiny, 0.0), big]
+    for x in [2.0**e for e in range(-1074, 1024)] + [1e-5, 1e-4, 1e16, 1e17]:
+        vals += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    vals += [float(2**53 + d) for d in range(-3, 4)]
+    vals = np.array(vals)
+    return np.concatenate([vals, -vals])
+
+
+def test_c_csv_cells_are_repr(compiled):
+    # repr takes about 2.4 us on a random bit pattern (0.6 on a normal
+    # draw), so the patterns are kept to what runs in a few tenths of a
+    # second; the offline fuzz in CHANGES.md covered 1.3e7 values
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
+    draws = rng.normal(size=60_000) * 10.0 ** rng.integers(-8, 9, 60_000)
+    vals = np.concatenate([bits[np.isfinite(bits)], draws, _repr_edge_values()])
+    # 8 cells a row, so rows span many of the C path's blocks
+    table = np.resize(vals, (-(-vals.size // 8), 8))
+    got, want = io.StringIO(), io.StringIO()
+    compiled.write_rows(got, table)
+    _kernels.make_numpy_backend().write_rows(want, table)
+    got, want = got.getvalue().split("\n"), want.getvalue().split("\n")
+    assert len(got) == len(want) == table.shape[0] + 1
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, bad[:3]
 
 
 @pytest.mark.parametrize(

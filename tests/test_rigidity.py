@@ -15,6 +15,7 @@ from angleform import rigidity
 from angleform.geometry import reflection, rotation
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
+    algorithm1_set,
     full_angle_set,
     laman_minimal_set,
     triangle_formation_set,
@@ -616,3 +617,38 @@ def test_matrix_size_cap(monkeypatch, fan5, pentagon, build, name, rows):
     monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", rows * 10 - 1)
     with pytest.raises(ValidationError, match=f"{name} would be {rows} x 10 "):
         build(fan5, pentagon)
+
+
+@pytest.mark.parametrize(
+    "verdict,name,rows",
+    [
+        (is_infinitesimally_distance_rigid, "distance rigidity matrix", 7),
+        (is_infinitesimally_bearing_rigid, "half-size bearing matrix", 7),
+        (
+            lambda g, p: is_infinitesimally_angle_rigid(g, p, triangle_formation_set(g)),
+            "angle rigidity matrix",
+            6,
+        ),
+        (algorithm1_set, "half-size bearing matrix", 7),  # its bearing precheck
+    ],
+    ids=["distance", "bearing", "angle", "algorithm1"],
+)
+def test_svd_work_cap(monkeypatch, fan5, pentagon, verdict, name, rows):
+    # fan5's matrices have 10 columns, so an SVD takes rows^2 x 10; the
+    # cap is inclusive
+    work = rows * rows * 10
+    monkeypatch.setattr(rigidity, "MAX_SVD_WORK", work)
+    verdict(fan5, pentagon)
+    monkeypatch.setattr(rigidity, "MAX_SVD_WORK", work - 1)
+
+    def assembled(*args):
+        raise AssertionError("a matrix was assembled")
+
+    monkeypatch.setattr(rigidity, "_block_rows", assembled)
+    with pytest.raises(
+        ValidationError,
+        match=f"{name} would be {rows} x 10, whose SVD takes {rows}\\^2 x 10 = {work} ",
+    ):
+        verdict(fan5, pentagon)
+    # a set or matrix that no verdict factors is not bounded by SVD work
+    assert len(triangle_formation_set(fan5)) == 6
