@@ -11,8 +11,8 @@ Two interchangeable backends implement the same contract:
 Both compute in one order, so their results are equal bit for bit, zero
 signs included: _control_np scatters triple by triple with one np.add.at
 and sums the cost and the gradient norm sequentially with
-np.add.accumulate, as the C loops do, and geometry.angle_terms takes
-lengths as sqrt(x*x + y*y), as C does.
+np.add.accumulate, as the C loops do; numpy takes every length from
+geometry.length, sqrt(x*x + y*y), the form C computes.
 
 The active backend is chosen on first use. Setting the environment
 variable ANGLEFORM_NUMBA=0 forces the numpy backend; otherwise the C
@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import angle_terms
+from .geometry import angle_terms, length
 
 ENV_FLAG = "ANGLEFORM_NUMBA"
 # a constant now: perfbench/run.py::_environment still reads it
@@ -154,9 +154,7 @@ def _integrate_np(
     law = (tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
     for step in range(n_steps):
         t = step * h
-        gaps = pos[edges[:, 0]] - pos[edges[:, 1]]
-        gx, gy = gaps[:, 0], gaps[:, 1]
-        if (np.sqrt(gx * gx + gy * gy) < edge_eps).any():
+        if (length(pos[edges[:, 0]] - pos[edges[:, 1]]) < edge_eps).any():
             status = STATUS_COINCIDENT
             t_stop = t
             break

@@ -274,11 +274,11 @@ def control_uM(spec: FormationSpec, p: Configuration) -> np.ndarray:
     return _law(spec, p, spec._lead)[0]
 
 
-def monitors(p: Configuration) -> tuple:
-    """(centroid (2,), scale): scale is the stacked norm about the
-    centroid."""
-    centroid = p.pts.mean(axis=0)
-    scale = float(np.linalg.norm(p.pts - centroid))
+def monitors(pts) -> tuple:
+    """(centroid (..., 2), scale (...)) of points (..., n, 2): scale is
+    the stacked norm about the centroid."""
+    centroid = pts.mean(axis=-2)
+    scale = np.sqrt(np.sum((pts - centroid[..., None, :]) ** 2, axis=(-2, -1)))
     return centroid, scale
 
 
@@ -398,8 +398,7 @@ def simulate(
     else:
         vm = maneuver_error = None
         v = vf
-    centroid = traj.mean(axis=1)
-    scale = np.sqrt(np.sum((traj - centroid[:, None, :]) ** 2, axis=(1, 2)))
+    centroid, scale = monitors(traj)
     membership = equilibrium_membership(spec, Configuration(traj[-1]))
 
     if v[0] <= DECAY_FLOOR:

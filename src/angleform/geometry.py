@@ -1,4 +1,5 @@
-"""Planar rotations, reflections, projections, perpendiculars, angle terms.
+"""Planar rotations, reflections, projections, perpendiculars, edge
+lengths, angle terms.
 
 All functions operate on plain numpy arrays: directions are shape (2,),
 operators are shape (2, 2). Vectors passed as unit directions are accepted
@@ -14,9 +15,16 @@ from .errors import NonUnitVector
 UNIT_REJECT = 1e-9
 
 
+def length(e) -> np.ndarray:
+    """|e| of vectors e (..., 2) as sqrt(x*x + y*y), the one edge length
+    of the package: the C kernel's lengths, bit for bit (hypot rounds
+    otherwise)."""
+    return np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])
+
+
 def _as_unit(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(2)
-    nrm = float(np.hypot(v[0], v[1]))
+    nrm = float(length(v))
     if abs(nrm - 1.0) > UNIT_REJECT:
         raise NonUnitVector(f"expected a unit vector, got norm {nrm:.12g}")
     return v / nrm
@@ -73,9 +81,7 @@ def angle_terms(pts, tri):
     # no more (..., w, 2) arrays at once than the terms need
     gij = p[..., tri[:, 0], :] - p[..., tri[:, 1], :]
     gik = p[..., tri[:, 0], :] - p[..., tri[:, 2], :]
-    # sqrt(x*x + y*y), not hypot: the C kernel's lengths, bit for bit
-    lij = np.sqrt(gij[..., 0] * gij[..., 0] + gij[..., 1] * gij[..., 1])
-    lik = np.sqrt(gik[..., 0] * gik[..., 0] + gik[..., 1] * gik[..., 1])
+    lij, lik = length(gij), length(gik)
     with np.errstate(divide="ignore", invalid="ignore"):
         gij /= lij[..., None]
         gik /= lik[..., None]

@@ -27,8 +27,8 @@ from .graph import Graph, LamanConstruction, neighbors, replay
 from .rigidity import (
     AngleIndexSet,
     Configuration,
+    _bearing_terms,
     _triangles,
-    bearing,
     check_matrix_size,
     collinear,
     is_infinitesimally_bearing_rigid,
@@ -131,24 +131,24 @@ def algorithm1_set(
             return seq[0]
         return int(seq[int(rng.integers(len(seq)))])
 
+    # each vertex's bearings toward its sorted neighbors, in one call
+    arcs = np.concatenate([g.edge_array, g.edge_array[:, ::-1]])
+    arcs = arcs[np.lexsort(arcs.T[::-1])]
+    gx = _bearing_terms(p, arcs[:, 0], arcs[:, 1])[0]
+    first = np.searchsorted(arcs[:, 0], np.arange(g.n + 1))
     triples = []
     for i in range(1, g.n + 1):
-        nb = list(neighbors(g, i))
+        at = slice(first[i - 1], first[i])
+        nb = (arcs[at, 1] + 1).tolist()
         if len(nb) < 2:
             raise NotInfinitesimallyAngleRigid(
                 f"vertex {i} has fewer than two neighbors"
             )
         j_ref = pick(nb)
-        g_ref = bearing(p, i, j_ref)
-        cls = []  # bearings collinear with the reference, reference first
-        rest = []
-        for k in nb:
-            if k == j_ref:
-                continue
-            if collinear(g_ref, bearing(p, i, k)):
-                cls.append(k)
-            else:
-                rest.append(k)
+        flat = collinear(gx[at][nb.index(j_ref)], gx[at]).tolist()
+        # bearings collinear with the reference's, and the others
+        cls = [k for k, f in zip(nb, flat) if f and k != j_ref]
+        rest = [k for k, f in zip(nb, flat) if not f]
         if not rest:
             raise NotInfinitesimallyAngleRigid(
                 f"all bearings at vertex {i} are collinear"

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .geometry import angle_terms, rotation
+from .geometry import angle_terms, length, rotation
 from .graph import Graph
 
 # adjacent points closer than this are treated as coincident
@@ -209,12 +209,10 @@ class MembershipReport(NamedTuple):
 
 
 def bearing(p: Configuration, i: int, j: int) -> np.ndarray:
-    """Unit vector from p_j toward p_i."""
-    e = p.point(i) - p.point(j)
-    dist = float(np.hypot(e[0], e[1]))
-    if dist < EDGE_EPS:
-        raise CoincidentPoints(i, j, dist)
-    return e / dist
+    """Unit vector from p_j toward p_i: _bearing_terms of one pair."""
+    for v in (i, j):
+        p.point(v)  # ValueError for a vertex outside 1..n
+    return _bearing_terms(p, i - 1, j - 1)[0]
 
 
 def collinear(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -223,15 +221,28 @@ def collinear(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.abs(g[..., 0] * h[..., 1] - g[..., 1] * h[..., 0]) <= COLLINEAR_EPS
 
 
-def _bearing_terms(p: Configuration, a, b):
+def _refuse_coincident(dist, a, b) -> None:
+    """CoincidentPoints for the first length of dist, in C order, under
+    EDGE_EPS, naming its pair of 0-based vertices (a, b), which broadcast
+    to dist's shape."""
+    short = dist < EDGE_EPS
+    if short.any():
+        r = int(np.argmax(short))
+        a, b, d = (np.broadcast_to(x, dist.shape).flat[r] for x in (a, b, dist))
+        raise CoincidentPoints(int(a) + 1, int(b) + 1, float(d))
+
+
+def _bearing_terms(p: Configuration, a, b, refuse: bool = True):
     """Bearings g = e / |e| and lengths |e| of e = p_a - p_b for 0-based
-    a, b; CoincidentPoints names the first pair too close."""
+    vertices a, b (ints or arrays that broadcast together); CoincidentPoints
+    names the first pair too close unless refuse is False (its g is then
+    not finite)."""
     e = p.pts[a] - p.pts[b]
-    dist = np.hypot(e[:, 0], e[:, 1])
-    if np.any(dist < EDGE_EPS):
-        r = int(np.argmax(dist < EDGE_EPS))
-        raise CoincidentPoints(int(a[r]) + 1, int(b[r]) + 1, float(dist[r]))
-    return e / dist[:, None], dist
+    dist = length(e)
+    if refuse:
+        _refuse_coincident(dist, a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return e / dist[..., None], dist
 
 
 def _angle_terms(pts, tri):
@@ -242,10 +253,8 @@ def _angle_terms(pts, tri):
     """
     cos, qj, qk, lij, lik = angle_terms(pts, tri)
     dist = np.moveaxis(np.stack([lij, lik], axis=-1), -2, 0)  # (w, ..., 2)
-    if np.any(dist < EDGE_EPS):
-        at = np.unravel_index(np.argmax(dist < EDGE_EPS), dist.shape)
-        i, other = tri[at[0], 0], tri[at[0], 1 + at[-1]]
-        raise CoincidentPoints(int(i) + 1, int(other) + 1, float(dist[at]))
+    ends = tri.reshape(tri.shape[:1] + (1,) * (dist.ndim - 2) + (3,))  # (w, ..., 3)
+    _refuse_coincident(dist, ends[..., :1], ends[..., 1:])
     return cos, qj, qk
 
 
@@ -519,22 +528,13 @@ def is_strongly_nondegenerate(
     collinear.
     """
     for chunk in _triangles(g):
-        a, b, c = chunk.T
-        eab = p.pts[b - 1] - p.pts[a - 1]
-        eac = p.pts[c - 1] - p.pts[a - 1]
-        lab = np.hypot(eab[:, 0], eab[:, 1])
-        lac = np.hypot(eac[:, 0], eac[:, 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gab = eab / lab[:, None]
-            gac = eac / lac[:, None]
-            bad = (lab < EDGE_EPS) | (lac < EDGE_EPS) | collinear(gab, gac)
-        if bad.any():
-            r = int(np.argmax(bad))
-            if lab[r] < EDGE_EPS:
-                raise CoincidentPoints(int(b[r]), int(a[r]), float(lab[r]))
-            if lac[r] < EDGE_EPS:
-                raise CoincidentPoints(int(c[r]), int(a[r]), float(lac[r]))
-            return NondegeneracyReport(False, tuple(chunk[r].tolist()))
+        tips, apex = chunk[:, 1:] - 1, chunk[:, :1] - 1
+        gx, dist = _bearing_terms(p, tips, apex, refuse=False)
+        flat = np.flatnonzero(collinear(gx[:, 0], gx[:, 1]))
+        upto = flat[0] + 1 if flat.size else len(chunk)
+        _refuse_coincident(dist[:upto], tips[:upto], apex[:upto])
+        if flat.size:
+            return NondegeneracyReport(False, tuple(chunk[flat[0]].tolist()))
     return NondegeneracyReport(True, None)
 
 

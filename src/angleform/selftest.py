@@ -28,7 +28,7 @@ from .formation import (
     residual,
     simulate,
 )
-from .geometry import householder, perp, projection, reflection, rotation
+from .geometry import householder, length, perp, projection, reflection, rotation
 from .graph import (
     Graph,
     LamanConstruction,
@@ -139,23 +139,23 @@ def check_reflection_involution():
     return worst < 1e-12, f"max deviation {worst:.2e}"
 
 
+def _unit_vectors(seed):
+    """25 random directions (25, 2), each divided by its length."""
+    v = np.random.default_rng(seed).normal(size=(25, 2))
+    return v / length(v)[:, None]
+
+
 def check_householder_involution():
-    rng = np.random.default_rng(12)
     worst = 0.0
-    for _ in range(25):
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
+    for v in _unit_vectors(12):
         H = householder(v)
         worst = max(worst, float(np.max(np.abs(H @ H - np.eye(2)))))
     return worst < 1e-12, f"max |H H - I| {worst:.2e}"
 
 
 def check_householder_is_reflection():
-    rng = np.random.default_rng(13)
     worst = 0.0
-    for _ in range(25):
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
+    for v in _unit_vectors(13):
         theta = 2.0 * np.arctan2(v[1], v[0]) + np.pi
         worst = max(
             worst, float(np.max(np.abs(householder(v) - reflection(theta))))
@@ -164,11 +164,8 @@ def check_householder_is_reflection():
 
 
 def check_householder_fixes_perp():
-    rng = np.random.default_rng(14)
     worst = 0.0
-    for _ in range(25):
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
+    for v in _unit_vectors(14):
         H = householder(v)
         worst = max(worst, float(np.max(np.abs(H @ perp(v) - perp(v)))))
         worst = max(worst, float(np.max(np.abs(H @ v + v))))
@@ -176,11 +173,8 @@ def check_householder_fixes_perp():
 
 
 def check_projection_annihilates():
-    rng = np.random.default_rng(15)
     worst = 0.0
-    for _ in range(25):
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
+    for v in _unit_vectors(15):
         P = projection(v)
         worst = max(worst, float(np.max(np.abs(P @ v))))
         worst = max(worst, float(np.max(np.abs(P @ P - P))))
@@ -566,9 +560,8 @@ def check_decay_fit():
 def check_monitors_translation():
     rng = np.random.default_rng(52)
     p = generic_points(rng, 5)
-    c0, s0 = monitors(p)
-    q = Configuration(p.pts + np.array([3.0, -2.0]))
-    c1, s1 = monitors(q)
+    c0, s0 = monitors(p.pts)
+    c1, s1 = monitors(p.pts + np.array([3.0, -2.0]))
     ok = np.allclose(c1 - c0, [3.0, -2.0]) and abs(s1 - s0) < 1e-12
     return ok, "centroid shifts, scale invariant"
 

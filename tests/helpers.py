@@ -2,9 +2,11 @@
 
 import numpy as np
 
+from angleform.errors import CoincidentPoints
 from angleform.formation import residual
 from angleform.graph import Graph, LamanConstruction, expanded_incidence
 from angleform.rigidity import (
+    EDGE_EPS,
     Configuration,
     bearing,
     is_strongly_nondegenerate,
@@ -61,8 +63,12 @@ def bearing_matrix_product(g, p) -> np.ndarray:
     """blockdiag(P(g_ij) / |e_ij|) @ (H kron I_2), edge by edge."""
     B = np.zeros((2 * g.m, 2 * g.m))
     for r, (i, j) in enumerate(g.edges):
-        gij = bearing(p, i, j)
-        dist = float(np.hypot(*(p.point(i) - p.point(j))))
+        e = p.point(i) - p.point(j)
+        # |e| written out as the package takes every length
+        dist = float(np.sqrt(e[0] * e[0] + e[1] * e[1]))
+        if dist < EDGE_EPS:
+            raise CoincidentPoints(i, j, dist)
+        gij = e / dist
         B[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] = (
             np.eye(2) - np.outer(gij, gij)
         ) / dist

@@ -336,7 +336,7 @@ def test_criterion_10_conserved_monitors(criterion):
         float(np.max(np.linalg.norm(r3.centroid - r3.centroid[0], axis=1)))
         / r3.scale[0]
     )
-    target_scale = monitors(spec3.maneuver_target())[1]
+    target_scale = monitors(spec3.maneuver_target().pts)[1]
     gap_start = abs(r3.scale[0] - target_scale)
     gap_end = abs(r3.scale[-1] - target_scale)
     ok = ok and cdrift3 < 1e-8

@@ -222,7 +222,7 @@ def test_simulate_descends_and_converges(spec, pentagon):
 def test_simulate_conserves_centroid_scale(spec, pentagon):
     p0 = PerturbationSpec(0.4, 8).sample(pentagon)
     res = simulate(spec, p0, IntegratorConfig(t_final=5.0))
-    c0, s0 = monitors(Configuration(res.positions[0]))
+    c0, s0 = monitors(res.positions[0])
     assert np.max(np.linalg.norm(res.centroid - c0, axis=1)) < 1e-10 * s0
     assert np.max(np.abs(res.scale - s0)) < 1e-10 * s0
 

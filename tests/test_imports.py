@@ -1,7 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none
+takes a length by hypot.
 
 No lint tool is a dependency, so this parses the sources with ast. The
-package __init__ is left out: it imports names to re-export them.
+package __init__ is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
@@ -30,3 +32,17 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported(tree)) - used)
     assert not unused, f"{path.name} never uses the imported {unused}"
+
+
+def test_no_module_takes_a_length_by_hypot():
+    """Every edge length is geometry.length, sqrt(x*x + y*y), as the C
+    kernel takes it: hypot rounds otherwise in the last bit."""
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "hypot":
+                hits.append(f"{path.name}:{node.lineno}")
+    assert not hits, f"hypot at {hits}"

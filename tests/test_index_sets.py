@@ -4,11 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angleform import index_sets, rigidity
-from angleform.errors import NotInfinitesimallyAngleRigid, ValidationError
+from angleform.errors import (
+    CoincidentPoints,
+    NotInfinitesimallyAngleRigid,
+    ValidationError,
+)
 from angleform.graph import (
     Graph,
     LamanConstruction,
     build_laman,
+    neighbors,
     recognize_triangulated_laman,
 )
 from angleform.index_sets import (
@@ -20,7 +25,10 @@ from angleform.index_sets import (
 )
 from angleform.rigidity import (
     Configuration,
+    bearing,
+    collinear,
     is_infinitesimally_angle_rigid,
+    is_infinitesimally_bearing_rigid,
     is_strongly_nondegenerate,
     angle_rigidity_function,
 )
@@ -29,6 +37,7 @@ from helpers import (
     equivalence_frameworks,
     fan_construction,
     nondegenerate_points,
+    random_connected_graph,
     random_construction,
 )
 
@@ -156,6 +165,62 @@ def test_algorithm1_deterministic_and_seeded(fan5, pentagon):
     b = algorithm1_set(fan5, pentagon, seed=5)
     assert a.triples == b.triples
     assert len(a) == 2 * fan5.m - fan5.n
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+@pytest.mark.parametrize(
+    "pts, pair",
+    [
+        # points 3 and 4 coincide, and so do 4 and 5: edge (3, 4) comes first
+        ([[0, 0], [1, 0], [1, 1], [1, 1], [1, 1]], (3, 4)),
+        # edge (1, 5) comes before edge (2, 3), the smaller label first
+        ([[0, 0], [1, 0], [1, 0], [0, 1], [0, 0]], (1, 5)),
+    ],
+)
+def test_algorithm1_names_the_first_coincident_edge(fan5, seed, pts, pair):
+    with pytest.raises(CoincidentPoints) as err:
+        algorithm1_set(fan5, Configuration(pts), seed)
+    assert err.value.pair == pair
+
+
+def _scalar_algorithm1(g, p, seed):
+    """algorithm1_set's cover of a bearing rigid framework, one neighbor
+    at a time, with bearing()."""
+    rng = None if seed is None else np.random.default_rng(seed)
+
+    def pick(seq):
+        return seq[0] if rng is None else seq[int(rng.integers(len(seq)))]
+
+    triples = []
+    for i in range(1, g.n + 1):
+        nb = neighbors(g, i)
+        j_ref = pick(nb)
+        cls = [k for k in nb if k != j_ref
+               and collinear(bearing(p, i, j_ref), bearing(p, i, k))]
+        rest = [k for k in nb if k != j_ref and k not in cls]
+        triples += [(i, *sorted((j_ref, k))) for k in rest]
+        if cls:
+            k_pair = pick(rest)
+            triples += [(i, *sorted((j, k_pair))) for j in cls]
+    return tuple(sorted(triples))
+
+
+def test_algorithm1_matches_the_scalar_cover():
+    """Bearings from one vectorized call give the cover of the loop over
+    neighbors, collinear classes included."""
+    rng = np.random.default_rng(36)
+    tried = 0
+    while tried < 30:
+        n = int(rng.integers(4, 9))
+        g = random_connected_graph(rng, n, int(rng.integers(n - 2, (n - 1) * (n - 2) // 2 + 1)))
+        # distinct points on a coarse grid make collinear classes common
+        cells = rng.choice(25, n, replace=False)
+        p = Configuration(np.column_stack([cells % 5, cells // 5]) - 2.0)
+        if not is_infinitesimally_bearing_rigid(g, p).verdict:
+            continue
+        tried += 1
+        for seed in (None, tried):
+            assert algorithm1_set(g, p, seed).triples == _scalar_algorithm1(g, p, seed)
 
 
 SQUARE = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])

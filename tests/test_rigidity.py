@@ -120,6 +120,20 @@ def test_bearing_values():
     assert err.value.pair == (1, 2)
 
 
+def test_bearing_is_a_row_of_the_bearing_function(fan5, pentagon):
+    """bearing(p, i, j) is edge (i, j)'s row of bearing_rigidity_function
+    bit for bit, and its negation when i > j."""
+    for g, p, _ in _frameworks(fan5, pentagon):
+        rows = bearing_rigidity_function(g, p).reshape(-1, 2)
+        for r, (i, j) in enumerate(g.edges):
+            for got, want in ((bearing(p, i, j), rows[r]), (bearing(p, j, i), -rows[r])):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    for i, j in ((0, 1), (1, 6), (6, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            bearing(pentagon, i, j)
+
+
 def test_distance_function_values():
     vals = distance_rigidity_function(K3, RIGHT_TRIANGLE)
     assert np.allclose(vals, [1.0, 1.0, 2.0])  # edges (1,2), (1,3), (2,3)
