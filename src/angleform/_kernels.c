@@ -20,7 +20,16 @@
    and the x and y lanes of a triple's terms share one in its loop.
    cost_out gets the full cost and then V_F, the triple sum before the
    leader term. When a triple's side is under edge_eps the evaluation
-   fails with u = 0 and both 0.0, as _control_np does.
+   fails with u = 0 and both 0.0, as _control_np does. The edge pass
+   makes that test, once per side: every side in the table is a side of
+   some triple, so some table side is short exactly when some triple's
+   is, and the triple loop runs only when none is.
+
+   af_integrate also tests, before each step, the graph edges it is
+   given. The caller passes only the edges that no side covers
+   (_kernels._uncovered): a covered edge under edge_eps fails that
+   step's first evaluation, which stops the run with the same status at
+   the same time.
 
    The reference computes both sides of each triple itself, and yet the
    table changes no result bit. Packed IEEE operations round each lane
@@ -80,9 +89,11 @@ static inline void put_side(double *gtab, int64_t s, v2 e, double l)
     store2(gtab + 8 * s + 6, lv);
 }
 
-static void edge_pass(const double *pos, int64_t k, const int64_t *sides,
-                      double *gtab)
+/* fills the side table; 0 when a side is under edge_eps */
+static int edge_pass(const double *pos, int64_t k, const int64_t *sides,
+                     double edge_eps, double *gtab)
 {
+    int short_side = 0;
     int64_t s = 0;
     for (; s + 1 < k; s += 2) {
         const int64_t *q = sides + 2 * s;
@@ -91,13 +102,17 @@ static void edge_pass(const double *pos, int64_t k, const int64_t *sides,
         v2 sq0 = e0 * e0, sq1 = e1 * e1;
         v2 xx = {sq0[0], sq1[0]}, yy = {sq0[1], sq1[1]};
         v2 l = sqrt2(xx + yy);
+        short_side |= (l[0] < edge_eps) | (l[1] < edge_eps);
         put_side(gtab, s, e0, l[0]);
         put_side(gtab, s + 1, e1, l[1]);
     }
     if (s < k) {
         v2 e = load2(pos + 2 * sides[2 * s]) - load2(pos + 2 * sides[2 * s + 1]);
-        put_side(gtab, s, e, sqrt(e[0] * e[0] + e[1] * e[1]));
+        double l = sqrt(e[0] * e[0] + e[1] * e[1]);
+        short_side |= l < edge_eps;
+        put_side(gtab, s, e, l);
     }
+    return !short_side;
 }
 
 int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
@@ -110,14 +125,11 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
     for (int64_t i = 0; i < 2 * n; i++)
         u[i] = 0.0;
     cost_out[0] = cost_out[1] = 0.0;
-    edge_pass(pos, k, sides, gtab);
+    if (!edge_pass(pos, k, sides, edge_eps, gtab))
+        return 0;  /* u and cost_out are still 0.0 */
     for (int64_t t = 0; t < w; t++) {
         const double *ab = gtab + 4 * code[2 * t];
         const double *ac = gtab + 4 * code[2 * t + 1];
-        if (ab[2] < edge_eps || ac[2] < edge_eps) {
-            memset(u, 0, 2 * n * sizeof *u);  /* cost_out is still 0.0 */
-            return 0;
-        }
         v2 gab = load2(ab), gac = load2(ac);
         v2 dot = gab * gac;
         double cosv = dot[0] + dot[1];
@@ -272,7 +284,8 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
    form when the decimal point falls at decpt <= -4 or decpt > 16 (the
    value is 0.d1d2... * 10^decpt), with a sign and at least two exponent
    digits; else positional, with ".0" after an integer; "nan" for every
-   NaN whatever its sign bit. */
+   NaN whatever its sign bit. put_repr turns the digit integer into text
+   two digits per division, from the 200-byte table DIGIT_PAIRS. */
 
 typedef unsigned __int128 u128;
 
@@ -388,6 +401,13 @@ static uint64_t shortest(uint64_t frac, uint32_t expo, const uint64_t *pow5,
     return out;
 }
 
+/* "00" to "99", the two digits of each value below 100 */
+static const char DIGIT_PAIRS[200] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
 static char *put_repr(char *p, double x, const uint64_t *pow5)
 {
     uint64_t bits;
@@ -406,11 +426,15 @@ static char *put_repr(char *p, double x, const uint64_t *pow5)
     }
 
     int32_t e10;
-    uint64_t v = shortest(frac, expo, pow5, &e10);
+    uint64_t v = shortest(frac, expo, pow5, &e10);  /* 1 to 17 digits */
     char tmp[20];
     int nd = 0;
-    for (; v; v /= 10)
-        tmp[19 - nd++] = (char)('0' + v % 10);
+    for (; v >= 10; v /= 100) {  /* two digits at a time, from the right */
+        nd += 2;
+        memcpy(tmp + 20 - nd, DIGIT_PAIRS + 2 * (v % 100), 2);
+    }
+    if (v)  /* an odd digit count leaves the leading digit */
+        tmp[19 - nd++] = (char)('0' + v);
     const char *d = tmp + 20 - nd;
     int decpt = nd + e10;
 

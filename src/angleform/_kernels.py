@@ -20,7 +20,8 @@ backend is used when it is cached or builds, else numpy, with one
 RuntimeWarning that gives the reason. The built C library is cached
 under ~/.cache/angleform (or, when that is not writable, an
 angleform-<uid> directory in the temp directory), keyed by a CRC-32 of
-the source and the compiler flags, so later processes only load it.
+the source and the compiler flags, so later processes only load it; a
+build leaves the _KEPT_BUILDS newest builds there.
 Both backends stay constructible so they can be compared in one
 process, as the parity tests and selftest do.
 
@@ -30,7 +31,8 @@ eval_control and integrate call first builds that pass's table with
 numpy (_side_table): the triples' unique sides, and per triple which
 side it uses in which direction. The pass runs two sides per 2-lane
 vector and the triple loop runs x and y as one, and the results stay
-bit for bit those of _control_np (_kernels.c says why).
+bit for bit those of _control_np (_kernels.c says why). The pass also
+makes the evaluation's one collapse test, once per side.
 
 Kernel contract
 ---------------
@@ -53,17 +55,22 @@ integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
     collapsed under edge_eps). vf is each snapshot's V_F, the cost's
     triple sum without the leader term, from the k1 evaluation of the
     step that starts there; a STATUS_RAN run evaluates its final state
-    once more (vf 0.0 there if that fails; the status stays).
+    once more (vf 0.0 there if that fails; the status stays). The numpy
+    backend tests every graph edge before each step. The C backend
+    tests only the edges no triple side covers (_uncovered): a covered
+    edge under edge_eps fails the step's k1 evaluation instead, with the
+    same status and t_stop.
 
 write_rows(stream, table)
-    Writes the (rows, cols) float64 table to the text stream as CSV
-    rows, cells split by "," and each row ended by a newline, every
+    Writes the (rows, cols) float64 table to the binary stream as ASCII
+    CSV rows, cells split by "," and each row ended by a newline, every
     cell exactly repr's bytes for that double. The numpy backend joins
     repr of each row, the reference. The C backend formats blocks of
     about _CSV_BLOCK bytes into one buffer with af_format_rows (the
     shortest round-trip digits by Ryu, laid out as repr does) and
-    writes each block, so no string of the whole table is built; its
-    multiplier table (_pow5_table) is made on its first call.
+    writes each block from that buffer, so neither a string of the
+    table nor a second copy of a block is made; its multiplier table
+    (_pow5_table) is made on its first call.
 """
 
 import contextlib
@@ -80,6 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import angle_terms, length
+from .rigidity import _in_sorted
 
 ENV_FLAG = "ANGLEFORM_NUMBA"
 # a constant now: perfbench/run.py::_environment still reads it
@@ -201,7 +209,7 @@ def _integrate_np(
 
 def _write_rows_np(stream, table):
     for row in table:
-        stream.write(",".join(map(repr, row.tolist())) + "\n")
+        stream.write((",".join(map(repr, row.tolist())) + "\n").encode("ascii"))
 
 
 # ---------------------------------------------------------------------
@@ -211,6 +219,9 @@ def _write_rows_np(stream, table):
 C_SOURCE = Path(__file__).with_name("_kernels.c")
 # no -ffast-math or -march=native: results must not depend on the host
 C_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# builds kept per cache directory, the newest by mtime: two checkouts or
+# versions used in turn then both load their own without a rebuild
+_KEPT_BUILDS = 4
 
 
 class CBuildError(RuntimeError):
@@ -269,6 +280,20 @@ def _build(cc, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _prune(d: Path, name: str) -> None:
+    """Delete this user's builds in d beyond the _KEPT_BUILDS newest,
+    never the build called name; best effort."""
+    builds = []
+    for path in d.glob("_kernels-*.so"):
+        with contextlib.suppress(OSError):
+            if path.name != name and _owned(path):
+                builds.append((path.stat().st_mtime, path))
+    builds.sort(reverse=True)
+    for _, old in builds[_KEPT_BUILDS - 1 :]:
+        with contextlib.suppress(OSError):
+            old.unlink()
+
+
 def _load_library() -> ctypes.CDLL:
     """Load the cached C library, building it first when no cache has it."""
     name = _library_name()
@@ -287,10 +312,7 @@ def _load_library() -> ctypes.CDLL:
         except OSError as exc:
             unusable.append(f"{d}: {exc}")
             continue
-        for old in d.glob("_kernels-*.so"):  # superseded builds, best effort
-            with contextlib.suppress(OSError):
-                if old.name != name and _owned(old):
-                    old.unlink()
+        _prune(d, name)
         return ctypes.CDLL(str(d / name))
     raise CBuildError("no writable cache directory (" + "; ".join(unusable) + ")")
 
@@ -333,14 +355,22 @@ def _side_table(tri, n):
     return sides, code
 
 
+def _uncovered(edges, sides, n):
+    """The rows of edges (m, 2) on n agents that no row of sides (k, 2)
+    covers in either orientation, C-contiguous: the graph edges whose
+    collapse no control evaluation sees."""
+    a, b = edges[:, 0], edges[:, 1]
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    # _side_table lists the sides in key order
+    return edges[~_in_sorted(sides[:, 0] * n + sides[:, 1], keys)]
+
+
 # Ryu's multiplier tables: 5^-q for q < 342 and 5^i for i < 326, each
 # held in its leading 125 bits
 _POW5_INV_ROWS, _POW5_ROWS, _POW5_BITS = 342, 326, 125
-# bytes of CSV text formatted per af_format_rows call. A block lives three
-# times at once (the buffer, its str, the stream's encoded bytes), so it
-# stays small: on a 2-vCPU guest, 64 KB blocks raised laman-flow's peak
-# memory by 0.2-0.35 MB and formatted at most 2% faster
-_CSV_BLOCK = 1 << 14
+# bytes of CSV text formatted per af_format_rows call; the stream takes
+# each block from the one reused buffer, so a block exists only once
+_CSV_BLOCK = 1 << 16
 # the most one cell can take with its separator ("-2.2250738585072014e-308,")
 _CELL_BYTES = 25
 
@@ -414,6 +444,7 @@ def make_c_backend() -> Backend:
         _check_args(pos0, tri, cstar, edges, lead_a, lead_b)
         n = pos0.shape[0]
         sides, code = _side_table(tri, n)
+        edges = _uncovered(edges, sides, n)
         max_rec = n_steps // record_every + 2
         times = np.zeros(max_rec)
         traj = np.zeros((max_rec, n, 2))
@@ -440,6 +471,7 @@ def make_c_backend() -> Backend:
         row_bytes = _CELL_BYTES * cols + 1
         per = max(1, _CSV_BLOCK // row_bytes)
         buf = np.empty(per * row_bytes, dtype=np.uint8)
+        view = memoryview(buf)
         pow5 = _pow5_table()
         for r in range(0, rows, per):
             block = table[r : r + per]
@@ -447,7 +479,7 @@ def make_c_backend() -> Backend:
                 block.ctypes.data, block.shape[0], cols, pow5.ctypes.data,
                 buf.ctypes.data,
             )
-            stream.write(str(buf[:size].data, "ascii"))
+            stream.write(view[:size])
 
     return Backend("c", eval_control, integrate, write_rows)
 

@@ -459,8 +459,8 @@ def _write_table(stream, header, columns) -> None:
     """A CSV of the header and the float columns side by side, each an
     (s,) or (s, k) array, every value written as repr writes it (full
     double precision, byte-stable across reruns) by the active kernel
-    backend."""
-    stream.write(",".join(header) + "\n")
+    backend, to the binary stream."""
+    stream.write((",".join(header) + "\n").encode("ascii"))
     _kernels.write_rows(stream, np.column_stack(columns))
 
 
@@ -548,7 +548,8 @@ def _indexset(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
         report["expected_size"] = 2 * m - n
     cells = ["{},{},{}".format(*t) for t in T.triples]
     report["triples"] = ";".join(cells)
-    return [("triples.txt", lambda fh: fh.writelines(c + "\n" for c in cells))]
+    lines = "".join(c + "\n" for c in cells).encode()
+    return [("triples.txt", lambda fh: fh.write(lines))]
 
 
 def _simulate(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
@@ -581,12 +582,13 @@ def _simulate(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
     return [
         ("trajectory.csv", lambda fh: _trajectory_csv(result, fh)),
         ("cost.csv", lambda fh: _cost_csv(result, fh)),
-        ("plot.gp", lambda fh: fh.write(_PLOT_STUB)),
+        ("plot.gp", lambda fh: fh.write(_PLOT_STUB.encode())),
     ]
 
 
 # the verb bodies: each adds its lines to the report and returns the
-# files it writes into --out as (name, writer) pairs, writer(stream)
+# files it writes into --out as (name, writer) pairs, writer(stream) of
+# a binary stream; text goes out as UTF-8
 _VERBS = {"analyze": _analyze, "indexset": _indexset, "simulate": _simulate}
 
 
@@ -702,11 +704,11 @@ def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
                 report[f"output_{k}"] = name
         text = _render(report)
         if out_dir is not None:
-            files.append(("report.txt", lambda fh: fh.write(text)))
+            files.append(("report.txt", lambda fh: fh.write(text.encode())))
             try:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 for name, write in files:
-                    with (out_dir / name).open("w") as fh:
+                    with (out_dir / name).open("wb") as fh:
                         write(fh)
             except OSError as exc:
                 raise ValidationError(

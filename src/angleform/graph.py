@@ -68,6 +68,13 @@ class Graph:
         return e
 
     @cached_property
+    def _arc_keys(self) -> np.ndarray:
+        """Sorted keys i * n + j of the edges in both directions, 0-based."""
+        e = self.edge_array
+        arcs = np.concatenate([e[:, 0] * self.n + e[:, 1], e[:, 1] * self.n + e[:, 0]])
+        return np.sort(arcs)
+
+    @cached_property
     def _adjacency(self) -> dict:
         """Vertex -> sorted tuple of its neighbors."""
         adj = {v: [] for v in range(1, self.n + 1)}

@@ -22,17 +22,17 @@ from typing import Optional
 
 import numpy as np
 
+from . import rigidity
 from .errors import NotInfinitesimallyAngleRigid
 from .graph import Graph, LamanConstruction, neighbors, replay
 from .rigidity import (
     AngleIndexSet,
     Configuration,
     _bearing_terms,
-    _triangles,
+    _triangle_candidates,
     check_matrix_size,
     collinear,
     is_infinitesimally_bearing_rigid,
-    triangle_count,
 )
 
 
@@ -62,15 +62,22 @@ def triangle_formation_set(g: Graph) -> AngleIndexSet:
     """Two angle triples per graph triangle, apexes at the two smaller
     labels.
 
-    The set is refused (ValidationError) before it is built when its
-    angle rigidity matrix would be too large.
+    One pass over the triangle candidates counts the triangles, and
+    keeps them only while their angle rigidity matrix would stay within
+    rigidity.MAX_MATRIX_ENTRIES; past that it only counts, and the set
+    is refused (ValidationError) with the exact size, unbuilt.
     """
+    count, blocks = 0, []
+    for ab, c, hit in _triangle_candidates(g):
+        count += int(np.count_nonzero(hit))
+        if (2 * count) * (2 * g.n) <= rigidity.MAX_MATRIX_ENTRIES:
+            blocks.append(np.column_stack([ab[hit], c[hit]]) + 1)
     check_matrix_size(
         "angle source 'triangle_formation' angle rigidity matrix",
-        2 * triangle_count(g),
+        2 * count,
         2 * g.n,
     )
-    rows = (row for block in _triangles(g) for row in block.tolist())
+    rows = (row for block in blocks for row in block.tolist())
     triples = sorted(t for row in rows for t in _two_apex(*row))
     return AngleIndexSet(tuple(triples), "triangle_formation")
 

@@ -15,6 +15,7 @@ vector pointing from j toward i.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -142,18 +143,38 @@ class AngleIndexSet:
 
     def as_array(self) -> np.ndarray:
         """(w, 3) int64 array of 0-based vertex indices."""
-        return np.asarray(self.triples, dtype=np.int64).reshape(-1, 3) - 1
+        flat = chain.from_iterable(self.triples)  # np.asarray of tuples is slower
+        return np.fromiter(flat, np.int64, 3 * len(self.triples)).reshape(-1, 3) - 1
 
     def validate_for(self, g: Graph) -> None:
-        """Require both edges of every triple to exist in g."""
-        for i, j, k in self.triples:
-            if max(i, j, k) > g.n:
+        """Require both edges of every triple to exist in g.
+
+        The first offending triple raises: VertexOutOfRange when a label
+        exceeds g.n, else NotAnEdge for (i, j), else for (i, k). A set
+        that passed for the graph object g passes again without a check,
+        so a verb that hands one set on checks it once.
+        """
+        if self.__dict__.get("_checked_for") is not g:
+            self._check(g)
+            object.__setattr__(self, "_checked_for", g)  # no field: eq, hash keep
+
+    def _check(self, g: Graph) -> None:
+        """validate_for's check, vectorized over the triples."""
+        try:
+            tri = self.as_array()
+        except OverflowError:  # a label past int64 is out of range anyway
+            tri = np.array([[min(v, g.n + 1) for v in t] for t in self.triples]) - 1
+        out = tri.max(axis=1) >= g.n
+        # each wing's edge (apex, wing) by its key among g's arcs
+        has = _in_sorted(g._arc_keys, tri[:, :1] * g.n + tri[:, 1:])
+        bad = np.flatnonzero(out | ~has.all(axis=1))
+        if bad.size:
+            t = bad[0]
+            i, j, k = self.triples[t]
+            if out[t]:
                 raise VertexOutOfRange(f"triple {(i, j, k)} outside 1..{g.n}")
-            for other in (j, k):
-                if not g.has_edge(i, other):
-                    raise NotAnEdge(
-                        f"triple {(i, j, k)} needs edge ({i}, {other})"
-                    )
+            other = j if not has[t, 0] else k
+            raise NotAnEdge(f"triple {(i, j, k)} needs edge ({i}, {other})")
 
 
 @dataclass(frozen=True)
@@ -471,6 +492,15 @@ def is_infinitesimally_angle_rigid(
     return _rank_report("angle", M, lambda info: info.nullspace_dim == 4)
 
 
+def _in_sorted(hay: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where q's entries occur in the sorted 1-d array hay. A search,
+    not np.isin, whose first call raises peak memory by about 2 MB
+    (numpy 2.4)."""
+    if not hay.size:
+        return np.zeros(q.shape, dtype=bool)
+    return hay[np.minimum(np.searchsorted(hay, q), hay.size - 1)] == q
+
+
 def _triangle_candidates(g: Graph):
     """Candidate triangles a < b < c of 0-based vertices in sorted order
     (by canonical edge (a, b), then by c), over chunks of edges with at
@@ -496,8 +526,7 @@ def _triangle_candidates(g: Graph):
         c = e[np.arange(ends[stop - 1] - done) + skip, 1]
         q = ab[:, 0] * g.n + c
         # the keys (a, .) of this chunk's own apexes: a short search
-        hay = keys[first[e[start, 0]] : first[e[stop - 1, 0] + 1]]
-        hit = hay[np.minimum(np.searchsorted(hay, q), len(hay) - 1)] == q
+        hit = _in_sorted(keys[first[e[start, 0]] : first[e[stop - 1, 0] + 1]], q)
         yield ab, c, hit
         start = stop
 
@@ -508,11 +537,6 @@ def _triangles(g: Graph):
     of at most TRIANGLE_CHUNK rows."""
     for ab, c, hit in _triangle_candidates(g):
         yield np.column_stack([ab[hit], c[hit]]) + 1
-
-
-def triangle_count(g: Graph) -> int:
-    """Number of graph triangles, counted without listing them."""
-    return sum(int(np.count_nonzero(hit)) for _, _, hit in _triangle_candidates(g))
 
 
 def is_strongly_nondegenerate(

@@ -594,10 +594,9 @@ def check_csv_roundtrip():
 
     spec = FormationSpec(_FAN, _PENT)
     res = simulate(spec, PerturbationSpec(0.3, 6).sample(_PENT), IntegratorConfig(t_final=1.0))
-    buf = io.StringIO()
+    buf = io.BytesIO()
     _trajectory_csv(res, buf)
-    buf.seek(0)
-    rows = buf.read().strip().splitlines()
+    rows = buf.getvalue().decode("ascii").strip().splitlines()
     worst = 0.0
     for r, line in enumerate(rows[1:]):
         vals = [float(x) for x in line.split(",")]

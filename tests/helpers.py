@@ -2,13 +2,17 @@
 
 import numpy as np
 
-from angleform.errors import CoincidentPoints
+from angleform.errors import CoincidentPoints, NotAnEdge, VertexOutOfRange
 from angleform.formation import residual
 from angleform.graph import Graph, LamanConstruction, expanded_incidence
 from angleform.rigidity import (
     EDGE_EPS,
+    AngleIndexSet,
     Configuration,
+    _triangle_candidates,
+    _triangles,
     bearing,
+    check_matrix_size,
     is_strongly_nondegenerate,
 )
 
@@ -147,3 +151,32 @@ def control_per_agent(spec, p):
         grad[j - 1] -= d * qj
         grad[k - 1] -= d * qk
     return -grad.reshape(-1)
+
+
+def triangle_count(g) -> int:
+    """Number of graph triangles, counted without listing them."""
+    return sum(int(np.count_nonzero(hit)) for _, _, hit in _triangle_candidates(g))
+
+
+def two_pass_triangle_formation_set(g) -> AngleIndexSet:
+    """triangle_formation_set in two passes: count every triangle,
+    refuse an oversized set, then list the triangles again."""
+    check_matrix_size(
+        "angle source 'triangle_formation' angle rigidity matrix",
+        2 * triangle_count(g),
+        2 * g.n,
+    )
+    rows = (row for block in _triangles(g) for row in block.tolist())
+    triples = sorted(t for a, b, c in rows for t in ((a, b, c), (b, a, c)))
+    return AngleIndexSet(tuple(triples), "triangle_formation")
+
+
+def scalar_validate_for(T, g) -> None:
+    """AngleIndexSet.validate_for triple by triple: the first offending
+    triple raises, out of range before a missing (i, j) before (i, k)."""
+    for i, j, k in T.triples:
+        if max(i, j, k) > g.n:
+            raise VertexOutOfRange(f"triple {(i, j, k)} outside 1..{g.n}")
+        for other in (j, k):
+            if not g.has_edge(i, other):
+                raise NotAnEdge(f"triple {(i, j, k)} needs edge ({i}, {other})")

@@ -389,6 +389,19 @@ def test_simulate_builds_the_construction_and_checks_the_angle_set_once(
     assert calls == {"build_laman": 1, "validate_for": 1}
 
 
+@pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
+def test_each_verb_checks_an_explicit_angle_set_once(tmp_path, monkeypatch, verb):
+    """resolve_angle_set checks example2's explicit set; the formation
+    spec and the angle matrix find it checked for that graph."""
+    checks = []
+    real = AngleIndexSet._check
+    monkeypatch.setattr(AngleIndexSet, "_check", lambda T, g: checks.append(g) or real(T, g))
+    sc = str(SCENARIOS / "example2.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([verb, "--scenario", sc, "--out", str(tmp_path / "o")]) == 0
+    assert len(checks) == 1
+
+
 def test_main_indexset_numerical_exit(tmp_path):
     doc = _base_doc()
     doc["graph"] = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}

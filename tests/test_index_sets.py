@@ -39,6 +39,8 @@ from helpers import (
     nondegenerate_points,
     random_connected_graph,
     random_construction,
+    triangle_count,
+    two_pass_triangle_formation_set,
 )
 
 K3 = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
@@ -311,12 +313,45 @@ def test_index_sets_validate_against_graph(fan5, pentagon):
 
 
 def test_triangle_set_is_refused_before_it_is_listed(monkeypatch):
-    def listing(g):
-        raise AssertionError("the triangles were listed")
+    def listing(a, b, c):
+        raise AssertionError("the triples were listed")
 
     k6 = Graph.from_edges(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
-    monkeypatch.setattr(index_sets, "_triangles", listing)
+    monkeypatch.setattr(index_sets, "_two_apex", listing)
     # 20 triangles: 40 triples x 12 columns
     monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", 479)
     with pytest.raises(ValidationError, match="'triangle_formation'.* 40 x 12 = 480"):
         triangle_formation_set(k6)
+
+
+def _set_or_refusal(build, g):
+    try:
+        return build(g)
+    except ValidationError as exc:
+        return str(exc).encode()
+
+
+@pytest.mark.parametrize("chunk", [3, rigidity.TRIANGLE_CHUNK])
+def test_triangle_set_in_one_pass_matches_two_passes(monkeypatch, chunk):
+    """The sets, and the refusals byte for byte, of the one-pass build
+    equal those of counting first and listing after, at caps below, at
+    and above each graph's size, whatever the chunking."""
+    monkeypatch.setattr(rigidity, "TRIANGLE_CHUNK", chunk)
+    rng = np.random.default_rng(19)
+    graphs = [Graph.from_edges(n, [(i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, n + 1)]) for n in (1, 3, 6, 9)]
+    for n in (4, 7, 12):
+        for extra in (0, n, 3 * n):
+            graphs.append(
+                random_connected_graph(rng, n, min(extra, n * (n - 1) // 2 - n + 1))
+            )
+    refused = kept = 0
+    for g in graphs:
+        size = 2 * triangle_count(g) * 2 * g.n
+        for cap in sorted({0, size // 3, size - 1, size, size + 1, 10**8}):
+            monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", max(cap, 0))
+            got = _set_or_refusal(triangle_formation_set, g)
+            assert got == _set_or_refusal(two_pass_triangle_formation_set, g)
+            refused += isinstance(got, bytes)
+            kept += not isinstance(got, bytes)
+    assert refused and kept

@@ -1,4 +1,6 @@
+import ctypes
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -315,14 +317,20 @@ def test_c_build_skips_unwritable_cache_dir(monkeypatch, tmp_path):
 
 @needs_cc
 def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
-    stale = tmp_path / "_kernels-00000000.so"
-    stale.write_bytes(b"superseded build")
+    """A build keeps the newest builds by mtime, itself among them, so
+    checkouts used in turn do not rebuild each other's away."""
+    kept = _kernels._KEPT_BUILDS
+    stale = [tmp_path / f"_kernels-{i:08x}.so" for i in range(kept + 2)]
+    for age, path in enumerate(stale):
+        path.write_bytes(b"another build")
+        os.utime(path, (1e9 + age, 1e9 + age))
     unrelated = tmp_path / "notes.txt"
     unrelated.write_text("kept")
     monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path])
     assert _kernels.make_c_backend().name == "c"
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted([_kernels._library_name(), "notes.txt"])
+    newest = [p.name for p in stale[-(kept - 1):]]
+    assert names == sorted([_kernels._library_name(), "notes.txt", *newest])
 
 
 @needs_cc
@@ -347,6 +355,17 @@ def _repr_edge_values():
     return np.concatenate([vals, -vals])
 
 
+def _digit_counts():
+    """Values with 1 to 17 shortest digits, a few of each length."""
+    rng = np.random.default_rng(17)
+    out = []
+    for d in range(1, 18):
+        digits = rng.integers(10 ** (d - 1), 10**d, 40)
+        digits += digits % 10 == 0  # keep the last digit nonzero
+        out += [float(f"{v}e{e}") for v, e in zip(digits, rng.integers(-25, 25, 40))]
+    return np.array(out)
+
+
 def test_c_csv_cells_are_repr(compiled):
     # repr takes about 2.4 us on a random bit pattern (0.6 on a normal
     # draw), so the patterns are kept to what runs in a few tenths of a
@@ -354,16 +373,21 @@ def test_c_csv_cells_are_repr(compiled):
     rng = np.random.default_rng(16)
     bits = rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64)
     draws = rng.normal(size=60_000) * 10.0 ** rng.integers(-8, 9, 60_000)
-    vals = np.concatenate([bits[np.isfinite(bits)], draws, _repr_edge_values()])
-    # 8 cells a row, so rows span many of the C path's blocks
+    digits = _digit_counts()
+    vals = np.concatenate([bits[np.isfinite(bits)], draws, digits, _repr_edge_values()])
+    # 8 cells a row: 2.7 MB of rows, across many of the C path's blocks
     table = np.resize(vals, (-(-vals.size // 8), 8))
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.BytesIO()
     compiled.write_rows(got, table)
     _kernels.make_numpy_backend().write_rows(want, table)
-    got, want = got.getvalue().split("\n"), want.getvalue().split("\n")
+    assert len(got.getvalue()) > 8 * _kernels._CSV_BLOCK
+    got, want = got.getvalue().split(b"\n"), want.getvalue().split(b"\n")
     assert len(got) == len(want) == table.shape[0] + 1
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     assert not bad, bad[:3]
+    lengths = {len(repr(v).split("e")[0].lstrip("-").replace(".", "").strip("0"))
+               for v in digits.tolist()}
+    assert lengths == set(range(1, 18))
 
 
 @pytest.mark.parametrize(
@@ -606,6 +630,80 @@ def test_step_start_evaluation_fails_on_a_triple_side_off_the_graph():
     status, t_stop = _assert_matches_oracle(pos, tri, cstar, spec._edges)
     assert status == _kernels.STATUS_COINCIDENT
     assert t_stop == 0.0
+
+
+@needs_cc
+@pytest.mark.parametrize("when", ["start", "mid-run"])
+@pytest.mark.parametrize("pair", ["uncovered-edge", "covered-edge", "side-off-graph"])
+def test_collapse_parity_on_each_kind_of_pair(pair, when):
+    """example2's explicit set leaves its edges (1, 2) and (2, 3)
+    uncovered, and no triple moves agent 2. Put agent 2 on agent 1's
+    path, at the start within edge_eps, or two steps ahead: the C
+    sweep must find the uncovered edge (1, 2), and a triple (2, 1, 3)
+    makes the pair a triple side, on the graph or with (1, 2) dropped
+    from it. Both backends stop alike."""
+    pos, spec = _shipped_spec("example2.json")
+    pos, h = pos.copy(), 0.05
+    u = _kernels._control_np(pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0,
+                             EDGE_EPS)[0]
+    pos[1] = pos[0] + (0.5 if when == "start" else 2.0) * h * u[0]
+    tri, cstar, edges = spec._tri, spec.target_cosines, spec._edges
+    assert _kernels._uncovered(edges, _kernels._side_table(tri, 5)[0], 5).tolist() == [
+        [0, 1], [1, 2]]
+    if pair != "uncovered-edge":
+        # its target is met at the start, so it adds no control there
+        tri = np.vstack([tri, [[1, 0, 2]]])
+        cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
+    if pair == "side-off-graph":
+        edges = edges[1:]
+    status, t_stop = _assert_matches_oracle(
+        pos, tri, cstar, edges, h=h, n_steps=5,
+        edge_eps=1.75 * h * float(np.hypot(*u[0])),
+    )
+    assert status == _kernels.STATUS_COINCIDENT
+    # a swept edge is seen at a step's start, a side at any stage
+    assert t_stop == {"start": 0.0, "mid-run": h if pair == "uncovered-edge" else 0.0}[when]
+
+
+@needs_cc
+def test_c_integrate_sweeps_exactly_the_uncovered_edges(monkeypatch):
+    """The C wrapper passes af_integrate the graph edges no triple side
+    covers, in either orientation: two of example2's seven, none of a
+    triangle set's."""
+    lib, swept = _kernels._load_library(), []
+
+    class Spy:
+        """af_integrate, recording the edge rows it is given."""
+
+        def __init__(self, fn):
+            object.__setattr__(self, "fn", fn)
+
+        def __setattr__(self, name, value):  # restype, argtypes
+            setattr(self.fn, name, value)
+
+        def __call__(self, *args):
+            m, at = args[8], args[9]
+            rows = (ctypes.c_int64 * (2 * m)).from_address(at) if m else []
+            swept.append(np.array(rows, dtype=np.int64).reshape(-1, 2).tolist())
+            return self.fn(*args)
+
+    class Lib:
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+            return Spy(fn) if name == "af_integrate" else fn
+
+    monkeypatch.setattr(_kernels, "_load_library", Lib)
+    cases = [(_shipped_spec("example2.json"), [[0, 1], [1, 2]]),
+             (_insertion_framework(6), [])]
+    for (pos, spec), want in cases:
+        sides = {tuple(sorted((t[0], t[w]))) for t in spec._tri.tolist() for w in (1, 2)}
+        assert [e for e in spec._edges.tolist() if tuple(e) not in sides] == want
+        _kernels.make_c_backend().integrate(*_integrate_args(spec, pos, n_steps=3))
+        assert swept.pop() == want
+        n, flipped = spec.graph.n, spec._edges[::-1, ::-1]  # (j, i) rows, reversed
+        got = _kernels._uncovered(flipped, _kernels._side_table(spec._tri, n)[0], n)
+        assert got.tolist() == [e[::-1] for e in want[::-1]]
+        assert got.flags.c_contiguous and got.dtype == np.int64
 
 
 # ---------------------------------------------------------------------

@@ -50,6 +50,8 @@ from helpers import (
     nondegenerate_points,
     random_connected_graph,
     random_construction,
+    scalar_validate_for,
+    triangle_count,
 )
 
 RIGHT_TRIANGLE = Configuration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -102,6 +104,58 @@ def test_angle_index_set_validation():
     T = AngleIndexSet.from_triples([(1, 2, 3)])
     with pytest.raises(NotAnEdge):
         T.validate_for(Graph.from_edges(3, [(1, 2), (2, 3)]))  # (1,3) absent
+
+
+def _outcome(check, T, g):
+    try:
+        check(T, g)
+    except (NotAnEdge, VertexOutOfRange) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_for_raises_as_the_scalar_check():
+    """The vectorized check names the scalar loop's first offending
+    triple with its exception and message: out of range before (i, j),
+    (i, j) before (i, k)."""
+    rng = np.random.default_rng(18)
+    outcomes = set()
+    for trial in range(300):
+        n = int(rng.integers(3, 9))
+        g = random_connected_graph(rng, n, int(rng.integers(0, n)))
+        rows = []
+        for _ in range(int(rng.integers(0, 6))):
+            top = n + (2 if trial % 3 == 0 else 0)
+            rows.append(tuple(int(v) for v in rng.choice(np.arange(1, top + 1), 3,
+                                                         replace=False)))
+        if trial % 50 == 0:
+            rows.append((1, 2, 2**63 + 5))  # a label no int64 holds
+        T = AngleIndexSet.from_triples(rows)
+        want = _outcome(scalar_validate_for, T, g)
+        assert _outcome(AngleIndexSet.validate_for, T, g) == want, (g, T)
+        outcomes.add(None if want is None else (want[0], want[1].split()[-2]))
+    assert None in outcomes
+    assert any(kind is VertexOutOfRange for kind, _ in outcomes - {None})
+    assert any(kind is NotAnEdge for kind, _ in outcomes - {None})
+
+
+def test_validate_for_checks_a_graph_once(monkeypatch):
+    checks = []
+    real = AngleIndexSet._check
+    monkeypatch.setattr(AngleIndexSet, "_check",
+                        lambda T, g: checks.append(g) or real(T, g))
+    T = AngleIndexSet.from_triples([(1, 2, 3)])
+    g = K3
+    T.validate_for(g)
+    T.validate_for(g)
+    assert checks == [g]
+    path = Graph.from_edges(3, [(1, 2), (2, 3)])
+    with pytest.raises(NotAnEdge):  # another graph is checked afresh
+        T.validate_for(path)
+    with pytest.raises(NotAnEdge):  # and a failed check is not kept
+        T.validate_for(path)
+    assert checks == [g, path, path]
+    assert T == AngleIndexSet.from_triples([(1, 2, 3)])
 
 
 # ---------------------------------------------------------------------
@@ -513,8 +567,8 @@ def test_triangle_count_matches_the_listing(monkeypatch):
                        for b in blocks)
             listed = [tuple(t) for b in blocks for t in b.tolist()]
             assert listed == _sorted_triangles(g)
-            assert rigidity.triangle_count(g) == len(listed)
-    assert rigidity.triangle_count(K7) == 35
+            assert triangle_count(g) == len(listed)
+    assert triangle_count(K7) == 35
 
 
 # ---------------------------------------------------------------------
