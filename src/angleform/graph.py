@@ -12,11 +12,18 @@ p_i - p_j. replay() is the one replay of a construction's steps.
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import InvalidStep, NotAnEdge, VertexOutOfRange
+
+
+def zero_based(rows, width: int) -> np.ndarray:
+    """(len(rows), width) int64 array of the 1-based label rows, less 1."""
+    flat = chain.from_iterable(rows)  # np.asarray of tuples is slower
+    return np.fromiter(flat, np.int64, width * len(rows)).reshape(-1, width) - 1
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,7 @@ class Graph:
     @cached_property
     def edge_array(self) -> np.ndarray:
         """(m, 2) read-only int64 array of the canonical edges, 0-based."""
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2) - 1
+        e = zero_based(self.edges, 2)
         e.setflags(write=False)
         return e
 

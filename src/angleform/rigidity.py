@@ -15,7 +15,6 @@ vector pointing from j toward i.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .geometry import angle_terms, length, rotation
-from .graph import Graph
+from .graph import Graph, zero_based
 
 # adjacent points closer than this are treated as coincident
 EDGE_EPS = 1e-9
@@ -143,8 +142,7 @@ class AngleIndexSet:
 
     def as_array(self) -> np.ndarray:
         """(w, 3) int64 array of 0-based vertex indices."""
-        flat = chain.from_iterable(self.triples)  # np.asarray of tuples is slower
-        return np.fromiter(flat, np.int64, 3 * len(self.triples)).reshape(-1, 3) - 1
+        return zero_based(self.triples, 3)
 
     def validate_for(self, g: Graph) -> None:
         """Require both edges of every triple to exist in g.
@@ -189,20 +187,6 @@ class RigidityReport:
     nullspace_dim: int
     verdict: bool
     tol: float
-
-    def as_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "rows": self.rows,
-            "cols": self.cols,
-            "rank": self.rank,
-            "nullspace_dim": self.nullspace_dim,
-            "verdict": self.verdict,
-            "tol": self.tol,
-        }
-        tail = self.singular_values[-4:]
-        d["singular_value_tail"] = list(tail)
-        return d
 
 
 class RankInfo(NamedTuple):

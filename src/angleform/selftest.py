@@ -1,7 +1,8 @@
 """Embedded property suites backing the `selftest` CLI command.
 
-Each check is a named callable returning (passed, detail). Checks use
-fixed seeds so the suite is reproducible. They mirror the library's
+Each check is a check_<name> function returning (passed, detail); the
+suite runs them in definition order. Checks use fixed seeds so the suite
+is reproducible. They mirror the library's
 documented invariants: operator identities, finite-difference gradient
 agreement, rank characterizations, control-law symmetries, conservation
 along the flow, and file-format round trips. The random-framework
@@ -15,6 +16,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import _kernels
+from .errors import NonPositiveSeries
 from .formation import (
     FormationSpec,
     IntegratorConfig,
@@ -178,6 +180,9 @@ def check_projection_annihilates():
         P = projection(v)
         worst = max(worst, float(np.max(np.abs(P @ v))))
         worst = max(worst, float(np.max(np.abs(P @ P - P))))
+        # symmetric, and the identity on perp(v): orthogonal and rank one
+        worst = max(worst, float(np.max(np.abs(P - P.T))))
+        worst = max(worst, float(np.max(np.abs(P @ perp(v) - perp(v)))))
     return worst < 1e-12, f"projector deviation {worst:.2e}"
 
 
@@ -370,10 +375,12 @@ def check_shape_class_recovery():
         xi = rng.uniform(-3, 3, size=2)
         q = Configuration(c * (p.pts @ R.T) + xi)
         rep = shape_class_membership(p, q)
-        if not rep.member:
+        fit = rep.transform
+        refit = fit.scale * (p.pts @ fit.rotation.T) + fit.translation
+        if not rep.member or not np.allclose(refit, q.pts):
             return False, "constructed similarity not recognized"
         worst = max(worst, rep.residual)
-    return True, f"max residual {worst:.2e}"
+    return worst < 1e-12, f"max residual {worst:.2e}"
 
 
 def check_congruence_implies_membership():
@@ -551,6 +558,13 @@ def check_decay_fit():
     v = 3.0 * np.exp(-0.7 * t)
     gamma = decay_rate_fit(t, v)
     ok = abs(gamma - 0.7) < 1e-9
+    try:
+        decay_rate_fit(t, np.zeros_like(t))
+        return False, "a zero series was fitted"
+    except NonPositiveSeries:
+        pass
+    # a series under the floor after its first sample decays at +inf
+    ok = ok and decay_rate_fit(t, np.where(t > 0, 1e-20, 1.0)) == np.inf
     spec = FormationSpec(_FAN, _PENT)
     res = simulate(spec, PerturbationSpec(0.3, 5).sample(_PENT), IntegratorConfig(t_final=10.0))
     ok = ok and res.decay_rate > 0
@@ -605,40 +619,11 @@ def check_csv_roundtrip():
     return worst < 1e-9, f"max recomputed-cost gap {worst:.2e}"
 
 
+# every check_* function, in definition order, named without its prefix
 _CHECKS: List[Tuple[str, Callable]] = [
-    ("rotation_orthonormal", check_rotation_orthonormal),
-    ("reflection_involution", check_reflection_involution),
-    ("householder_involution", check_householder_involution),
-    ("householder_is_reflection", check_householder_is_reflection),
-    ("householder_fixes_perp", check_householder_fixes_perp),
-    ("projection_annihilates", check_projection_annihilates),
-    ("perp_rotation", check_perp_rotation),
-    ("incidence_row_sums", check_incidence_row_sums),
-    ("incidence_rank_components", check_incidence_rank_components),
-    ("laman_roundtrip", check_laman_roundtrip),
-    ("leader_laplacian_blocks", check_leader_laplacian_blocks),
-    ("bearing_matrix_gradient", check_bearing_matrix_gradient),
-    ("angle_matrix_gradient", check_angle_matrix_gradient),
-    ("control_is_negative_gradient", check_control_is_negative_gradient),
-    ("trivial_motions_in_nullspace", check_trivial_motions_in_nullspace),
-    ("angle_bearing_equivalence", check_angle_bearing_equivalence),
-    ("rank_scale_invariance", check_rank_scale_invariance),
-    ("shape_class_recovery", check_shape_class_recovery),
-    ("congruence_implies_membership", check_congruence_implies_membership),
-    ("full_set_completeness", check_full_set_completeness),
-    ("minimal_set_counts", check_minimal_set_counts),
-    ("minimal_subset_of_triangle_set", check_minimal_subset_of_triangle_set),
-    ("algorithm1_output_rigid", check_algorithm1_output_rigid),
-    ("kite_global_distinguishes", check_kite_global_distinguishes),
-    ("control_dual_form", check_control_dual_form),
-    ("equivariance", check_equivariance),
-    ("degenerate_freeze", check_degenerate_freeze),
-    ("energy_descent", check_energy_descent),
-    ("centroid_scale_conserved", check_centroid_scale_conserved),
-    ("decay_fit", check_decay_fit),
-    ("monitors_translation", check_monitors_translation),
-    ("backend_agreement", check_backend_agreement),
-    ("csv_roundtrip", check_csv_roundtrip),
+    (name.removeprefix("check_"), fn)
+    for name, fn in globals().items()
+    if name.startswith("check_")
 ]
 
 

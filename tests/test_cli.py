@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import functools
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from angleform import _kernels, cli, graph
 from angleform.errors import ParseError, ValidationError
-from angleform.formation import FormationSpec, IntegratorConfig, cost_VF, simulate
+from angleform.formation import FormationSpec, IntegratorConfig, simulate
 from angleform.geometry import angle_terms
 from angleform.graph import Graph, build_laman
 from angleform.index_sets import laman_minimal_set
@@ -666,24 +667,26 @@ def test_shipped_scenarios_simulate_alike_on_both_backends(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("name", ["numpy", "c"])
 def test_record_stride_far_past_t_final(tmp_path, monkeypatch, name):
-    # a separate process: at 1e300 the C kernel once took a modulus by 0,
-    # and the signal would end the test run
-    backend = _backend(name)
+    monkeypatch.setattr(_kernels, "_active", _backend(name))
     doc = _base_doc()
     doc["integrator"] = {"h": 0.01, "t_final": 1.0, "record_stride": 1e300}
     sc = _write(tmp_path, doc, "far.json")
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    env[_kernels.ENV_FLAG] = "0" if name == "numpy" else "1"
-    proc = subprocess.run(
-        [sys.executable, "-m", "angleform", "simulate", "--scenario", str(sc),
-         "--out", str(tmp_path / "far")],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    far = {f.name: f.read_bytes() for f in (tmp_path / "far").iterdir()}
+    if name == "numpy":
+        far = _simulated(sc, tmp_path / "far")
+    else:
+        # a separate process: at 1e300 the C kernel once took a modulus
+        # by 0, and the signal would end the test run
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               _kernels.ENV_FLAG: "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "angleform", "simulate", "--scenario", str(sc),
+             "--out", str(tmp_path / "far")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        far = {f.name: f.read_bytes() for f in (tmp_path / "far").iterdir()}
     assert f"backend={name}\n".encode() in far["report.txt"]
     # the same files as a stride of exactly t_final: samples at 0 and 1
-    monkeypatch.setattr(_kernels, "_active", backend)
     doc["integrator"]["record_stride"] = 1.0
     at = _simulated(_write(tmp_path, doc, "at.json"), tmp_path / "at")
     for f in ("trajectory.csv", "cost.csv"):
@@ -805,21 +808,15 @@ def test_mutated_shipped_scenario_exits_with_a_documented_code(
 
 
 def test_cost_csv_roundtrips_against_trajectory(tmp_path):
-    sc = cli.load_scenario(_write(tmp_path, _base_doc()))
-    out_dir = tmp_path / "run"
-    cli.main(
-        ["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(out_dir)]
-    )
-    spec = FormationSpec(sc.graph, sc.base, cli.resolve_angle_set(sc))
-    traj_rows = (out_dir / "trajectory.csv").read_text().strip().splitlines()[1:]
-    cost_rows = (out_dir / "cost.csv").read_text().strip().splitlines()[1:]
+    # the centroid columns recompute from trajectory.csv; the V_F column
+    # is test_cost_csv_vf_is_the_trajectory_series
+    files = _simulated(_write(tmp_path, _base_doc()), tmp_path / "run")
+    traj_rows = files["trajectory.csv"].decode().splitlines()[1:]
+    cost_rows = files["cost.csv"].decode().splitlines()[1:]
     for trow, crow in zip(traj_rows, cost_rows):
-        tvals = [float(x) for x in trow.split(",")]
+        pts = np.array([float(x) for x in trow.split(",")[1:]]).reshape(5, 2)
         cvals = [float(x) for x in crow.split(",")]
-        p = Configuration(np.asarray(tvals[1:]).reshape(5, 2))
-        assert abs(cost_VF(spec, p) - cvals[1]) < 1e-9
-        # centroid and scale columns recompute as well
-        assert np.allclose(p.pts.mean(axis=0), cvals[4:6], atol=1e-12)
+        assert np.allclose(pts.mean(axis=0), cvals[4:6], atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -1396,40 +1393,11 @@ def _files(root):
     }
 
 
-def test_main_calls_in_one_process_match_fresh_interpreters(
-    tmp_path, monkeypatch, capsys
-):
-    """No argument or default carries over from one main() call to the
-    next through the kept parser: each call in this process writes the
-    stdout, stderr, exit code and files of the same call in a fresh
-    interpreter."""
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it
-    calls = _calls(tmp_path)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    fresh = []
-    for argv in calls:
-        proc = subprocess.run([sys.executable, "-m", "angleform", *argv],
-                              capture_output=True, text=True, env=env)
-        fresh.append((proc.returncode, proc.stdout, proc.stderr))
-    fresh_files = _files(tmp_path / "out")
-    (tmp_path / "fresh").mkdir()
-    (tmp_path / "out").rename(tmp_path / "fresh" / "out")
-
-    for argv, want in zip(calls, fresh):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # an argparse usage error
-            code = exc.code
-        got = capsys.readouterr()
-        assert (code, got.out, got.err) == want, argv
-    assert _files(tmp_path / "out") == fresh_files
-    assert fresh[5][0] == 2 and "usage: angleform analyze" in fresh[5][2]
-    assert fresh[4][1].startswith("validation error: --seed-override")
-
-
-def test_parser_is_built_once_and_not_at_import():
-    code = f"""
-import argparse, contextlib, io
+# A fresh interpreter counts the argument parsers made by importing the
+# CLI, then runs each call in a fork of itself: every call starts as in
+# a fresh interpreter of its own, and only one starts.
+FORKED_CALLS = """
+import argparse, json, os, sys, tempfile
 made = []
 init = argparse.ArgumentParser.__init__
 def counted(self, *args, **kwargs):
@@ -1437,16 +1405,79 @@ def counted(self, *args, **kwargs):
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counted
 import angleform.cli as cli
-print(len(made))
-for argv in (["indexset", "--scenario", {str(SCENARIOS / "example1.json")!r}],
-             ["analyze", "--scenario", {str(SCENARIOS / "example2.json")!r}]) * 3:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0
-    print(made.count("angleform"), len(made))
+rows = [len(made)]
+for argv in json.loads(sys.argv[1]):
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        pid = os.fork()
+        if pid == 0:
+            os.dup2(out.fileno(), 1)
+            os.dup2(err.fileno(), 2)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # an argparse usage error
+                code = exc.code
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        out.seek(0)
+        err.seek(0)
+        rows.append([code, out.read().decode(), err.read().decode()])
+print(json.dumps(rows))
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+
+
+@pytest.fixture(scope="module")
+def forked_calls(tmp_path_factory):
+    """(root, calls, parsers made at import, (code, stdout, stderr) of each
+    call in a fresh interpreter); the calls' files are in root / "fresh"."""
+    root = tmp_path_factory.mktemp("calls")
+    calls = _calls(root)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "COLUMNS": "80"}  # argparse wraps usage to it
+    proc = subprocess.run([sys.executable, "-c", FORKED_CALLS, json.dumps(calls)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    # none at import; then one parser and its four verb subparsers, kept
-    assert proc.stdout.split("\n") == ["0"] + ["1 5"] * 6 + [""]
+    at_import, *fresh = json.loads(proc.stdout)
+    (root / "out").rename(root / "fresh")
+    return root, calls, at_import, [tuple(row) for row in fresh]
+
+
+def test_main_calls_in_one_process_match_fresh_interpreters(
+    forked_calls, monkeypatch, capsys
+):
+    """No argument or default carries over from one main() call to the
+    next through the kept parser: each call in this process writes the
+    stdout, stderr, exit code and files of the same call in a fresh
+    interpreter."""
+    root, calls, _, fresh = forked_calls
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, want in zip(calls, fresh):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            code = exc.code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == want, argv
+    assert _files(root / "out") == _files(root / "fresh")
+    assert fresh[5][0] == 2 and "usage: angleform analyze" in fresh[5][2]
+    assert fresh[4][1].startswith("validation error: --seed-override")
+
+
+def test_parser_is_built_once_and_not_at_import(forked_calls, monkeypatch):
+    assert forked_calls[2] == 0  # none at import
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    for argv in (["indexset", "--scenario", str(SCENARIOS / "example1.json")],
+                 ["analyze", "--scenario", str(SCENARIOS / "example2.json")]) * 3:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        # one parser and its four verb subparsers, kept
+        assert (made.count("angleform"), len(made)) == (1, 5)

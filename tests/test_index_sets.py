@@ -14,7 +14,6 @@ from angleform.graph import (
     LamanConstruction,
     build_laman,
     neighbors,
-    recognize_triangulated_laman,
 )
 from angleform.index_sets import (
     algorithm1_set,
@@ -30,7 +29,6 @@ from angleform.rigidity import (
     is_infinitesimally_angle_rigid,
     is_infinitesimally_bearing_rigid,
     is_strongly_nondegenerate,
-    angle_rigidity_function,
 )
 from helpers import (
     disjoint_union,
@@ -75,26 +73,6 @@ def test_fan_lists_match_known_values(fan5):
         (2, 1, 3), (3, 1, 4), (4, 1, 5),
     )
     assert triangle_formation_set(fan5).triples == laman_minimal_set(c).triples
-
-
-def test_kite_global_set():
-    # out-of-label-order construction: the extra triple disambiguates the
-    # fold of vertex 3 across the (1, 4) axis
-    kite = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
-    c = recognize_triangulated_laman(kite)
-    tstar = laman_minimal_set(c)
-    tbar = laman_global_set(c)
-    assert set(tbar.triples) - set(tstar.triples) == {(1, 2, 3)}
-    p = Configuration([[0.0, 1.0], [-1.0, 0.1], [1.3, 0.0], [0.0, -1.0]])
-    q_pts = p.pts.copy()
-    q_pts[2, 0] = -q_pts[2, 0]  # reflect vertex 3 across the y axis
-    q = Configuration(q_pts)
-    f_p = angle_rigidity_function(kite, p, tstar)
-    f_q = angle_rigidity_function(kite, q, tstar)
-    assert np.max(np.abs(f_p - f_q)) < 1e-12
-    g_p = angle_rigidity_function(kite, p, tbar)
-    g_q = angle_rigidity_function(kite, q, tbar)
-    assert np.max(np.abs(g_p - g_q)) > 1e-3
 
 
 @pytest.mark.parametrize("n", range(3, 12))

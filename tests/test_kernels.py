@@ -18,8 +18,6 @@ from angleform.formation import (
     FormationSpec,
     Maneuver,
     PerturbationSpec,
-    control_uF,
-    control_uM,
     cost_VF,
 )
 from angleform.geometry import angle_terms
@@ -55,37 +53,25 @@ def _spec():
 
 
 def _integrate_args(spec, pos, **over):
-    base = dict(
-        h=1e-3,
-        n_steps=2000,
-        record_every=100,
-        lead_a=-1,
-        lead_b=-1,
-        dsx=0.0,
-        dsy=0.0,
-        blowup_limit=1e9,
-        edge_eps=1e-9,
-        cost_tol=1e-14,
-        grad_tol=1e-10,
-    )
+    """integrate's arguments for spec's law and leaders from pos: 2000
+    steps of 1e-3, every 100th recorded, unless overridden."""
+    (lead_a, lead_b), (dsx, dsy) = spec._lead, spec._dstar.tolist()
+    base = dict(h=1e-3, n_steps=2000, record_every=100, lead_a=lead_a, lead_b=lead_b,
+                dsx=dsx, dsy=dsy)
+    return _law_args(pos, spec._tri, spec.target_cosines, spec._edges, **{**base, **over})
+
+
+def _law_args(pos, tri, cstar, edges, **over):
+    """integrate's arguments for the 0-based triples tri with target
+    cosines cstar on the 0-based graph edges: 50 steps of 1e-2, each one
+    recorded, no leaders, unless overridden."""
+    base = dict(h=1e-2, n_steps=50, record_every=1, lead_a=-1, lead_b=-1, dsx=0.0,
+                dsy=0.0, blowup_limit=1e9, edge_eps=EDGE_EPS, cost_tol=1e-14,
+                grad_tol=1e-10)
     base.update(over)
-    return (
-        pos,
-        spec._tri,
-        spec.target_cosines,
-        spec._edges,
-        base["h"],
-        base["n_steps"],
-        base["record_every"],
-        base["lead_a"],
-        base["lead_b"],
-        base["dsx"],
-        base["dsy"],
-        base["blowup_limit"],
-        base["edge_eps"],
-        base["cost_tol"],
-        base["grad_tol"],
-    )
+    tri = np.asarray(tri, dtype=np.int64).reshape(-1, 3)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return (pos, tri, np.asarray(cstar, dtype=float), edges, *base.values())
 
 
 def test_numpy_backend_exists():
@@ -94,37 +80,12 @@ def test_numpy_backend_exists():
     assert _kernels.backend_name() in ("numpy", "c")
 
 
-def test_control_parity(compiled):
-    npb = _kernels.make_numpy_backend()
-    spec = _spec()
-    rng = np.random.default_rng(40)
-    for _ in range(10):
-        pos = PENT.pts + rng.uniform(-0.4, 0.4, (5, 2))
-        args = (pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, 1e-9)
-        _assert_controls_agree(compiled.eval_control(*args), npb.eval_control(*args))
-
-
-def test_integrate_parity(compiled):
-    npb = _kernels.make_numpy_backend()
-    spec = _spec()
-    pos = PerturbationSpec(0.3, 11).sample(PENT).pts
-    args = _integrate_args(spec, pos)
-    _assert_runs_agree(compiled.integrate(*args), npb.integrate(*args))
-
-
 def _assert_bits(got, want):
     """Equal values and equal zero signs."""
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-def _assert_controls_agree(c_eval, np_eval):
-    """Two eval_control results (u, cost, ok), bit for bit."""
-    assert c_eval[2] == np_eval[2]
-    _assert_bits(c_eval[0], np_eval[0])
-    _assert_bits(c_eval[1], np_eval[1])
 
 
 def _assert_runs_agree(c_run, np_run):
@@ -138,52 +99,54 @@ def _assert_runs_agree(c_run, np_run):
     _assert_bits(vf1[:n1], vf2[:n2])
 
 
+def _vf_series(traj, tri, cstar):
+    """V_F of each snapshot, recomputed: angle_terms, then the kernels'
+    sequential sum."""
+    if not len(tri):
+        return np.zeros(len(traj))
+    d = angle_terms(traj, tri)[0] - cstar
+    return np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
+
+
+def _assert_parity(args):
+    """integrate(*args) on numpy, and on C wherever a compiler is: each
+    run records the V_F of its own trajectory, and C equals numpy bit for
+    bit, in the run and in the control evaluation at its start. Returns
+    the numpy run."""
+    npb, *cb = _backends()
+    runs = [b.integrate(*args) for b in (npb, *cb)]
+    for _, traj, n_rec, status, _, vf in runs:
+        # a collision stop leaves its last snapshot unevaluated
+        n = n_rec - (status == _kernels.STATUS_COINCIDENT)
+        _assert_bits(vf[:n], _vf_series(traj[:n], args[1], args[2]))
+    law = (*args[1:3], *args[7:11], args[12])
+    for b, run in zip(cb, runs[1:]):
+        (u1, cost1, ok1), (u2, cost2, ok2) = (x.eval_control(args[0], *law) for x in (b, npb))
+        assert ok1 == ok2
+        _assert_bits(u1, u2)
+        _assert_bits(cost1, cost2)
+        _assert_runs_agree(run, runs[0])
+    return runs[0]
+
+
 @needs_cc
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(4, 40),
+    angle_set=st.sampled_from([laman_minimal_set, laman_global_set]),
     leaders=st.booleans(),
     h=st.sampled_from([1e-3, 4e-3]),
     record_every=st.sampled_from([1, 7, 40]),
 )
-def test_kernel_parity_property(seed, n, leaders, h, record_every):
-    """C and numpy agree on a random vertex-insertion framework; the
-    runs stay short and start far from cost_tol, so no draw converges
-    near the threshold."""
-    rng = np.random.default_rng(seed)
-    c = random_construction(rng, n)
-    g = build_laman(c)
-    target = nondegenerate_points(rng, g)
-    maneuver = None
-    if leaders:
-        a, b = g.edges[int(rng.integers(g.m))]
-        maneuver = Maneuver(LeaderPair(a, b), tuple(rng.uniform(-1.0, 1.0, 2)))
-    spec = FormationSpec(g, target, laman_minimal_set(c), maneuver)
-    p = Configuration(target.pts + rng.uniform(-0.05, 0.05, (n, 2)))
-    cb = _kernels.make_c_backend()
-
-    u, cost, ok = cb.eval_control(
-        p.pts, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
-    )
-    assert ok
-    _assert_bits(u.reshape(-1), control_uF(spec, p))
-    _assert_bits(cost, cost_VF(spec, p))
-    if leaders:
-        u, _, _ = cb.eval_control(
-            p.pts, spec._tri, spec.target_cosines, *spec._lead, *spec._dstar,
-            EDGE_EPS,
-        )
-        _assert_bits(u.reshape(-1), control_uM(spec, p))
-
-    args = _integrate_args(
-        spec, p.pts, h=h, n_steps=60, record_every=record_every,
-        lead_a=spec._lead[0], lead_b=spec._lead[1],
-        dsx=float(spec._dstar[0]), dsy=float(spec._dstar[1]),
-    )
-    c_run = cb.integrate(*args)
-    assert c_run[3] == _kernels.STATUS_RAN  # no draw nears cost_tol
-    _assert_runs_agree(c_run, _kernels._integrate_np(*args))
+def test_kernel_parity_property(seed, n, angle_set, leaders, h, record_every):
+    """C and numpy agree, and record the V_F of their trajectories, on a
+    random vertex-insertion framework under either Laman set; the runs
+    stay short and start far from cost_tol, so no draw converges near the
+    threshold."""
+    pos, spec = _insertion_framework(seed, leaders, n, angle_set)
+    args = _integrate_args(spec, pos, h=h, n_steps=60, record_every=record_every)
+    assert _assert_parity(args)[3] == _kernels.STATUS_RAN
 
 
 @needs_cc
@@ -194,53 +157,20 @@ def test_kernel_parity_stops(case):
     man = Maneuver(LeaderPair(3, 4), (0.5, 0.0))
     spec = FormationSpec(FAN, PENT, maneuver=man)
     pos = PerturbationSpec(0.2, 15).sample(PENT).pts.copy()
-    over = dict(lead_a=2, lead_b=3, dsx=0.5, dsy=0.0)
     if case == "collision":
         pos[4] = pos[3]  # (4, 5) is an edge
-        want = _kernels.STATUS_COINCIDENT
+        over, want = {}, _kernels.STATUS_COINCIDENT
     else:
-        over["blowup_limit"] = 0.5 * float(np.max(np.abs(pos)))
+        over = {"blowup_limit": 0.5 * float(np.max(np.abs(pos)))}
         want = _kernels.STATUS_NONFINITE
-    args = _integrate_args(spec, pos, **over)
-    c_run = _kernels.make_c_backend().integrate(*args)
-    assert c_run[3] == want
-    _assert_runs_agree(c_run, _kernels._integrate_np(*args))
-
-
-def test_record_grid_and_final_sample():
-    spec = _spec()
-    pos = PerturbationSpec(0.2, 12).sample(PENT).pts
-    for b in _backends():
-        times, traj, n_rec, status, t_stop, _ = b.integrate(
-            *_integrate_args(spec, pos, n_steps=250, record_every=100)
-        )
-        # grid records at 0, 0.1, 0.2 plus the off-grid final state at 0.25
-        assert status == _kernels.STATUS_RAN, b.name
-        assert n_rec == 4, b.name
-        assert np.allclose(times[:4], [0.0, 0.1, 0.2, 0.25]), b.name
-
-
-def test_status_converged():
-    spec = _spec()
-    for b in _backends():
-        # start exactly at the target: step 0 meets any sane tolerance
-        times, traj, n_rec, status, t_stop, _ = b.integrate(
-            *_integrate_args(spec, PENT.pts.copy(), cost_tol=1e-8, grad_tol=1e-4)
-        )
-        assert status == _kernels.STATUS_CONVERGED, b.name
-        assert t_stop == 0.0, b.name
+    assert _assert_parity(_integrate_args(spec, pos, **over))[3] == want
 
 
 def test_status_coincident():
-    spec = _spec()
     pos = PENT.pts.copy()
     pos[1] = pos[0]  # (1, 2) is an edge
-    for b in _backends():
-        times, traj, n_rec, status, t_stop, _ = b.integrate(
-            *_integrate_args(spec, pos)
-        )
-        assert status == _kernels.STATUS_COINCIDENT, b.name
-        assert t_stop == 0.0, b.name
+    run = _assert_parity(_integrate_args(_spec(), pos))
+    assert (run[3], run[4]) == (_kernels.STATUS_COINCIDENT, 0.0)
 
 
 def test_numpy_control_refuses_coincident_silently():
@@ -255,24 +185,10 @@ def test_numpy_control_refuses_coincident_silently():
 
 
 def test_status_nonfinite():
-    spec = _spec()
     pos = PerturbationSpec(0.2, 13).sample(PENT).pts
-    for b in _backends():
-        # a blow-up limit below the configuration radius trips immediately
-        times, traj, n_rec, status, t_stop, _ = b.integrate(
-            *_integrate_args(spec, pos, blowup_limit=0.1)
-        )
-        assert status == _kernels.STATUS_NONFINITE, b.name
-        assert t_stop == pytest.approx(1e-3), b.name
-
-
-def test_integrate_deterministic():
-    spec = _spec()
-    pos = PerturbationSpec(0.3, 14).sample(PENT).pts
-    for b in _backends():
-        r1 = b.integrate(*_integrate_args(spec, pos, n_steps=500))
-        r2 = b.integrate(*_integrate_args(spec, pos, n_steps=500))
-        assert np.array_equal(r1[1][: r1[2]], r2[1][: r2[2]]), b.name
+    # a blow-up limit below the configuration radius trips immediately
+    run = _assert_parity(_integrate_args(_spec(), pos, blowup_limit=0.1))
+    assert run[3] == _kernels.STATUS_NONFINITE and run[4] == pytest.approx(1e-3)
 
 
 @needs_cc
@@ -304,31 +220,23 @@ def test_c_cached_load_starts_no_compiler(monkeypatch):
 
 
 @needs_cc
-def test_c_build_skips_unwritable_cache_dir(monkeypatch, tmp_path):
+def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
+    """A build goes to the first usable cache directory and keeps the
+    newest builds there by mtime, itself among them, so checkouts used in
+    turn do not rebuild each other's away; other files stay."""
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
-    usable = tmp_path / "cache"
-    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [blocker / "sub", usable])
-    b = _kernels.make_c_backend()
-    assert b.name == "c"
-    built = list(usable.iterdir())
-    assert [p.name for p in built] == [_kernels._library_name()]
-
-
-@needs_cc
-def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
-    """A build keeps the newest builds by mtime, itself among them, so
-    checkouts used in turn do not rebuild each other's away."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
     kept = _kernels._KEPT_BUILDS
-    stale = [tmp_path / f"_kernels-{i:08x}.so" for i in range(kept + 2)]
+    stale = [cache / f"_kernels-{i:08x}.so" for i in range(kept + 2)]
     for age, path in enumerate(stale):
         path.write_bytes(b"another build")
         os.utime(path, (1e9 + age, 1e9 + age))
-    unrelated = tmp_path / "notes.txt"
-    unrelated.write_text("kept")
-    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path])
+    (cache / "notes.txt").write_text("kept")
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [blocker / "sub", cache])
     assert _kernels.make_c_backend().name == "c"
-    names = sorted(p.name for p in tmp_path.iterdir())
+    names = sorted(p.name for p in cache.iterdir())
     newest = [p.name for p in stale[-(kept - 1):]]
     assert names == sorted([_kernels._library_name(), "notes.txt", *newest])
 
@@ -398,13 +306,14 @@ def test_fallback_to_numpy_warns(monkeypatch, tmp_path, compiler, reason):
     if compiler is not None:
         compiler = shutil.which(compiler) or pytest.skip("no `false` command")
     monkeypatch.delenv(_kernels.ENV_FLAG, raising=False)
-    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path])
+    # a build makes the missing cache directory before its compiler fails
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path / "cache"])
     monkeypatch.setattr(_kernels, "find_compiler", lambda: compiler)
     with pytest.warns(RuntimeWarning, match=reason) as record:
         b = _kernels._select()
     assert b.name == "numpy"
     assert len(record) == 1
-    assert list(tmp_path.iterdir()) == []  # the failed build left nothing
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))  # the build left nothing
 
 
 @needs_cc
@@ -427,30 +336,12 @@ def test_c_refuses_out_of_range_indices():
 # ---------------------------------------------------------------------
 
 
-def _assert_matches_oracle(pos, tri, cstar, edges, lead=(-1, -1), ds=(0.0, 0.0),
-                           h=1e-2, n_steps=50, edge_eps=EDGE_EPS):
-    """C eval_control and an n_steps C integrate recording every step
-    are bit-equal to the numpy backend's; returns the integrate's
-    (status, t_stop)."""
-    law = (
-        np.asarray(tri, dtype=np.int64).reshape(-1, 3),
-        np.asarray(cstar, dtype=float),
-        *lead, *ds, edge_eps,
-    )
-    args = (pos, law[0], law[1], np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-            h, n_steps, 1, *lead, *ds, 1e9, edge_eps, 1e-14, 1e-10)
-    cb, npb = _kernels.make_c_backend(), _kernels.make_numpy_backend()
-    _assert_controls_agree(cb.eval_control(pos, *law), npb.eval_control(pos, *law))
-    run = cb.integrate(*args)
-    _assert_runs_agree(run, npb.integrate(*args))
-    return run[3], run[4]
-
-
-def _insertion_framework(seed, leaders=False):
-    """A random vertex-insertion framework under its global angle set,
-    started near its target: (pos, spec)."""
+def _insertion_framework(seed, leaders=False, n=None, angle_set=laman_global_set):
+    """A random vertex-insertion framework of n agents (5 to 15 drawn if
+    None) under one of its Laman sets, started near its target: (pos,
+    spec)."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 16))
+    n = n or int(rng.integers(5, 16))
     c = random_construction(rng, n)
     g = build_laman(c)
     target = nondegenerate_points(rng, g)
@@ -458,27 +349,12 @@ def _insertion_framework(seed, leaders=False):
     if leaders:
         a, b = g.edges[int(rng.integers(g.m))]
         maneuver = Maneuver(LeaderPair(a, b), tuple(rng.uniform(-1.0, 1.0, 2)))
-    spec = FormationSpec(g, target, laman_global_set(c), maneuver)
+    spec = FormationSpec(g, target, angle_set(c), maneuver)
     return target.pts + rng.uniform(-0.05, 0.05, (n, 2)), spec
 
 
 def _law_of(spec):
     return spec._tri, spec.target_cosines, spec._edges
-
-
-@needs_cc
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_c_kernels_bit_exact_on_insertion_frameworks(seed):
-    pos, spec = _insertion_framework(seed)
-    assert _assert_matches_oracle(pos, *_law_of(spec))[0] == _kernels.STATUS_RAN
-
-
-@needs_cc
-def test_c_kernels_bit_exact_with_leaders():
-    pos, spec = _insertion_framework(3, leaders=True)
-    lead, ds = spec._lead, tuple(float(x) for x in spec._dstar)
-    assert lead[0] >= 0
-    _assert_matches_oracle(pos, *_law_of(spec), lead=lead, ds=ds)
 
 
 # a 3 x 3 grid of integer points, each joined to its square and
@@ -496,8 +372,8 @@ GRID_EDGES = [
 def test_c_kernels_bit_exact_on_axis_aligned_points(cstar):
     g = Graph.from_edges(9, [(i + 1, j + 1) for i, j in GRID_EDGES])
     tri = full_angle_set(g).as_array()
-    _assert_matches_oracle(GRID, tri, np.full(len(tri), cstar), GRID_EDGES,
-                           n_steps=20)
+    _assert_parity(_law_args(GRID, tri, np.full(len(tri), cstar), GRID_EDGES,
+                             n_steps=20))
 
 
 @needs_cc
@@ -505,7 +381,7 @@ def test_c_kernels_bit_exact_on_a_side_run_both_ways():
     # (0, 1) runs 0 -> 1 in the first triple and 1 -> 0 in the next two
     tri = [[0, 1, 2], [1, 0, 2], [1, 3, 0], [2, 0, 3]]
     pos = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 1.2], [1.4, 0.9]])
-    _assert_matches_oracle(pos, tri, [0.2, 0.4, -0.1, 0.6], [[0, 1], [0, 2], [1, 2]])
+    _assert_parity(_law_args(pos, tri, [0.2, 0.4, -0.1, 0.6], [[0, 1], [0, 2], [1, 2]]))
 
 
 @needs_cc
@@ -518,7 +394,7 @@ def test_c_control_stops_at_the_same_triple():
         pos, tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
     )
     assert not ok and cost == 0.0 and not np.any(u)  # no partial sums
-    _assert_matches_oracle(pos, *_law_of(spec))
+    _assert_parity(_law_args(pos, *_law_of(spec)))
 
 
 @needs_cc
@@ -527,18 +403,14 @@ def test_c_kernels_bit_exact_at_a_coincident_stop():
     edge here, so a control evaluation stops the run."""
     pos, spec = _insertion_framework(5)
     tri, cstar, _ = _law_of(spec)
-    args = (pos, tri, cstar, _kernels._NO_EDGES, 1e-2, 50, 1, -1, -1, 0.0, 0.0,
-            1e9, EDGE_EPS, 1e-14, 1e-10)
-    traj = _kernels.make_numpy_backend().integrate(*args)[1]
+    traj = _kernels._integrate_np(*_law_args(pos, tri, cstar, _kernels._NO_EDGES))[1]
     sides = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]]])
     gaps = traj[:, sides[:, 0]] - traj[:, sides[:, 1]]
     lengths = np.hypot(gaps[..., 0], gaps[..., 1])  # (steps + 1, 2w)
     assert np.any(lengths[25] < lengths[0])
     edge_eps = float(np.min(lengths[25]))
-    status, t_stop = _assert_matches_oracle(
-        pos, tri, cstar, _kernels._NO_EDGES, edge_eps=edge_eps
-    )
-    assert status == _kernels.STATUS_COINCIDENT and 0.0 < t_stop < 0.5
+    run = _assert_parity(_law_args(pos, tri, cstar, _kernels._NO_EDGES, edge_eps=edge_eps))
+    assert run[3] == _kernels.STATUS_COINCIDENT and 0.0 < run[4] < 0.5
 
 
 # ---------------------------------------------------------------------
@@ -588,7 +460,7 @@ def test_side_table_edge_cases(name):
     rng = np.random.default_rng(9)
     pos = rng.uniform(-2.0, 2.0, (6, 2))
     cstar = rng.uniform(-0.5, 0.5, len(tri))
-    _assert_matches_oracle(pos, tri, cstar, edges, lead=(0, 1), ds=(0.3, -0.2))
+    _assert_parity(_law_args(pos, tri, cstar, edges, lead_a=0, lead_b=1, dsx=0.3, dsy=-0.2))
 
 
 @needs_cc
@@ -609,10 +481,10 @@ def test_stage_evaluations_fail_only_on_triple_sides(pair):
         # its target is met at the start, so it adds no control there
         tri = np.vstack([tri, [[5, 1, 0]]])
         cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
-    status, t_stop = _assert_matches_oracle(
+    status, t_stop = _assert_parity(_law_args(
         pos, tri, cstar, np.vstack([spec._edges, [[1, 5]]]), h=h, n_steps=5,
         edge_eps=1.75 * h * float(np.hypot(*u[1])),
-    )
+    ))[3:5]
     assert status == _kernels.STATUS_COINCIDENT
     assert t_stop == (h if pair == "graph-edge" else 0.0)
 
@@ -627,7 +499,7 @@ def test_step_start_evaluation_fails_on_a_triple_side_off_the_graph():
     pos = np.vstack([pos, pos[1]])
     tri = np.vstack([spec._tri, [[5, 1, 0]]])
     cstar = np.append(spec.target_cosines, 0.5)
-    status, t_stop = _assert_matches_oracle(pos, tri, cstar, spec._edges)
+    status, t_stop = _assert_parity(_law_args(pos, tri, cstar, spec._edges))[3:5]
     assert status == _kernels.STATUS_COINCIDENT
     assert t_stop == 0.0
 
@@ -656,10 +528,10 @@ def test_collapse_parity_on_each_kind_of_pair(pair, when):
         cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
     if pair == "side-off-graph":
         edges = edges[1:]
-    status, t_stop = _assert_matches_oracle(
+    status, t_stop = _assert_parity(_law_args(
         pos, tri, cstar, edges, h=h, n_steps=5,
         edge_eps=1.75 * h * float(np.hypot(*u[0])),
-    )
+    ))[3:5]
     assert status == _kernels.STATUS_COINCIDENT
     # a swept edge is seen at a step's start, a side at any stage
     assert t_stop == {"start": 0.0, "mid-run": h if pair == "uncovered-edge" else 0.0}[when]
@@ -711,58 +583,23 @@ def test_c_integrate_sweeps_exactly_the_uncovered_edges(monkeypatch):
 # ---------------------------------------------------------------------
 
 
-def _vf_series(run, tri, cstar):
-    """V_F of each snapshot of an integrate run, recomputed from its
-    trajectory: angle_terms, then the kernels' sequential sum."""
-    traj, n_rec = run[1], run[2]
-    if not len(tri):
-        return np.zeros(n_rec)
-    d = angle_terms(traj[:n_rec], tri)[0] - cstar
-    return np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
-
-
-def _assert_records_vf(args):
-    """Every backend records the recomputed V_F bit for bit, and C and
-    numpy agree on the whole run; returns the numpy run."""
-    runs = [b.integrate(*args) for b in _backends()]
-    for run in runs:
-        _assert_bits(run[5][: run[2]], _vf_series(run, args[1], args[2]))
-    _assert_runs_agree(runs[-1], runs[0])
-    return runs[0]
-
-
 def _shipped_spec(name):
     sc = load_scenario(SRC.parent / "scenarios" / name)
     spec = FormationSpec(sc.graph, sc.base, resolve_angle_set(sc), sc.maneuver)
     return sc.initial_configuration().pts, spec
 
 
-def _leader_args(spec):
-    lead, ds = spec._lead, spec._dstar
-    return dict(lead_a=lead[0], lead_b=lead[1], dsx=float(ds[0]), dsy=float(ds[1]))
-
-
 @pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])
 def test_vf_recorded_on_shipped_scenarios(name):
     pos, spec = _shipped_spec(name)
-    args = _integrate_args(spec, pos, n_steps=300, record_every=20,
-                           **_leader_args(spec))
-    run = _assert_records_vf(args)
+    run = _assert_parity(_integrate_args(spec, pos, n_steps=300, record_every=20))
     assert run[3] == _kernels.STATUS_RAN and run[2] == 16
     assert (spec.maneuver is not None) == (name == "example3.json")
 
 
-@pytest.mark.parametrize("seed, leaders", [(0, False), (1, True), (2, False), (3, True)])
-def test_vf_recorded_on_insertion_frameworks(seed, leaders):
-    pos, spec = _insertion_framework(seed, leaders)
-    args = _integrate_args(spec, pos, h=1e-2, n_steps=50, record_every=3,
-                           **_leader_args(spec))
-    assert _assert_records_vf(args)[3] == _kernels.STATUS_RAN
-
-
 def test_vf_recorded_at_a_convergence_at_step_0():
     args = _integrate_args(_spec(), PENT.pts.copy(), cost_tol=1e-8, grad_tol=1e-4)
-    run = _assert_records_vf(args)
+    run = _assert_parity(args)
     assert (run[2], run[3], run[4]) == (1, _kernels.STATUS_CONVERGED, 0.0)
 
 
@@ -770,21 +607,22 @@ def test_vf_recorded_at_a_convergence_off_the_record_grid():
     pos = PerturbationSpec(1e-4, 3).sample(PENT).pts
     args = _integrate_args(_spec(), pos, h=1e-2, record_every=7, cost_tol=2e-9,
                            grad_tol=1e-4)
-    run = _assert_records_vf(args)
+    run = _assert_parity(args)
     assert run[3] == _kernels.STATUS_CONVERGED
     assert run[0][run[2] - 1] == run[4] and round(run[4] / 1e-2) % 7 != 0
 
 
 def test_vf_recorded_when_record_every_leaves_a_final_sample():
     pos = PerturbationSpec(0.2, 12).sample(PENT).pts
-    run = _assert_records_vf(_integrate_args(_spec(), pos, n_steps=250,
-                                             record_every=100))
-    assert run[2] == 4 and run[0][3] == 0.25
+    run = _assert_parity(_integrate_args(_spec(), pos, n_steps=250, record_every=100))
+    # the grid at 0, 0.1 and 0.2, then the off-grid final state at 0.25
+    assert (run[2], run[3]) == (4, _kernels.STATUS_RAN) and run[0][3] == 0.25
+    assert np.allclose(run[0][:3], [0.0, 0.1, 0.2])
 
 
 def test_vf_recorded_for_no_steps():
     pos = PerturbationSpec(0.2, 12).sample(PENT).pts
-    run = _assert_records_vf(_integrate_args(_spec(), pos, n_steps=0))
+    run = _assert_parity(_integrate_args(_spec(), pos, n_steps=0))
     assert (run[2], run[3]) == (1, _kernels.STATUS_RAN)
     assert run[5][0] == cost_VF(_spec(), Configuration(pos))
 
@@ -793,9 +631,8 @@ def test_vf_recorded_on_the_edgeless_graph():
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     no_tri = np.zeros((0, 3), dtype=np.int64)
     # cost_tol 0: a zero cost does not converge, so all 10 steps run
-    args = (pos, no_tri, np.zeros(0), _kernels._NO_EDGES, 1e-3, 10, 4, -1, -1,
-            0.0, 0.0, 1e9, EDGE_EPS, 0.0, 1e-10)
-    run = _assert_records_vf(args)
+    run = _assert_parity(_law_args(pos, no_tri, np.zeros(0), _kernels._NO_EDGES,
+                                   h=1e-3, n_steps=10, record_every=4, cost_tol=0.0))
     assert (run[2], run[3]) == (4, _kernels.STATUS_RAN)
     _assert_bits(run[5][:4], np.zeros(4))
 

@@ -12,7 +12,7 @@ from angleform.errors import (
     VertexOutOfRange,
 )
 from angleform import rigidity
-from angleform.geometry import reflection, rotation
+from angleform.geometry import reflection
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
     algorithm1_set,
@@ -215,31 +215,16 @@ def test_angle_function_collinear_clipped():
 
 @pytest.mark.parametrize("trial", range(5))
 def test_matrices_match_finite_differences(trial):
+    # the distance matrix; the bearing and angle matrices are selftest's
+    # bearing_matrix_gradient and angle_matrix_gradient
     rng = np.random.default_rng(100 + trial)
-    c = random_construction(rng, 6)
-    g = build_laman(c)
+    g = build_laman(random_construction(rng, 6))
     p = nondegenerate_points(rng, g)
-    T = laman_minimal_set(c)
-
     J = fd_jacobian(
         lambda v: distance_rigidity_function(g, Configuration.from_vec(v)),
         p.vec.copy(),
     )
     assert np.max(np.abs(J - distance_rigidity_matrix(g, p))) < 1e-5
-
-    J = fd_jacobian(
-        lambda v: bearing_rigidity_function(g, Configuration.from_vec(v)),
-        p.vec.copy(),
-    )
-    R = bearing_rigidity_matrix(g, p)
-    assert np.max(np.abs(J - R)) / max(1.0, np.max(np.abs(R))) < 1e-5
-
-    J = fd_jacobian(
-        lambda v: angle_rigidity_function(g, Configuration.from_vec(v), T),
-        p.vec.copy(),
-    )
-    R = angle_rigidity_matrix(g, p, T)
-    assert np.max(np.abs(J - R)) / max(1.0, np.max(np.abs(R))) < 1e-5
 
 
 def test_angle_matrix_row_structure():
@@ -448,13 +433,6 @@ def test_bearing_report_matches_jacobian_svd(case):
     assert verdicts == {case in ("laman", "dense")}
 
 
-def test_report_as_dict(fan5, pentagon):
-    rep = is_infinitesimally_distance_rigid(fan5, pentagon)
-    d = rep.as_dict()
-    assert d["kind"] == "distance" and d["verdict"] is True
-    assert d["rows"] == 7 and d["cols"] == 10
-
-
 def test_strong_nondegeneracy():
     g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
     good = is_strongly_nondegenerate(g, RIGHT_TRIANGLE)
@@ -574,18 +552,6 @@ def test_triangle_count_matches_the_listing(monkeypatch):
 # ---------------------------------------------------------------------
 # shape classes and congruence
 # ---------------------------------------------------------------------
-
-
-def test_shape_class_positive():
-    rng = np.random.default_rng(12)
-    p = generic_points(rng, 6)
-    for det_branch in (rotation(0.7), reflection(1.3)):
-        q = Configuration(-1.5 * (p.pts @ det_branch.T) + np.array([2.0, -1.0]))
-        rep = shape_class_membership(p, q)
-        assert rep.member and rep.residual < 1e-12
-        # reported transform reproduces q
-        c, R, xi = rep.transform
-        assert np.allclose(c * (p.pts @ R.T) + xi, q.pts)
 
 
 def test_shape_class_negative():
