@@ -220,23 +220,31 @@ def test_c_cached_load_starts_no_compiler(monkeypatch):
 
 
 @needs_cc
-def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
-    """A build goes to the first usable cache directory and keeps the
-    newest builds there by mtime, itself among them, so checkouts used in
-    turn do not rebuild each other's away; other files stay."""
+def test_c_build_skips_unwritable_cache_dir(monkeypatch, tmp_path):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("")
-    cache = tmp_path / "cache"
-    cache.mkdir()
+    usable = tmp_path / "cache"
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [blocker / "sub", usable])
+    b = _kernels.make_c_backend()
+    assert b.name == "c"
+    built = list(usable.iterdir())
+    assert [p.name for p in built] == [_kernels._library_name()]
+
+
+@needs_cc
+def test_c_build_prunes_superseded_builds(monkeypatch, tmp_path):
+    """A build keeps the newest builds by mtime, itself among them, so
+    checkouts used in turn do not rebuild each other's away."""
     kept = _kernels._KEPT_BUILDS
-    stale = [cache / f"_kernels-{i:08x}.so" for i in range(kept + 2)]
+    stale = [tmp_path / f"_kernels-{i:08x}.so" for i in range(kept + 2)]
     for age, path in enumerate(stale):
         path.write_bytes(b"another build")
         os.utime(path, (1e9 + age, 1e9 + age))
-    (cache / "notes.txt").write_text("kept")
-    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [blocker / "sub", cache])
+    unrelated = tmp_path / "notes.txt"
+    unrelated.write_text("kept")
+    monkeypatch.setattr(_kernels, "_cache_dirs", lambda: [tmp_path])
     assert _kernels.make_c_backend().name == "c"
-    names = sorted(p.name for p in cache.iterdir())
+    names = sorted(p.name for p in tmp_path.iterdir())
     newest = [p.name for p in stale[-(kept - 1):]]
     assert names == sorted([_kernels._library_name(), "notes.txt", *newest])
 
