@@ -444,10 +444,8 @@ def _render(report: dict) -> str:
     return "".join(f"{k}={_text(v)}\n" for k, v in report.items())
 
 
-def _sigma_tail(values, k: int = 6) -> str:
-    vals = np.asarray(values, dtype=float)
-    tail = vals[-k:] if vals.size > k else vals
-    return ";".join(repr(float(s)) for s in tail)
+def _sigma_tail(values: np.ndarray, k: int = 6) -> str:
+    return ";".join(repr(float(s)) for s in values[-k:])
 
 
 # ---------------------------------------------------------------------

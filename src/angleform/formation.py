@@ -26,6 +26,7 @@ from .errors import (
     NonPositiveSeries,
     ValidationError,
 )
+from .geometry import length, monitors
 from .graph import Graph, LamanConstruction, LeaderPair
 from .index_sets import triangle_formation_set
 from .rigidity import (
@@ -190,7 +191,6 @@ class FormationSpec:
         self.target = target
         self.angle_set = angle_set
         self.maneuver = maneuver
-        self.witness = witness
         # 0-based arrays for the kernels
         self._tri = angle_set.as_array()
         self.target_cosines = angle_cosines(target, self._tri)
@@ -272,14 +272,6 @@ def control_uM(spec: FormationSpec, p: Configuration) -> np.ndarray:
     if spec.maneuver is None:
         raise NoManeuverTarget("spec has no maneuver block")
     return _law(spec, p, spec._lead)[0]
-
-
-def monitors(pts) -> tuple:
-    """(centroid (..., 2), scale (...)) of points (..., n, 2): scale is
-    the stacked norm about the centroid."""
-    centroid = pts.mean(axis=-2)
-    scale = np.sqrt(np.sum((pts - centroid[..., None, :]) ** 2, axis=(-2, -1)))
-    return centroid, scale
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ over arrays would raise
@@ -394,7 +386,7 @@ def simulate(
         err = spec._dstar - (traj[:, lead_a] - traj[:, lead_b])
         vm = 0.5 * np.sum(err * err, axis=1)
         v = vf + vm
-        maneuver_error = float(np.linalg.norm(err[-1]))
+        maneuver_error = float(length(err[-1]))
     else:
         vm = maneuver_error = None
         v = vf

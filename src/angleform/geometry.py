@@ -1,5 +1,5 @@
 """Planar rotations, reflections, projections, perpendiculars, edge
-lengths, angle terms.
+lengths, angle terms, centroid and spread.
 
 All functions operate on plain numpy arrays: directions are shape (2,),
 operators are shape (2, 2). Vectors passed as unit directions are accepted
@@ -20,6 +20,15 @@ def length(e) -> np.ndarray:
     of the package: the C kernel's lengths, bit for bit (hypot rounds
     otherwise)."""
     return np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])
+
+
+def monitors(pts) -> tuple:
+    """(centroid (..., 2), scale (...)) of points (..., n, 2): scale is
+    the stacked norm about the centroid, the one centroid and spread of
+    the package."""
+    centroid = pts.mean(axis=-2)
+    scale = np.sqrt(np.sum((pts - centroid[..., None, :]) ** 2, axis=(-2, -1)))
+    return centroid, scale
 
 
 def _as_unit(x) -> np.ndarray:

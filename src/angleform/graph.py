@@ -93,10 +93,6 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return ((i, j) if i < j else (j, i)) in self._edge_set
 
-    def edge_index(self) -> dict:
-        """Map each canonical edge to its row position."""
-        return {e: r for r, e in enumerate(self.edges)}
-
 
 def _check_vertex(g: Graph, i: int) -> None:
     if not (1 <= i <= g.n):

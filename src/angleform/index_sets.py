@@ -1,6 +1,6 @@
 """Constructors for angle index sets.
 
-Five constructors with distinct provenance tags:
+Five constructors:
 
 * full_angle_set: every angle at every vertex (both incident edges).
 * triangle_formation_set: for each graph triangle a < b < c, the two
@@ -50,7 +50,7 @@ def full_angle_set(g: Graph) -> AngleIndexSet:
         for i in range(1, g.n + 1)
         for j, k in combinations(neighbors(g, i), 2)
     )
-    return AngleIndexSet(tuple(triples), "full")
+    return AngleIndexSet(tuple(triples))
 
 
 def _two_apex(a: int, b: int, c: int) -> tuple:
@@ -79,7 +79,7 @@ def triangle_formation_set(g: Graph) -> AngleIndexSet:
     )
     rows = (row for block in blocks for row in block.tolist())
     triples = sorted(t for row in rows for t in _two_apex(*row))
-    return AngleIndexSet(tuple(triples), "triangle_formation")
+    return AngleIndexSet(tuple(triples))
 
 
 def laman_minimal_set(construction: LamanConstruction) -> AngleIndexSet:
@@ -87,7 +87,7 @@ def laman_minimal_set(construction: LamanConstruction) -> AngleIndexSet:
     triangle and no other exists, so none is listed; 2n - 4 triples."""
     steps = (sorted(step) for step, _ in replay(construction))
     triples = sorted(t for abc in steps for t in _two_apex(*abc))
-    return AngleIndexSet(tuple(triples), "laman_minimal")
+    return AngleIndexSet(tuple(triples))
 
 
 def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
@@ -106,7 +106,7 @@ def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
         if common:
             k = min(common)
             triples.append((min(i, j), min(k, v), max(k, v)))
-    return AngleIndexSet(tuple(sorted(triples)), "laman_global")
+    return AngleIndexSet(tuple(sorted(triples)))
 
 
 def algorithm1_set(
@@ -139,14 +139,13 @@ def algorithm1_set(
         return int(seq[int(rng.integers(len(seq)))])
 
     # each vertex's bearings toward its sorted neighbors, in one call
-    arcs = np.concatenate([g.edge_array, g.edge_array[:, ::-1]])
-    arcs = arcs[np.lexsort(arcs.T[::-1])]
-    gx = _bearing_terms(p, arcs[:, 0], arcs[:, 1])[0]
-    first = np.searchsorted(arcs[:, 0], np.arange(g.n + 1))
+    tail, head = np.divmod(g._arc_keys, g.n)
+    gx = _bearing_terms(p, tail, head)[0]
+    first = np.searchsorted(tail, np.arange(g.n + 1))
     triples = []
     for i in range(1, g.n + 1):
         at = slice(first[i - 1], first[i])
-        nb = (arcs[at, 1] + 1).tolist()
+        nb = (head[at] + 1).tolist()
         if len(nb) < 2:
             raise NotInfinitesimallyAngleRigid(
                 f"vertex {i} has fewer than two neighbors"
@@ -166,4 +165,4 @@ def algorithm1_set(
             k_pair = pick(rest)
             for j in cls:
                 triples.append((i, min(j, k_pair), max(j, k_pair)))
-    return AngleIndexSet(tuple(sorted(triples)), "algorithm1")
+    return AngleIndexSet(tuple(sorted(triples)))

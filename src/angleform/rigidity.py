@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .geometry import angle_terms, length, rotation
+from .geometry import angle_terms, length, monitors, rotation
 from .graph import Graph, zero_based
 
 # adjacent points closer than this are treated as coincident
@@ -108,11 +108,10 @@ class AngleIndexSet:
 
     Each triple (i, j, k) names the angle at apex i between the edges
     (i, j) and (i, k). Triples are kept sorted lexicographically without
-    duplicates. `provenance` records which constructor produced the set.
+    duplicates.
     """
 
     triples: tuple  # tuple of (i, j, k)
-    provenance: str = "explicit"
 
     def __post_init__(self):
         prev = None
@@ -129,13 +128,13 @@ class AngleIndexSet:
             prev = t
 
     @classmethod
-    def from_triples(cls, triples, provenance: str = "explicit"):
+    def from_triples(cls, triples):
         """Canonicalize arbitrary (i, j, k) input: order wings, sort, dedupe."""
         canon = set()
         for i, j, k in triples:
             i, j, k = int(i), int(j), int(k)
             canon.add((i, min(j, k), max(j, k)))
-        return cls(tuple(sorted(canon)), provenance)
+        return cls(tuple(sorted(canon)))
 
     def __len__(self):
         return len(self.triples)
@@ -175,25 +174,14 @@ class AngleIndexSet:
             raise NotAnEdge(f"triple {(i, j, k)} needs edge ({i}, {other})")
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    """Outcome of a rank-based rigidity test."""
+class RigidityReport(NamedTuple):
+    """Outcome of an SVD rank test; verdict is None from numerical_rank."""
 
-    kind: str
-    rows: int
-    cols: int
-    singular_values: tuple
-    rank: int
-    nullspace_dim: int
-    verdict: bool
-    tol: float
-
-
-class RankInfo(NamedTuple):
     rank: int
     nullspace_dim: int
     singular_values: np.ndarray
     tol: float
+    verdict: Optional[bool] = None
 
 
 class NondegeneracyReport(NamedTuple):
@@ -351,9 +339,8 @@ def _bearing_half_matrix(g: Graph, p: Configuration) -> np.ndarray:
 
     In the plane P(g) = I - g g^T = g_perp g_perp^T, so this matrix has
     the Gram matrix of the bearing rigidity matrix, and with it the same
-    nonzero singular values, in half the rows.
+    nonzero singular values, in half the rows; only _verdict builds it.
     """
-    check_matrix_size("half-size bearing matrix", g.m, 2 * g.n)
     i, j = g.edge_array.T
     gab, dist = _bearing_terms(p, i, j)
     row = np.column_stack([-gab[:, 1], gab[:, 0]]) / dist[:, None]
@@ -404,7 +391,7 @@ def trivial_motion_basis(p: Configuration) -> np.ndarray:
 
 def numerical_rank(
     M: np.ndarray, tol: Optional[float] = None, _shape: Optional[tuple] = None
-) -> RankInfo:
+) -> RigidityReport:
     """SVD rank with the shared default cutoff.
 
     The cutoff is sigma_max * max(rows, cols) * eps * RANK_TOL_FACTOR
@@ -422,32 +409,26 @@ def numerical_rank(
         smax = float(sv[0]) if sv.size else 0.0
         tol = smax * max(rows, cols) * np.finfo(float).eps * RANK_TOL_FACTOR
     rank = int(np.sum(sv > tol))
-    return RankInfo(rank, cols - rank, sv, float(tol))
+    return RigidityReport(rank, cols - rank, sv, float(tol))
 
 
-def _rank_report(kind, M, verdict_fn, shape=None) -> RigidityReport:
-    shape = M.shape if shape is None else shape
-    info = numerical_rank(M, _shape=shape)
-    return RigidityReport(
-        kind=kind,
-        rows=shape[0],
-        cols=shape[1],
-        singular_values=tuple(float(s) for s in info.singular_values),
-        rank=info.rank,
-        nullspace_dim=info.nullspace_dim,
-        verdict=verdict_fn(info),
-        tol=info.tol,
-    )
+def _verdict(what, rows, cols, build, rigid, shape=None) -> RigidityReport:
+    """numerical_rank(build(), _shape=shape) with the verdict rigid(record),
+    once check_matrix_size has bounded the rows x cols matrix `what`."""
+    check_matrix_size(what, rows, cols, svd=True)
+    report = numerical_rank(build(), _shape=shape)
+    return report._replace(verdict=rigid(report))
 
 
 def is_infinitesimally_distance_rigid(
     g: Graph, p: Configuration
 ) -> RigidityReport:
     """Rank of the distance rigidity matrix equals 2n - 3."""
-    check_matrix_size("distance rigidity matrix", g.m, 2 * p.n, svd=True)
-    M = distance_rigidity_matrix(g, p)
-    want = 2 * p.n - 3
-    return _rank_report("distance", M, lambda info: info.rank == want)
+    return _verdict(
+        "distance rigidity matrix", g.m, 2 * p.n,
+        lambda: distance_rigidity_matrix(g, p),
+        lambda r: r.rank == 2 * p.n - 3,
+    )
 
 
 def is_infinitesimally_bearing_rigid(
@@ -458,11 +439,11 @@ def is_infinitesimally_bearing_rigid(
     The SVD runs on the half-size matrix, which has the same nonzero
     singular values; the report is that of the (2m, 2n) Jacobian.
     """
-    check_matrix_size("half-size bearing matrix", g.m, 2 * g.n, svd=True)
-    M = _bearing_half_matrix(g, p)
-    want = 2 * p.n - 3
-    return _rank_report(
-        "bearing", M, lambda info: info.rank == want, (2 * g.m, 2 * g.n)
+    return _verdict(
+        "half-size bearing matrix", g.m, 2 * g.n,
+        lambda: _bearing_half_matrix(g, p),
+        lambda r: r.rank == 2 * p.n - 3,
+        (2 * g.m, 2 * g.n),
     )
 
 
@@ -471,9 +452,11 @@ def is_infinitesimally_angle_rigid(
 ) -> RigidityReport:
     """Nullspace of the angle rigidity matrix is exactly the 4 trivial
     motions."""
-    check_matrix_size("angle rigidity matrix", len(T), 2 * g.n, svd=True)
-    M = angle_rigidity_matrix(g, p, T)
-    return _rank_report("angle", M, lambda info: info.nullspace_dim == 4)
+    return _verdict(
+        "angle rigidity matrix", len(T), 2 * g.n,
+        lambda: angle_rigidity_matrix(g, p, T),
+        lambda r: r.nullspace_dim == 4,
+    )
 
 
 def _in_sorted(hay: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -558,11 +541,11 @@ def shape_class_membership(
     """
     if p.n != q.n:
         raise ValueError(f"point counts differ: {p.n} vs {q.n}")
-    cp = p.pts.mean(axis=0)
-    cq = q.pts.mean(axis=0)
+    cp, norm_a = monitors(p.pts)
+    cq = monitors(q.pts)[0]
     a = p.pts - cp
     b = q.pts - cq
-    norm_a = float(np.linalg.norm(a))
+    norm_a = float(norm_a)
     if norm_a == 0.0:
         raise DegenerateAllCoincident("reference points all coincide")
     M = b.T @ a

@@ -251,7 +251,15 @@ def check_laman_roundtrip():
         c2 = recognize_triangulated_laman(g)
         if c2 is None or build_laman(c2).edges != g.edges:
             return False, f"roundtrip failed for {c.steps}"
-    return True, "20 random constructions"
+    # 2n - 3 edges, not triangulated Laman: vertex 5's neighbours are not
+    # adjacent; the kite on the base edge (3, 4) peels down to (3, 4)
+    for g in (
+        Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]),
+        Graph.from_edges(4, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    ):
+        if recognize_triangulated_laman(g) is not None:
+            return False, f"recognized non-Laman edges {g.edges}"
+    return True, "20 random constructions, 2 refusals"
 
 
 def check_leader_laplacian_blocks():
@@ -483,8 +491,16 @@ def check_kite_global_distinguishes():
             )
         )
     )
-    ok = same < 1e-12 and diff > 1e-3
-    return ok, f"minimal set gap {same:.1e}, global set gap {diff:.3f}"
+    # the 3n - 7 definition: at step 5, vertices 1 and 3 have the common
+    # neighbours {2, 4}; the extra triple takes the smallest, apex at 1
+    t5 = laman_global_set(LamanConstruction(((3, 1, 2), (4, 1, 3), (5, 1, 3))))
+    listed = t5.triples == (
+        (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4),
+        (1, 3, 5), (2, 1, 3), (3, 1, 4), (3, 1, 5),
+    )
+    ok = same < 1e-12 and diff > 1e-3 and listed
+    detail = f"minimal set gap {same:.1e}, global set gap {diff:.3f}"
+    return ok, detail + ("" if listed else f"; 3n - 7 set {t5.triples}")
 
 
 # ---------------------------------------------------------------------

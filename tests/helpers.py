@@ -84,7 +84,7 @@ def angle_matrix_product(g, p, T) -> np.ndarray:
     block of edge (i, j) and g_ij^T in the block of edge (i, k), negated
     where the triple runs against the edge's stored orientation."""
     T.validate_for(g)
-    idx = g.edge_index()
+    idx = {e: r for r, e in enumerate(g.edges)}
     Rg = np.zeros((len(T), 2 * g.m))
     for r, (i, j, k) in enumerate(T.triples):
         gij = bearing(p, i, j)
@@ -168,7 +168,7 @@ def two_pass_triangle_formation_set(g) -> AngleIndexSet:
     )
     rows = (row for block in _triangles(g) for row in block.tolist())
     triples = sorted(t for a, b, c in rows for t in ((a, b, c), (b, a, c)))
-    return AngleIndexSet(tuple(triples), "triangle_formation")
+    return AngleIndexSet(tuple(triples))
 
 
 def scalar_validate_for(T, g) -> None:

@@ -54,12 +54,6 @@ def test_has_edge_and_neighbors():
         neighbors(g, 5)
 
 
-def test_edge_index_matches_order():
-    g = Graph.from_edges(4, [(1, 2), (1, 4), (3, 4)])
-    idx = g.edge_index()
-    assert [idx[e] for e in g.edges] == [0, 1, 2]
-
-
 def test_incidence_matrix():
     g = Graph.from_edges(3, [(1, 2), (2, 3)])
     H = incidence_matrix(g)

@@ -47,7 +47,6 @@ K3 = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
 def test_full_set_k3():
     T = full_angle_set(K3)
     assert T.triples == ((1, 2, 3), (2, 1, 3), (3, 1, 2))
-    assert T.provenance == "full"
 
 
 def test_full_set_star():
@@ -131,7 +130,6 @@ def test_minimal_set_is_rigid_generic():
 
 def test_algorithm1_fan(fan5, pentagon):
     T = algorithm1_set(fan5, pentagon)
-    assert T.provenance == "algorithm1"
     assert len(T) == 2 * fan5.m - fan5.n  # 9 on the fan
     assert set(T.triples) <= set(full_angle_set(fan5).triples)
     assert is_infinitesimally_angle_rigid(fan5, pentagon, T).verdict
