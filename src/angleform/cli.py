@@ -97,6 +97,10 @@ EXIT_PARSE = 4
 # framework (n = 1000), refused before anything n-sized is allocated
 MAX_AGENTS = 10_000
 
+# most bytes a scenario file may hold, checked before it is parsed: 2.7x
+# the 5.9 MB file of the complete graph K1000
+MAX_SCENARIO_BYTES = 16_000_000
+
 # exit-code policy: (exception types, exit code, message prefix); the
 # first row the exception matches wins, so the numerical library errors,
 # all ValueErrors, come before the validation row
@@ -157,6 +161,12 @@ class Scenario:
         if built.n == g.n and set(built.edges) == set(g.edges):
             return self.construction, "scenario"
         return None, "scenario"
+
+    @cached_property
+    def bearing(self):
+        """The bearing verdict at the base points, decided once: the
+        algorithm1 precheck and analyze both read it."""
+        return is_infinitesimally_bearing_rigid(self.graph, self.base)
 
 
 # the JSON value types of a scenario field; _typed checks exact types, so
@@ -313,9 +323,17 @@ def load_scenario(path) -> Scenario:
     mismatches raise ValidationError or a more specific subclass.
     """
     try:
-        raw_bytes = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            # at most one byte past the cap; a regular file's own size
+            # sizes the buffer, as a cap-sized one costs ~90 us a load
+            size = os.fstat(fh.fileno()).st_size or MAX_SCENARIO_BYTES
+            raw_bytes = fh.read(min(size, MAX_SCENARIO_BYTES) + 1)
     except OSError as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from exc
+    if len(raw_bytes) > MAX_SCENARIO_BYTES:
+        raise ValidationError(
+            f"scenario {path} is over the limit of {MAX_SCENARIO_BYTES} bytes"
+        )
     digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
         doc = json.loads(raw_bytes)
@@ -412,7 +430,7 @@ def resolve_angle_set(
         T.validate_for(g)
         return T
     if source == "algorithm1":
-        return algorithm1_set(g, scenario.base, seed=seed)
+        return algorithm1_set(g, scenario.base, seed=seed, bearing=scenario.bearing)
     construction, origin = scenario.laman_witness
     if construction is None:
         raise ValidationError(
@@ -503,7 +521,7 @@ def _analyze(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
     )
     for name, r in (
         ("distance", is_infinitesimally_distance_rigid(g, p)),
-        ("bearing", is_infinitesimally_bearing_rigid(g, p)),
+        ("bearing", sc.bearing),
         ("angle", is_infinitesimally_angle_rigid(g, p, T)),
     ):
         report[f"{name}_rigid"] = r.verdict

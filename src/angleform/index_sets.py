@@ -110,7 +110,7 @@ def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
 
 
 def algorithm1_set(
-    g: Graph, p: Configuration, seed: Optional[int] = None
+    g: Graph, p: Configuration, seed: Optional[int] = None, bearing=None
 ) -> AngleIndexSet:
     """Per-vertex greedy angle cover of an infinitesimally angle rigid
     framework.
@@ -123,9 +123,10 @@ def algorithm1_set(
 
     Raises NotInfinitesimallyAngleRigid when the framework is not
     infinitesimally bearing rigid: in the plane that is the full-set
-    angle rigidity test, decided from the smaller bearing matrix.
+    angle rigidity test, decided from the smaller bearing matrix unless
+    the caller hands that verdict's RigidityReport over as `bearing`.
     """
-    report = is_infinitesimally_bearing_rigid(g, p)
+    report = is_infinitesimally_bearing_rigid(g, p) if bearing is None else bearing
     if not report.verdict:
         raise NotInfinitesimallyAngleRigid(
             "not infinitesimally bearing rigid "

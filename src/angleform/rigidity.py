@@ -14,7 +14,9 @@ Bearings follow the convention g_ij = (p_i - p_j) / |p_i - p_j|, the unit
 vector pointing from j toward i.
 """
 
+import ctypes
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -252,14 +254,14 @@ def _angle_terms(pts, tri):
 
 
 def _block_rows(n: int, at, blocks) -> np.ndarray:
-    """A (k, 2n) or (2k, 2n) matrix, zero but for item r of each blocks[c],
-    a (2,) row or a (2, 2) pair of rows, at the columns of 0-based vertex
-    at[c][r]; the blocks are written in order."""
+    """A (k, 2n) or (2k, 2n) Fortran-ordered matrix, zero but for item r
+    of each blocks[c], a (2,) row or a (2, 2) pair of rows, at the columns
+    of 0-based vertex at[c][r]; the blocks are written in order."""
     k, rows = len(at[0]), blocks[0].ndim - 1  # 1 or 2 rows per item
-    R = np.zeros((k, rows, n, 2))
+    R = np.zeros((n, 2, k, rows))
     for cols, blk in zip(at, blocks):
-        R[np.arange(k), :, cols] = blk.reshape(k, rows, 2)
-    return R.reshape(k * rows, 2 * n)
+        R[cols, :, np.arange(k)] = blk.reshape(k, rows, 2).transpose(0, 2, 1)
+    return R.reshape(2 * n, k * rows).T
 
 
 def check_matrix_size(what: str, rows: int, cols: int, svd: bool = False) -> None:
@@ -389,8 +391,51 @@ def trivial_motion_basis(p: Configuration) -> np.ndarray:
     )
 
 
+@cache
+def _gesdd():
+    """The LAPACK dgesdd that np.linalg.svd calls, the ILP64 routine of
+    numpy's bundled OpenBLAS; None where numpy does not export it."""
+    try:
+        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgesdd_64_
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_void_p] * 14, None
+    return fn
+
+
+# dgesdd's optimal LWORK per matrix shape, from LAPACK's own query
+_LWORK = {}
+
+
+def _singular_values(M: np.ndarray, overwrite: bool) -> np.ndarray:
+    """np.linalg.svd(M, compute_uv=False) bit for bit: the same dgesdd,
+    JOBZ='N', with the same workspace, factoring M in place when
+    overwrite and M is Fortran-ordered, else one Fortran copy of it."""
+    gesdd = _gesdd()
+    if gesdd is None:
+        return np.linalg.svd(M, compute_uv=False)
+    a = M if overwrite and M.flags.f_contiguous else np.array(M, float, order="F")
+    (m, n), k = a.shape, min(a.shape)
+    lwork = _LWORK.get(a.shape, -1)  # -1: a workspace query comes first
+    while True:
+        # M, N, LDA, LDU = LDVT, LWORK, INFO as int64, then S (k), IWORK
+        # (8k) and WORK: one buffer, held by this frame during the call
+        buf = np.empty(6 + 9 * k + max(lwork, 1))
+        ints = buf[:6].view(np.int64)
+        ints[:] = m, n, max(m, 1), 1, lwork, 0
+        p = buf.ctypes.data
+        s = p + 48
+        gesdd(b"N", p, p + 8, a.ctypes.data, p + 16, s, s, p + 24, s, p + 24,
+              s + 72 * k, p + 32, s + 8 * k, p + 40)
+        if ints[5]:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        if lwork > 0:
+            return buf[6 : 6 + k]
+        lwork = _LWORK[a.shape] = max(int(buf[6 + 9 * k]), 1)
+
+
 def numerical_rank(
-    M: np.ndarray, tol: Optional[float] = None, _shape: Optional[tuple] = None
+    M: np.ndarray, tol: Optional[float] = None, _shape=None, _overwrite=False
 ) -> RigidityReport:
     """SVD rank with the shared default cutoff.
 
@@ -399,11 +444,11 @@ def numerical_rank(
     is the (rows, cols) of a matrix that M stands in for with the same
     nonzero singular values: the cutoff and the nullspace use that
     shape, and the values are padded with exact zeros to its min(rows,
-    cols).
+    cols). `_overwrite` hands M over: the SVD may factor it in place.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows, cols = M.shape if _shape is None else _shape
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = _singular_values(M, _overwrite)
     sv = np.concatenate([sv, np.zeros(min(rows, cols) - sv.size)])
     if tol is None:
         smax = float(sv[0]) if sv.size else 0.0
@@ -413,10 +458,10 @@ def numerical_rank(
 
 
 def _verdict(what, rows, cols, build, rigid, shape=None) -> RigidityReport:
-    """numerical_rank(build(), _shape=shape) with the verdict rigid(record),
-    once check_matrix_size has bounded the rows x cols matrix `what`."""
+    """numerical_rank(build(), _shape=shape), factored in place, verdict
+    rigid(record), once check_matrix_size bounds the rows x cols `what`."""
     check_matrix_size(what, rows, cols, svd=True)
-    report = numerical_rank(build(), _shape=shape)
+    report = numerical_rank(build(), _shape=shape, _overwrite=True)
     return report._replace(verdict=rigid(report))
 
 

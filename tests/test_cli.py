@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angleform import _kernels, cli, graph
+from angleform import _kernels, cli, graph, rigidity
 from angleform.errors import ParseError, ValidationError
 from angleform.formation import FormationSpec, IntegratorConfig, simulate
 from angleform.geometry import angle_terms
@@ -1055,9 +1055,9 @@ def test_analyze_seeds_algorithm1_selection(tmp_path, capsys, monkeypatch):
     seeds = []
     real = cli.algorithm1_set
 
-    def recorder(g, p, seed=None):
+    def recorder(g, p, seed=None, **kwargs):
         seeds.append(seed)
-        return real(g, p, seed=seed)
+        return real(g, p, seed=seed, **kwargs)
 
     monkeypatch.setattr(cli, "algorithm1_set", recorder)
     doc = _shipped("example1.json")
@@ -1067,6 +1067,43 @@ def test_analyze_seeds_algorithm1_selection(tmp_path, capsys, monkeypatch):
     assert cli.main(["analyze", "--scenario", sc]) == 0
     assert cli.main(["indexset", "--scenario", sc, "--seed-override", "7"]) == 0
     assert seeds == [7, None, 7]
+
+
+def test_algorithm1_analyze_factors_each_matrix_once(tmp_path, capsys, monkeypatch):
+    """The algorithm1 precheck's bearing verdict is analyze's own: the
+    half-size bearing matrix, then the distance and angle matrices."""
+    shapes = []
+    real = rigidity.numerical_rank
+
+    def counted(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(rigidity, "numerical_rank", counted)
+    doc = _shipped("example1.json")
+    doc["angles"] = {"source": "algorithm1"}
+    assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 0
+    assert "bearing_rigid=true\n" in capsys.readouterr().out
+    assert shapes == [(7, 10), (7, 10), (2 * 7 - 5, 10)]
+
+
+def test_scenario_over_the_byte_cap_is_refused_unparsed(tmp_path, capsys):
+    sc = tmp_path / "big.json"
+    sc.touch()
+    os.truncate(sc, cli.MAX_SCENARIO_BYTES + 1)  # sparse: nothing written
+    assert cli.main(["analyze", "--scenario", str(sc)]) == 2
+    assert capsys.readouterr().out == (
+        f"validation error: scenario {sc} is over the limit of 16000000 bytes\n"
+    )
+
+
+def test_scenario_byte_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    sc = _write(tmp_path, _shipped("example1.json"))
+    monkeypatch.setattr(cli, "MAX_SCENARIO_BYTES", sc.stat().st_size)
+    assert cli.main(["analyze", "--scenario", str(sc)]) == 0
+    monkeypatch.setattr(cli, "MAX_SCENARIO_BYTES", sc.stat().st_size - 1)
+    assert cli.main(["analyze", "--scenario", str(sc)]) == 2
+    assert "over the limit" in capsys.readouterr().out
 
 
 _HEAD = ["command", "version", "scenario", "scenario_sha256"]

@@ -63,6 +63,9 @@ STARTS_PROCESSES = {
         "test_c_cached_load_starts_no_compiler": "the compiler, which a cached load must not start",
         "test_c_source_compiles_without_warnings": "the compiler",
     },
+    "test_rigidity.py": {
+        "test_angle_verdict_holds_about_one_matrix": "the child's own peak RSS",
+    },
 }
 
 

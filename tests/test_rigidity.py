@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from angleform.errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from angleform import rigidity
+from angleform import cli, rigidity
 from angleform.geometry import reflection
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
@@ -687,3 +692,126 @@ def test_svd_work_cap(monkeypatch, fan5, pentagon, verdict, name, rows):
         verdict(fan5, pentagon)
     # a set or matrix that no verdict factors is not bounded by SVD work
     assert len(triangle_formation_set(fan5)) == 6
+
+
+# ---------------------------------------------------------------------
+# the SVD: numpy's own dgesdd, factoring in place the matrix a verdict
+# builds
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(7, 12), (12, 7), (9, 9), (1, 6), (0, 4), (4, 0)],
+    ids=["wide", "tall", "square", "one-row", "empty-rows", "empty-cols"],
+)
+def test_svd_values_are_numpys(shape):
+    assert rigidity._gesdd() is not None  # else both sides run np.linalg.svd
+    M = np.random.default_rng(sum(shape)).standard_normal(shape)
+    ref = np.linalg.svd(M, compute_uv=False).tobytes()
+    assert numerical_rank(M).singular_values.tobytes() == ref
+    F = np.array(M, order="F")
+    assert numerical_rank(F, _overwrite=True).singular_values.tobytes() == ref
+
+
+@pytest.mark.parametrize("n", [5, 50, 200])
+def test_verdict_values_are_numpys_on_assembled_matrices(n):
+    rng = np.random.default_rng(n)
+    c = random_construction(rng, n)
+    g, T = build_laman(c), laman_minimal_set(c)
+    p = nondegenerate_points(rng, g)
+    for M, report in (
+        (distance_rigidity_matrix(g, p), is_infinitesimally_distance_rigid(g, p)),
+        (rigidity._bearing_half_matrix(g, p), is_infinitesimally_bearing_rigid(g, p)),
+        (angle_rigidity_matrix(g, p, T), is_infinitesimally_angle_rigid(g, p, T)),
+    ):
+        assert M.flags.f_contiguous  # the layout LAPACK factors, not copied
+        ref = np.linalg.svd(M, compute_uv=False)
+        assert numerical_rank(M).singular_values.tobytes() == ref.tobytes()
+        # the verdict factored its own matrix in place; the half-size
+        # bearing values are padded with the Jacobian's zeros
+        assert report.singular_values[: ref.size].tobytes() == ref.tobytes()
+
+
+def test_numerical_rank_leaves_the_callers_matrix(fan5, pentagon):
+    for M in (distance_rigidity_matrix(fan5, pentagon), np.diag([3.0, 2.0, 1.0])):
+        before = M.copy()
+        numerical_rank(M)
+        assert np.array_equal(M, before)
+
+
+@pytest.mark.parametrize("overwrite", [False, True], ids=["copied", "in-place"])
+def test_svd_of_nan_raises_as_numpy(overwrite):
+    M = np.ones((4, 6), order="F")
+    M[2, 3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.svd(M, compute_uv=False)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        numerical_rank(M, _overwrite=overwrite)
+
+
+def test_analyze_without_the_lapack_symbol_writes_the_same_report(
+    tmp_path, monkeypatch, capsys
+):
+    rng = np.random.default_rng(60)
+    c = random_construction(rng, 60)
+    g = build_laman(c)
+    doc = {
+        "schema": 1,
+        "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
+        "configuration": {"points": nondegenerate_points(rng, g).pts.tolist()},
+        "angles": {"source": "laman_minimal"},
+        "construction": {"steps": [list(s) for s in c.steps]},
+    }
+    laman = tmp_path / "laman60.json"
+    laman.write_text(json.dumps(doc))
+    shipped = Path(__file__).resolve().parent.parent / "scenarios"
+    scenarios = sorted(shipped.glob("example*.json")) + [laman]
+
+    def reports(tag):
+        for sc in scenarios:
+            out = tmp_path / tag / sc.stem
+            assert cli.main(["analyze", "--scenario", str(sc), "--out", str(out)]) == 0
+        capsys.readouterr()
+        return [(tmp_path / tag / sc.stem / "report.txt").read_bytes() for sc in scenarios]
+
+    direct = reports("gesdd")
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(rigidity, "_gesdd", lambda: None)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    assert reports("numpy") == direct
+    assert len(calls) == 3 * len(scenarios)
+
+
+# the child's rise in peak RSS over one angle verdict, in matrix sizes
+_ONE_MATRIX = """
+import resource
+import numpy as np
+from angleform.graph import build_laman
+from angleform.index_sets import laman_minimal_set
+from angleform.rigidity import is_infinitesimally_angle_rigid, numerical_rank
+from angleform.selftest import generic_points, random_construction
+
+rng = np.random.default_rng(5)
+c = random_construction(rng, 600)
+g, T = build_laman(c), laman_minimal_set(c)
+p = generic_points(rng, g.n)
+numerical_rank(np.eye(2))  # resolves the LAPACK routine
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+is_infinitesimally_angle_rigid(g, p, T)
+rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(rise * 1024 / (len(T) * 2 * g.n * 8))
+"""
+
+
+def test_angle_verdict_holds_about_one_matrix():
+    """The 1196 x 1200 angle matrix at n = 600 (11.5 MB) is factored
+    where it was built: the verdict's peak RSS rises by 1.3 matrices,
+    where a copy into LAPACK's layout made it 2.2."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rigidity.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_MATRIX],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert float(proc.stdout) <= 1.5
