@@ -87,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import angle_terms, length
-from .rigidity import _in_sorted
+from .graph import _in_sorted
 
 ENV_FLAG = "ANGLEFORM_NUMBA"
 # a constant now: perfbench/run.py::_environment still reads it

@@ -3,17 +3,18 @@ triangulated Laman constructions.
 
 Edges are stored canonically: each edge is (i, j) with i < j, and the edge
 tuple is sorted lexicographically (Graph.edge_array: the same, 0-based,
-as one array). The incidence matrix orients every edge from its smaller
-to its larger endpoint (+1 at i, -1 at j), so the stacked edge-difference
-vector of a configuration p is H_bar @ p_stacked with block entries
-p_i - p_j. replay() is the one replay of a construction's steps.
+as one array; Graph.arcs: both directions, the one adjacency index). The
+incidence matrix orients every edge from its smaller to its larger
+endpoint (+1 at i, -1 at j), so the stacked edge-difference vector of a
+configuration p is H_bar @ p_stacked with block entries p_i - p_j.
+replay() is the one replay of a construction's steps.
 """
 
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -24,6 +25,28 @@ def zero_based(rows, width: int) -> np.ndarray:
     """(len(rows), width) int64 array of the 1-based label rows, less 1."""
     flat = chain.from_iterable(rows)  # np.asarray of tuples is slower
     return np.fromiter(flat, np.int64, width * len(rows)).reshape(-1, width) - 1
+
+
+class Arcs(NamedTuple):
+    """Both directions a -> b of every edge, 0-based, sorted by key
+    a * n + b: vertex a's arcs are rows first[a] to first[a + 1] - 1,
+    toward its neighbors in increasing order, and those toward b > a
+    start at row up[a]."""
+
+    keys: np.ndarray  # (2m,) a * n + b
+    tail: np.ndarray  # (2m,) a
+    head: np.ndarray  # (2m,) b
+    first: np.ndarray  # (n + 1,)
+    up: np.ndarray  # (n,)
+
+
+def _in_sorted(hay: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Where q's entries occur in the sorted 1-d array hay. A search,
+    not np.isin, whose first call raises peak memory by about 2 MB
+    (numpy 2.4)."""
+    if not hay.size:
+        return np.zeros(q.shape, dtype=bool)
+    return hay[np.minimum(np.searchsorted(hay, q), hay.size - 1)] == q
 
 
 @dataclass(frozen=True)
@@ -75,20 +98,16 @@ class Graph:
         return e
 
     @cached_property
-    def _arc_keys(self) -> np.ndarray:
-        """Sorted keys i * n + j of the edges in both directions, 0-based."""
-        e = self.edge_array
-        arcs = np.concatenate([e[:, 0] * self.n + e[:, 1], e[:, 1] * self.n + e[:, 0]])
-        return np.sort(arcs)
-
-    @cached_property
-    def _adjacency(self) -> dict:
-        """Vertex -> sorted tuple of its neighbors."""
-        adj = {v: [] for v in range(1, self.n + 1)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return {v: tuple(sorted(nb)) for v, nb in adj.items()}
+    def arcs(self) -> "Arcs":
+        """The graph's one adjacency index, built once and read-only."""
+        e, n = self.edge_array, self.n
+        keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+        v = np.arange(n + 1)
+        index = Arcs(keys, *np.divmod(keys, n), np.searchsorted(keys, v * n),
+                     np.searchsorted(keys, v[:-1] * (n + 1)))
+        for a in index:
+            a.setflags(write=False)
+        return index
 
     def has_edge(self, i: int, j: int) -> bool:
         return ((i, j) if i < j else (j, i)) in self._edge_set
@@ -102,7 +121,7 @@ def _check_vertex(g: Graph, i: int) -> None:
 def neighbors(g: Graph, i: int) -> tuple:
     """Sorted neighbor labels of vertex i."""
     _check_vertex(g, i)
-    return g._adjacency[i]
+    return tuple((g.arcs.head[g.arcs.first[i - 1] : g.arcs.first[i]] + 1).tolist())
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -192,7 +211,9 @@ def recognize_triangulated_laman(g: Graph) -> Optional[LamanConstruction]:
         return LamanConstruction(()) if g.edges == ((1, 2),) else None
     if g.n < 2 or g.m != 2 * g.n - 3:
         return None
-    adj = {v: set(nb) for v, nb in g._adjacency.items()}  # not yet peeled
+    # not yet peeled: each vertex's neighbors, in one pass over the arcs
+    heads, first = (g.arcs.head + 1).tolist(), g.arcs.first.tolist()
+    adj = {v: set(heads[first[v - 1] : first[v]]) for v in range(1, g.n + 1)}
     heap = [-v for v, nb in adj.items() if len(nb) == 2]
     heapq.heapify(heap)
     peeled = []

@@ -22,14 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import rigidity
 from .errors import NotInfinitesimallyAngleRigid
 from .graph import Graph, LamanConstruction, neighbors, replay
 from .rigidity import (
     AngleIndexSet,
     Configuration,
     _bearing_terms,
-    _triangle_candidates,
+    _triangles,
     check_matrix_size,
     collinear,
     is_infinitesimally_bearing_rigid,
@@ -62,21 +61,17 @@ def triangle_formation_set(g: Graph) -> AngleIndexSet:
     """Two angle triples per graph triangle, apexes at the two smaller
     labels.
 
-    One pass over the triangle candidates counts the triangles, and
-    keeps them only while their angle rigidity matrix would stay within
-    rigidity.MAX_MATRIX_ENTRIES; past that it only counts, and the set
-    is refused (ValidationError) with the exact size, unbuilt.
+    The triangles are kept block by block (rigidity._triangles), and
+    the first block that takes their angle rigidity matrix past
+    rigidity.MAX_MATRIX_ENTRIES refuses the set (ValidationError) with a
+    lower bound on its size, unlisted.
     """
+    what = "angle source 'triangle_formation' angle rigidity matrix"
     count, blocks = 0, []
-    for ab, c, hit in _triangle_candidates(g):
-        count += int(np.count_nonzero(hit))
-        if (2 * count) * (2 * g.n) <= rigidity.MAX_MATRIX_ENTRIES:
-            blocks.append(np.column_stack([ab[hit], c[hit]]) + 1)
-    check_matrix_size(
-        "angle source 'triangle_formation' angle rigidity matrix",
-        2 * count,
-        2 * g.n,
-    )
+    for block in _triangles(g):
+        count += len(block)
+        check_matrix_size(what, 2 * count, 2 * g.n, least=True)
+        blocks.append(block)
     rows = (row for block in blocks for row in block.tolist())
     triples = sorted(t for row in rows for t in _two_apex(*row))
     return AngleIndexSet(tuple(triples))
@@ -140,13 +135,12 @@ def algorithm1_set(
         return int(seq[int(rng.integers(len(seq)))])
 
     # each vertex's bearings toward its sorted neighbors, in one call
-    tail, head = np.divmod(g._arc_keys, g.n)
-    gx = _bearing_terms(p, tail, head)[0]
-    first = np.searchsorted(tail, np.arange(g.n + 1))
+    arcs = g.arcs
+    gx = _bearing_terms(p, arcs.tail, arcs.head)[0]
     triples = []
     for i in range(1, g.n + 1):
-        at = slice(first[i - 1], first[i])
-        nb = (head[at] + 1).tolist()
+        at = slice(arcs.first[i - 1], arcs.first[i])
+        nb = (arcs.head[at] + 1).tolist()
         if len(nb) < 2:
             raise NotInfinitesimallyAngleRigid(
                 f"vertex {i} has fewer than two neighbors"

@@ -30,7 +30,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .geometry import angle_terms, length, monitors, rotation
-from .graph import Graph, zero_based
+from .graph import Graph, _in_sorted, zero_based
 
 # adjacent points closer than this are treated as coincident
 EDGE_EPS = 1e-9
@@ -47,7 +47,7 @@ MAX_MATRIX_ENTRIES = 100_000_000
 # the benchmark runs (n = 1000); a Laman framework at n = 2000 would take
 # 6.4e10, about a minute
 MAX_SVD_WORK = 16_000_000_000
-# candidate triangles listed, counted or tested per vectorized batch
+# candidate triangles tested per vectorized batch
 TRIANGLE_CHUNK = 65_536
 
 
@@ -165,7 +165,7 @@ class AngleIndexSet:
             tri = np.array([[min(v, g.n + 1) for v in t] for t in self.triples]) - 1
         out = tri.max(axis=1) >= g.n
         # each wing's edge (apex, wing) by its key among g's arcs
-        has = _in_sorted(g._arc_keys, tri[:, :1] * g.n + tri[:, 1:])
+        has = _in_sorted(g.arcs.keys, tri[:, :1] * g.n + tri[:, 1:])
         bad = np.flatnonzero(out | ~has.all(axis=1))
         if bad.size:
             t = bad[0]
@@ -264,14 +264,16 @@ def _block_rows(n: int, at, blocks) -> np.ndarray:
     return R.reshape(2 * n, k * rows).T
 
 
-def check_matrix_size(what: str, rows: int, cols: int, svd: bool = False) -> None:
+def check_matrix_size(what: str, rows: int, cols: int, svd=False, least=False) -> None:
     """ValidationError when a rows x cols matrix would exceed
     MAX_MATRIX_ENTRIES or, for a matrix to be factored (svd), when its
     SVD's min(rows, cols)^2 * max(rows, cols) would exceed MAX_SVD_WORK;
-    called before anything of that size exists."""
+    called before anything of that size exists. least: rows is only a
+    lower bound, and the message says so."""
     if rows * cols > MAX_MATRIX_ENTRIES:
         raise ValidationError(
-            f"{what} would be {rows} x {cols} = {rows * cols} entries, "
+            f"{what} would be {'at least ' * least}{rows} x {cols} = "
+            f"{rows * cols} entries, "
             f"over the limit of {MAX_MATRIX_ENTRIES}"
         )
     work = min(rows, cols) ** 2 * max(rows, cols)
@@ -504,27 +506,15 @@ def is_infinitesimally_angle_rigid(
     )
 
 
-def _in_sorted(hay: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Where q's entries occur in the sorted 1-d array hay. A search,
-    not np.isin, whose first call raises peak memory by about 2 MB
-    (numpy 2.4)."""
-    if not hay.size:
-        return np.zeros(q.shape, dtype=bool)
-    return hay[np.minimum(np.searchsorted(hay, q), hay.size - 1)] == q
-
-
-def _triangle_candidates(g: Graph):
-    """Candidate triangles a < b < c of 0-based vertices in sorted order
-    (by canonical edge (a, b), then by c), over chunks of edges with at
-    most TRIANGLE_CHUNK candidates (or one edge): per chunk (ab, c, hit),
-    with ab (k, 2) an edge (a, b) per candidate, c the far end of an edge
-    (b, c), and hit where (a, c) is an edge too."""
-    e = g.edge_array
-    keys = e[:, 0] * g.n + e[:, 1]  # sorted, as the edges are
-    # the edges (v, .) are the rows first[v] to first[v + 1] - 1, so the
-    # edges (b, c) of an edge (a, b) are its rows lo to hi - 1
-    first = np.searchsorted(e[:, 0], np.arange(g.n + 1))
-    lo, hi = first[e[:, 1]], first[e[:, 1] + 1]
+def _triangles(g: Graph):
+    """The vertex triangles a < b < c whose three edges exist, in sorted
+    order (by canonical edge (a, b), then by c), as (k, 3) int64 blocks
+    of labels. The candidates pair each edge (a, b) with each arc (b, c),
+    c > b, of g.arcs; a block tests those of consecutive edges, at most
+    TRIANGLE_CHUNK (or one edge's)."""
+    arcs, e = g.arcs, g.edge_array
+    # the arcs (b, c), c > b, of an edge (a, b) are the rows lo to hi - 1
+    lo, hi = arcs.up[e[:, 1]], arcs.first[e[:, 1] + 1]
     ends = np.cumsum(hi - lo)
     start = 0
     while start < len(e):
@@ -533,22 +523,14 @@ def _triangle_candidates(g: Graph):
         stop = max(start + 1, stop)
         cnt = hi[start:stop] - lo[start:stop]
         ab = np.repeat(e[start:stop], cnt, axis=0)
-        # a candidate's edge (b, c): its edge's first one, plus its offset
+        # a candidate's arc (b, c): its edge's first one, plus its offset
         skip = np.repeat(lo[start:stop] - (ends[start:stop] - cnt - done), cnt)
-        c = e[np.arange(ends[stop - 1] - done) + skip, 1]
-        q = ab[:, 0] * g.n + c
-        # the keys (a, .) of this chunk's own apexes: a short search
-        hit = _in_sorted(keys[first[e[start, 0]] : first[e[stop - 1, 0] + 1]], q)
-        yield ab, c, hit
-        start = stop
-
-
-def _triangles(g: Graph):
-    """The vertex triangles a < b < c whose three edges exist, in sorted
-    order (by canonical edge (a, b), then by c), as (k, 3) int64 blocks
-    of at most TRIANGLE_CHUNK rows."""
-    for ab, c, hit in _triangle_candidates(g):
+        c = arcs.head[np.arange(ends[stop - 1] - done) + skip]
+        # (a, c) among the arcs of this chunk's own apexes: a short search
+        near = arcs.keys[arcs.first[e[start, 0]] : arcs.first[e[stop - 1, 0] + 1]]
+        hit = _in_sorted(near, ab[:, 0] * g.n + c)
         yield np.column_stack([ab[hit], c[hit]]) + 1
+        start = stop
 
 
 def is_strongly_nondegenerate(

@@ -9,7 +9,6 @@ from angleform.rigidity import (
     EDGE_EPS,
     AngleIndexSet,
     Configuration,
-    _triangle_candidates,
     _triangles,
     bearing,
     check_matrix_size,
@@ -106,7 +105,10 @@ def sort_peel_recognition(g):
         return LamanConstruction(()) if g.edges == ((1, 2),) else None
     if g.n < 2 or g.m != 2 * g.n - 3:
         return None
-    adj = {v: set(nb) for v, nb in g._adjacency.items()}
+    adj = {v: set() for v in range(1, g.n + 1)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     peeled = []
     while len(adj) > 2:
         pick = None
@@ -154,8 +156,8 @@ def control_per_agent(spec, p):
 
 
 def triangle_count(g) -> int:
-    """Number of graph triangles, counted without listing them."""
-    return sum(int(np.count_nonzero(hit)) for _, _, hit in _triangle_candidates(g))
+    """Number of graph triangles, every block of them counted."""
+    return sum(len(block) for block in _triangles(g))
 
 
 def two_pass_triangle_formation_set(g) -> AngleIndexSet:

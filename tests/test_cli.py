@@ -1161,7 +1161,10 @@ def test_report_key_order(tmp_path, capsys, name, verb, keys):
     assert [line.split("=", 1)[0] for line in text.splitlines()] == keys
 
 
-@pytest.mark.parametrize("leaders", [[7, 8], [2, 5]], ids=["out-of-range", "no-edge"])
+# [1, 6]: the 0-based key 0 * 5 + 5 of (1, 6) is that of the edge (2, 1)
+@pytest.mark.parametrize(
+    "leaders", [[7, 8], [2, 5], [1, 6]], ids=["out-of-range", "no-edge", "aliased-key"]
+)
 @pytest.mark.parametrize("verb", ["analyze", "indexset", "simulate"])
 def test_maneuver_leaders_are_checked_at_load(tmp_path, capsys, verb, leaders):
     doc = _shipped("example3.json")
@@ -1272,10 +1275,13 @@ def _complete_graph_doc(n):
     }
 
 
-# C(250, 3) = 2 573 000 triangles, two triples each
+# C(250, 3) = 2 573 000 triangles, two triples each: refused at the
+# first blocks of the triangle pass that hold more than 10^8 / (2 * 500)
+# / 2 = 100 000 of them, here 130 795
 K250_REFUSAL = (
     "validation error: angle source 'triangle_formation' angle rigidity matrix "
-    "would be 5146000 x 500 = 2573000000 entries, over the limit of 100000000\n"
+    "would be at least 261590 x 500 = 130795000 entries, over the limit of "
+    "100000000\n"
 )
 
 
@@ -1291,7 +1297,8 @@ def test_triangle_set_of_a_complete_graph_is_refused(tmp_path, capsys, verb):
 
 
 def test_triangle_set_refusal_lists_no_triangles(tmp_path):
-    """The count comes before the list: the refusing process stays small."""
+    """The refusal comes at the first blocks over the cap, before the
+    list: the refusing process stays small."""
     sc = _write(tmp_path, _complete_graph_doc(250))
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.Popen(

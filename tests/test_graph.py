@@ -48,6 +48,8 @@ def test_has_edge_and_neighbors():
     g = Graph.from_edges(4, [(1, 2), (2, 3), (2, 4)])
     assert g.has_edge(3, 2) and g.has_edge(2, 3)
     assert not g.has_edge(1, 4)
+    # (1, 5) would have the 0-based key 0 * 4 + 4 of the arc (2, 1)
+    assert not g.has_edge(1, 5) and not g.has_edge(5, 1)
     assert neighbors(g, 2) == (1, 3, 4)
     assert neighbors(g, 4) == (2,)
     with pytest.raises(VertexOutOfRange):

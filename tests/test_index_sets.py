@@ -296,7 +296,9 @@ def test_triangle_set_is_refused_before_it_is_listed(monkeypatch):
     monkeypatch.setattr(index_sets, "_two_apex", listing)
     # 20 triangles: 40 triples x 12 columns
     monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", 479)
-    with pytest.raises(ValidationError, match="'triangle_formation'.* 40 x 12 = 480"):
+    with pytest.raises(
+        ValidationError, match="'triangle_formation'.* at least 40 x 12 = 480"
+    ):
         triangle_formation_set(k6)
 
 
@@ -304,14 +306,25 @@ def _set_or_refusal(build, g):
     try:
         return build(g)
     except ValidationError as exc:
-        return str(exc).encode()
+        return str(exc)
+
+
+def _refused_rows(message, least):
+    """The row count of a triangle-set refusal, its columns, its entries
+    and its cap, the count said to be a lower bound exactly when least."""
+    head = "angle source 'triangle_formation' angle rigidity matrix would be "
+    head += "at least " if least else ""
+    assert message.startswith(head), message
+    rows, _, cols, _, entries, *_, cap = message[len(head) :].split()
+    return int(rows), int(cols), int(entries), int(cap)
 
 
 @pytest.mark.parametrize("chunk", [3, rigidity.TRIANGLE_CHUNK])
 def test_triangle_set_in_one_pass_matches_two_passes(monkeypatch, chunk):
-    """The sets, and the refusals byte for byte, of the one-pass build
-    equal those of counting first and listing after, at caps below, at
-    and above each graph's size, whatever the chunking."""
+    """The one-pass build gives the set of counting first and listing
+    after, and refuses exactly where that refuses, with a lower bound
+    between the cap and the exact size, at caps below, at and above each
+    graph's size, whatever the chunking."""
     monkeypatch.setattr(rigidity, "TRIANGLE_CHUNK", chunk)
     rng = np.random.default_rng(19)
     graphs = [Graph.from_edges(n, [(i, j) for i in range(1, n + 1)
@@ -327,7 +340,16 @@ def test_triangle_set_in_one_pass_matches_two_passes(monkeypatch, chunk):
         for cap in sorted({0, size // 3, size - 1, size, size + 1, 10**8}):
             monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", max(cap, 0))
             got = _set_or_refusal(triangle_formation_set, g)
-            assert got == _set_or_refusal(two_pass_triangle_formation_set, g)
-            refused += isinstance(got, bytes)
-            kept += not isinstance(got, bytes)
+            want = _set_or_refusal(two_pass_triangle_formation_set, g)
+            assert isinstance(got, str) == isinstance(want, str)
+            if isinstance(got, str):
+                rows, cols, entries, limit = _refused_rows(got, least=True)
+                exact = _refused_rows(want, least=False)[0]
+                assert (cols, limit) == (2 * g.n, max(cap, 0))
+                assert rows % 2 == 0 and rows * cols == entries
+                assert limit < entries and rows <= exact
+            else:
+                assert got == want
+            refused += isinstance(got, str)
+            kept += not isinstance(got, str)
     assert refused and kept

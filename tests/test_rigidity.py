@@ -632,13 +632,18 @@ def test_jacobian_spectrum_scale_family():
     assert np.sum(np.abs(eig) < 1e-8) == 4
 
 
+FAN5_TRIANGLE_SET = laman_minimal_set(fan_construction(5))
+
+
 @pytest.mark.parametrize(
     "build,name,rows",
     [
         (lambda g, p: distance_rigidity_matrix(g, p), "distance rigidity matrix", 7),
         (lambda g, p: bearing_rigidity_matrix(g, p), "bearing rigidity matrix", 14),
         (
-            lambda g, p: angle_rigidity_matrix(g, p, triangle_formation_set(g)),
+            # a set built beforehand: the triangle set's own cap is
+            # test_index_sets.py's
+            lambda g, p: angle_rigidity_matrix(g, p, FAN5_TRIANGLE_SET),
             "angle rigidity matrix",
             6,
         ),
