@@ -548,7 +548,9 @@ def is_strongly_nondegenerate(
     for chunk in _triangles(g):
         tips, apex = chunk[:, 1:] - 1, chunk[:, :1] - 1
         gx, dist = _bearing_terms(p, tips, apex, refuse=False)
-        flat = np.flatnonzero(collinear(gx[:, 0], gx[:, 1]))
+        # a coincident pair's bearing is not finite: its refusal follows
+        with np.errstate(invalid="ignore"):
+            flat = np.flatnonzero(collinear(gx[:, 0], gx[:, 1]))
         upto = flat[0] + 1 if flat.size else len(chunk)
         _refuse_coincident(dist[:upto], tips[:upto], apex[:upto])
         if flat.size:

@@ -18,6 +18,7 @@ import numpy as np
 from . import _kernels
 from .errors import NonPositiveSeries
 from .formation import (
+    BLOWUP_LIMIT,
     FormationSpec,
     IntegratorConfig,
     PerturbationSpec,
@@ -50,6 +51,7 @@ from .index_sets import (
     triangle_formation_set,
 )
 from .rigidity import (
+    EDGE_EPS,
     Configuration,
     SimilarityTransform,
     angle_congruence_check,
@@ -59,6 +61,7 @@ from .rigidity import (
     bearing_rigidity_matrix,
     is_infinitesimally_angle_rigid,
     is_infinitesimally_bearing_rigid,
+    is_infinitesimally_distance_rigid,
     numerical_rank,
     shape_class_membership,
     trivial_motion_basis,
@@ -356,6 +359,10 @@ def check_angle_bearing_equivalence():
 
 
 def check_rank_scale_invariance():
+    """Rescaling by 2^k, for k across the admitted range (edges at least
+    EDGE_EPS, coordinates within BLOWUP_LIMIT), keeps every verdict and
+    rank, and scales the singular values by exactly 2^k (distance) or
+    2^-k (bearing, angle): no product rounds differently."""
     rng = np.random.default_rng(35)
     for _ in range(10):
         n = int(rng.integers(4, 8))
@@ -363,12 +370,23 @@ def check_rank_scale_invariance():
         g = build_laman(c)
         p = generic_points(rng, n)
         T = laman_minimal_set(c)
-        base = is_infinitesimally_angle_rigid(g, p, T).verdict
-        for s in (1e-3, 1e3):
-            q = Configuration(p.pts * s)
-            if is_infinitesimally_angle_rigid(g, q, T).verdict != base:
-                return False, f"verdict flipped under scale {s}"
-    return True, "verdicts stable under 1e-3 and 1e3 scaling"
+        i, j = g.edge_array.T
+        lo = int(np.ceil(np.log2(EDGE_EPS / np.min(length(p.pts[i] - p.pts[j])))))
+        hi = int(np.floor(np.log2(BLOWUP_LIMIT / np.max(np.abs(p.pts)))))
+        for verdict, power in (
+            (lambda q: is_infinitesimally_distance_rigid(g, q), 1),
+            (lambda q: is_infinitesimally_bearing_rigid(g, q), -1),
+            (lambda q: is_infinitesimally_angle_rigid(g, q, T), -1),
+        ):
+            unit = verdict(p)
+            for k in sorted({lo, lo // 2, -1, 1, hi // 2, hi}):
+                r = verdict(Configuration(p.pts * 2.0**k))
+                if (r.verdict, r.rank) != (unit.verdict, unit.rank):
+                    return False, f"verdict or rank moved under scale 2^{k}"
+                sv = unit.singular_values * 2.0 ** (power * k)
+                if not np.array_equal(r.singular_values, sv):
+                    return False, f"singular values not scaled exactly by 2^{k}"
+    return True, "10 frameworks exact under 2^k, k across each one's range"
 
 
 def check_shape_class_recovery():

@@ -182,3 +182,47 @@ def scalar_validate_for(T, g) -> None:
         for other in (j, k):
             if not g.has_edge(i, other):
                 raise NotAnEdge(f"triple {(i, j, k)} needs edge ({i}, {other})")
+
+
+def pebble_game_rank(g) -> int:
+    """The number of independent edges of g in generic plane rigidity,
+    by the (2, 3) pebble game (D. Jacobs and B. Hendrickson, J. Comput.
+    Phys. 137, 1997). Every vertex starts with two pebbles. An edge is
+    independent when four pebbles can be gathered on its two ends; one
+    of them then covers it, directing it out of the end that paid."""
+    pebbles = [2] * (g.n + 1)
+    out = [set() for _ in range(g.n + 1)]  # out[v]: the edges v's pebbles cover
+
+    def fetch(v, other) -> bool:
+        """Bring one free pebble to v along directed edges, reversing
+        each edge on the path; the search never enters other."""
+        parent, stack = {v: None, other: None}, [v]
+        while stack:
+            u = stack.pop()
+            for w in out[u]:
+                if w in parent:
+                    continue
+                parent[w] = u
+                if pebbles[w]:
+                    pebbles[w] -= 1
+                    pebbles[v] += 1
+                    while w != v:  # the pebble that moved covers (w, u) now
+                        u = parent[w]
+                        out[u].remove(w)
+                        out[w].add(u)
+                        w = u
+                    return True
+                stack.append(w)
+        return False
+
+    independent = 0
+    for a, b in g.edges:
+        while pebbles[a] < 2 and fetch(a, b):
+            pass
+        while pebbles[b] < 2 and fetch(b, a):
+            pass
+        if pebbles[a] + pebbles[b] == 4:
+            pebbles[a] -= 1
+            out[a].add(b)
+            independent += 1
+    return independent

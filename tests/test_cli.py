@@ -338,17 +338,19 @@ def test_analyze_names_the_degenerate_triangle(tmp_path, capsys):
 
 
 def test_simulate_far_from_the_origin_exits_3(tmp_path, capsys):
-    """Every agent starts beyond the blow-up limit of 1e9, perturbed off
-    its target so that step 0 does not converge: the check after the
-    first step stops the run."""
+    """Every agent starts 9e8 from the origin, within the blow-up limit
+    of 1e9 that the loader admits, and the maneuver stretches the leader
+    edge toward 1e9: the check after the step that passes the limit
+    stops the run."""
     doc = _base_doc()
-    pts = Configuration.regular_polygon(5).pts + 2e9
+    pts = Configuration.regular_polygon(5).pts + 9e8
     doc["configuration"]["points"] = pts.tolist()
     del doc["configuration"]["generator"]
+    doc["maneuver"] = {"leaders": [1, 2], "displacement": [1e9, 0.0]}
     sc = str(_write(tmp_path, doc))
     assert cli.main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().out == (
-        "numerical failure: simulation aborted at t=0.001000: "
+        "numerical failure: simulation aborted at t=0.112000: "
         "coordinate magnitude exceeded 1e+09\n"
     )
 
@@ -480,6 +482,12 @@ def _many_agents(doc):
 
 
 HUGE = 10**400  # a JSON integer beyond the double range
+# the regular pentagon at radius 1e160, given point by point
+FAR = Configuration.regular_polygon(5, 1e160).pts.tolist()
+
+
+def _far_points(doc):
+    doc["configuration"] = {"points": FAR}
 
 
 @pytest.mark.parametrize(
@@ -566,6 +574,30 @@ HUGE = 10**400  # a JSON integer beyond the double range
             "amplitude must be finite and nonnegative (2 * amplitude too), "
             "got 1e+308",
         ),
+        (
+            _far_points,
+            2,
+            f"configuration.points[0][0]: {FAR[0][0]!r} is over the coordinate "
+            "limit of 1e+09",
+        ),
+        (
+            _set(("configuration", "generator", "radius"), 1e160),
+            2,
+            "configuration.generator.radius: 1e+160 is over the coordinate limit "
+            "of 1e+09",
+        ),
+        (
+            _set(("configuration", "perturbation", "amplitude"), 1e9),
+            2,
+            "configuration.perturbation.amplitude: 1000000000.0 takes coordinates "
+            "to 1000000001.0, which is over the coordinate limit of 1e+09",
+        ),
+        (
+            _set(("maneuver",), {"leaders": [1, 2], "displacement": [1, -2e9]}),
+            2,
+            "maneuver.displacement[1]: -2000000000.0 is over the coordinate limit "
+            "of 1e+09",
+        ),
     ],
     ids=[
         "float-edge",
@@ -588,6 +620,10 @@ HUGE = 10**400  # a JSON integer beyond the double range
         "huge-n",
         "negative-seed",
         "overflowing-amplitude",
+        "far-point",
+        "far-radius",
+        "far-amplitude",
+        "far-displacement",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
@@ -596,8 +632,25 @@ def test_main_rejects_mistyped_scenario_fields(
     doc = json.loads((SCENARIOS / "example1.json").read_text())
     mutate(doc)
     sc = _write(tmp_path, doc)
-    assert cli.main(["analyze", "--scenario", str(sc)]) == code
-    assert needle in capsys.readouterr().out
+    for verb in ("analyze", "indexset", "simulate"):
+        argv = [verb, "--scenario", str(sc), "--out", str(tmp_path / verb)]
+        assert cli.main(argv) == code
+        assert needle in capsys.readouterr().out
+        assert not (tmp_path / verb).exists()
+
+
+@pytest.mark.parametrize("verb", ["analyze", "simulate"])
+def test_points_that_underflow_are_refused_without_a_warning(
+    tmp_path, capsys, recwarn, verb
+):
+    """At radius 1e-200 the squared differences underflow to 0, so the
+    bearings are not finite; the coincidence refusal is the answer."""
+    doc = _shipped("example1.json")
+    doc["configuration"]["generator"]["radius"] = 1e-200
+    sc = _write(tmp_path, doc)
+    assert cli.main([verb, "--scenario", str(sc), "--out", str(tmp_path / "o")]) == 2
+    assert "coincide" in capsys.readouterr().out
+    assert not recwarn.list
 
 
 def test_main_refuses_unbounded_trajectory(tmp_path, capsys):
@@ -1331,6 +1384,29 @@ def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
     assert os.waitstatus_to_exitcode(status) == 0
     assert "samples=51\n" in (tmp_path / "o" / "report.txt").read_text()
     assert usage.ru_maxrss < 300 * 1024  # KiB
+
+
+@pytest.mark.parametrize("k", [-26, 29])
+def test_analyze_of_a_power_of_two_rescale(tmp_path, capsys, k):
+    """A shipped framework at radius 2^k, near either end of the admitted
+    range, keeps every verdict and rank line, and its sigma tails are the
+    unit-scale ones times 2^k (distance) or 2^-k (bearing, angle)."""
+    reports = []
+    for radius in (1.0, 2.0**k):
+        doc = _shipped("example2.json")
+        doc["configuration"]["generator"]["radius"] = radius
+        assert cli.main(["analyze", "--scenario", str(_write(tmp_path, doc))]) == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        del report["scenario_sha256"]
+        reports.append(report)
+    unit, scaled = reports
+    for key, value in unit.items():
+        if not key.endswith("_sigma_tail"):
+            assert scaled[key] == value, key
+            continue
+        power = 2.0 ** (k if key.startswith("distance") else -k)
+        cells = [float(x) * power for x in value.split(";")]
+        assert [float(x) for x in scaled[key].split(";")] == cells, key
 
 
 @pytest.mark.parametrize("name", ["example1.json", "example2.json", "example3.json"])

@@ -53,6 +53,7 @@ from helpers import (
     fd_jacobian,
     generic_points,
     nondegenerate_points,
+    pebble_game_rank,
     random_connected_graph,
     random_construction,
     scalar_validate_for,
@@ -437,6 +438,37 @@ def test_bearing_report_matches_jacobian_svd(case):
         assert (sv[g.m:].size > 0) == (g.m < 2 * g.n)
         verdicts.add(rep.verdict)
     assert verdicts == {case in ("laman", "dense")}
+
+
+K33 = Graph.from_edges(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
+PRISM = Graph.from_edges(
+    6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
+)
+
+
+def test_rank_verdicts_match_the_pebble_game():
+    """Laman's theorem, by the pebble game, is a truth that shares no
+    code with the verdicts: at generic points the distance and bearing
+    ranks are its count of independent edges, and the full-set angle
+    verdict holds exactly when that count is 2n - 3. K3,3 and the prism
+    are rigid but lie outside the vertex-insertion class."""
+    rng = np.random.default_rng(47)
+    graphs = [K33, PRISM]
+    for k in range(60):  # sparse and dense draws in turn
+        n = int(rng.integers(4, 10))
+        extra = int(rng.integers(0, n) if k % 2 else rng.integers(n, 3 * n))
+        graphs.append(random_connected_graph(rng, n, extra))
+    ranks = set()
+    for g in graphs:
+        p = generic_points(rng, g.n)
+        count = pebble_game_rank(g)
+        assert is_infinitesimally_distance_rigid(g, p).rank == count
+        assert is_infinitesimally_bearing_rigid(g, p).rank == count
+        rigid = is_infinitesimally_angle_rigid(g, p, full_angle_set(g)).verdict
+        assert rigid == (count == 2 * g.n - 3)
+        ranks.add((count == 2 * g.n - 3, count == g.m))
+    # rigid and flexible graphs, with and without redundant edges
+    assert ranks == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_strong_nondegeneracy():
