@@ -98,7 +98,7 @@ class Graph:
         return e
 
     @cached_property
-    def arcs(self) -> "Arcs":
+    def arcs(self) -> Arcs:
         """The graph's one adjacency index, built once and read-only."""
         e, n = self.edge_array, self.n
         keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
