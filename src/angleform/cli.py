@@ -315,15 +315,11 @@ def _refuse_repeat(rows, key, where: str) -> None:
             raise ValidationError(f"{where}[{k}]: {row} repeats {where}[{first}]")
 
 
-def _refuse_far(where: str, value: float, reach: Optional[float] = None) -> None:
-    """ValidationError naming the field where when the coordinates its
-    value reaches, |value| unless reach is given, pass BLOWUP_LIMIT."""
-    if (abs(value) if reach is None else reach) > BLOWUP_LIMIT:
-        takes = "" if reach is None else f" takes coordinates to {reach!r}, which"
-        raise ValidationError(
-            f"{where}: {value!r}{takes} is over the coordinate limit of "
-            f"{BLOWUP_LIMIT:g}"
-        )
+def _far(where: str, text: str) -> ValidationError:
+    """ValidationError naming the field where, whose text is over BLOWUP_LIMIT."""
+    return ValidationError(
+        f"{where}: {text} is over the coordinate limit of {BLOWUP_LIMIT:g}"
+    )
 
 
 def load_scenario(path) -> Scenario:
@@ -409,18 +405,27 @@ def load_scenario(path) -> Scenario:
                 f"maneuver.leaders: {leaders} is not an edge of the graph on "
                 f"vertices 1..{graph.n}"
             )
-    # every coordinate a verb uses stays within BLOWUP_LIMIT, far below
-    # the 1.3e154 where a squared length overflows
+    # each field below stays within BLOWUP_LIMIT, so every coordinate a
+    # verb uses stays within a small multiple of it, far below the
+    # 1.3e154 where a squared length overflows
     if gen is None:
-        k = int(np.argmax(np.abs(base.vec) > BLOWUP_LIMIT))
-        _refuse_far(f"configuration.points[{k // 2}][{k % 2}]", float(base.vec[k]))
-    else:
-        _refuse_far("configuration.generator.radius", gen.get("radius", 1.0))
+        far = np.flatnonzero(np.abs(base.vec) > BLOWUP_LIMIT)
+        if far.size:
+            k = int(far[0])
+            where = f"configuration.points[{k // 2}][{k % 2}]"
+            raise _far(where, repr(float(base.vec[k])))
+    elif abs(gen.get("radius", 1.0)) > BLOWUP_LIMIT:
+        raise _far("configuration.generator.radius", repr(gen.get("radius", 1.0)))
     if perturbation is not None:
         reach = float(np.max(np.abs(base.pts))) + perturbation.amplitude
-        _refuse_far("configuration.perturbation.amplitude", perturbation.amplitude, reach)
+        if reach > BLOWUP_LIMIT:
+            raise _far(
+                "configuration.perturbation.amplitude",
+                f"{perturbation.amplitude!r} takes coordinates to {reach!r}, which",
+            )
     for c, value in enumerate(() if maneuver is None else maneuver.displacement):
-        _refuse_far(f"maneuver.displacement[{c}]", value)
+        if abs(value) > BLOWUP_LIMIT:
+            raise _far(f"maneuver.displacement[{c}]", repr(value))
 
     return Scenario(
         path=str(path),

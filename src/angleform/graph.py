@@ -34,7 +34,6 @@ class Arcs(NamedTuple):
     start at row up[a]."""
 
     keys: np.ndarray  # (2m,) a * n + b
-    tail: np.ndarray  # (2m,) a
     head: np.ndarray  # (2m,) b
     first: np.ndarray  # (n + 1,)
     up: np.ndarray  # (n,)
@@ -103,7 +102,7 @@ class Graph:
         e, n = self.edge_array, self.n
         keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
         v = np.arange(n + 1)
-        index = Arcs(keys, *np.divmod(keys, n), np.searchsorted(keys, v * n),
+        index = Arcs(keys, keys % n, np.searchsorted(keys, v * n),
                      np.searchsorted(keys, v[:-1] * (n + 1)))
         for a in index:
             a.setflags(write=False)

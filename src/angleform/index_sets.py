@@ -136,7 +136,8 @@ def algorithm1_set(
 
     # each vertex's bearings toward its sorted neighbors, in one call
     arcs = g.arcs
-    gx = _bearing_terms(p, arcs.tail, arcs.head)[0]
+    tail = np.repeat(np.arange(g.n), np.diff(arcs.first))
+    gx = _bearing_terms(p, tail, arcs.head)[0]
     triples = []
     for i in range(1, g.n + 1):
         at = slice(arcs.first[i - 1], arcs.first[i])

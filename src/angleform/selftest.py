@@ -359,10 +359,11 @@ def check_angle_bearing_equivalence():
 
 
 def check_rank_scale_invariance():
-    """Rescaling by 2^k, for k across the admitted range (edges at least
-    EDGE_EPS, coordinates within BLOWUP_LIMIT), keeps every verdict and
-    rank, and scales the singular values by exactly 2^k (distance) or
-    2^-k (bearing, angle): no product rounds differently."""
+    """Rescaling by 1e-3 or 1e3, which rounds every coordinate, keeps
+    every verdict and rank. Rescaling by 2^k, for k across the admitted
+    range (edges at least EDGE_EPS, coordinates within BLOWUP_LIMIT),
+    keeps them too, and scales the singular values by exactly 2^k
+    (distance) or 2^-k (bearing, angle): no product rounds differently."""
     rng = np.random.default_rng(35)
     for _ in range(10):
         n = int(rng.integers(4, 8))
@@ -379,6 +380,10 @@ def check_rank_scale_invariance():
             (lambda q: is_infinitesimally_angle_rigid(g, q, T), -1),
         ):
             unit = verdict(p)
+            for s in (1e-3, 1e3):
+                r = verdict(Configuration(p.pts * s))
+                if (r.verdict, r.rank) != (unit.verdict, unit.rank):
+                    return False, f"verdict or rank moved under scale {s}"
             for k in sorted({lo, lo // 2, -1, 1, hi // 2, hi}):
                 r = verdict(Configuration(p.pts * 2.0**k))
                 if (r.verdict, r.rank) != (unit.verdict, unit.rank):
@@ -386,7 +391,10 @@ def check_rank_scale_invariance():
                 sv = unit.singular_values * 2.0 ** (power * k)
                 if not np.array_equal(r.singular_values, sv):
                     return False, f"singular values not scaled exactly by 2^{k}"
-    return True, "10 frameworks exact under 2^k, k across each one's range"
+    return True, (
+        "10 frameworks stable under 1e-3 and 1e3, exact under 2^k "
+        "across each one's range"
+    )
 
 
 def check_shape_class_recovery():
