@@ -42,7 +42,8 @@
    is +0.0, and an exact cancellation gives +0.0, so no entry of u is
    ever -0.0. The cost adds 0.5 * d * d, which is +0.0 for either zero.
 
-   The caller allocates every array. work holds 6 * 2n doubles, the
+   The caller allocates every array. table, zeroed, gets one row t, p1x,
+   p1y, ..., pnx, pny per snapshot. work holds 6 * 2n doubles, the
    current position, the four RK4 stages and the stage position, and
    after them the 8 * k doubles of the side table. */
 
@@ -159,28 +160,33 @@ int af_control(int64_t n, const double *pos, int64_t w, const int64_t *tri,
     return 1;
 }
 
+static int64_t put_row(double *table, int64_t r, double t, const double *pos,
+                       int64_t d2)
+{
+    table[r * (1 + d2)] = t;
+    memcpy(table + r * (1 + d2) + 1, pos, d2 * sizeof *pos);
+    return r + 1;
+}
+
 int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
                  const int64_t *code, int64_t k, const int64_t *sides,
                  const double *cstar, int64_t m, const int64_t *edges,
                  double h, int64_t n_steps, int64_t record_every,
                  int64_t lead_a, int64_t lead_b, double dsx, double dsy,
                  double blowup_limit, double edge_eps, double cost_tol,
-                 double grad_tol, double *times, double *traj, double *vf,
-                 double *work, int64_t *n_rec_out, double *t_stop_out)
+                 double grad_tol, double *table, double *vf, double *work,
+                 int64_t *n_rec_out, double *t_stop_out)
 {
     const int64_t d2 = 2 * n;
     double *pos = work, *k1 = work + d2, *k2 = work + 2 * d2;
     double *k3 = work + 3 * d2, *k4 = work + 4 * d2, *stage = work + 5 * d2;
     double *gtab = work + 6 * d2;
     double cost[2], c_unused[2];
-    int64_t n_rec = 1;
     int status = STATUS_RAN;
     double t_stop = n_steps * h;
 
-    for (int64_t i = 0; i < d2; i++) {
-        pos[i] = pos0[i];
-        traj[i] = pos[i];
-    }
+    memcpy(pos, pos0, d2 * sizeof *pos);
+    int64_t n_rec = put_row(table, 0, 0.0, pos, d2);
     for (int64_t step = 0; step < n_steps; step++) {
         double t = step * h;
         int collapsed = 0;
@@ -240,21 +246,13 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
             t_stop = (step + 1) * h;
             break;
         }
-        if ((step + 1) % record_every == 0) {
-            times[n_rec] = (step + 1) * h;
-            for (int64_t i = 0; i < d2; i++)
-                traj[n_rec * d2 + i] = pos[i];
-            n_rec++;
-        }
+        if ((step + 1) % record_every == 0)
+            n_rec = put_row(table, n_rec, (step + 1) * h, pos, d2);
     }
     if (status == STATUS_RAN || status == STATUS_CONVERGED) {
         double t_end = status == STATUS_CONVERGED ? t_stop : n_steps * h;
-        if (times[n_rec - 1] < t_end) {
-            times[n_rec] = t_end;
-            for (int64_t i = 0; i < d2; i++)
-                traj[n_rec * d2 + i] = pos[i];
-            n_rec++;
-        }
+        if (table[(n_rec - 1) * (1 + d2)] < t_end)
+            n_rec = put_row(table, n_rec, t_end, pos, d2);
         /* a converged run's last k1 was at its final state */
         if (status == STATUS_RAN)
             af_control(n, pos, w, tri, code, k, sides, cstar, lead_a, lead_b,

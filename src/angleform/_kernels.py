@@ -47,11 +47,14 @@ eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
 integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
           lead_b, dsx, dsy, blowup_limit, edge_eps, cost_tol, grad_tol)
     Classical fixed-step RK4 on pdot = u(p). Records a snapshot every
-    record_every steps, plus the initial state and the final state.
-    Returns (times, traj, n_rec, status, t_stop, vf) with status codes
-    STATUS_RAN, STATUS_CONVERGED (cost under cost_tol and |u| under
-    grad_tol), STATUS_NONFINITE (a coordinate left [-blowup, blowup] or
-    went non-finite), STATUS_COINCIDENT (a graph edge or a triple edge
+    record_every steps, plus the initial state and the final state, as a
+    row t, p1x, p1y, ..., pnx, pny of one zeroed table of n_steps //
+    record_every + 2 rows (unwritten rows stay untouched zero pages).
+    Returns (times, traj, n_rec, status, t_stop, vf), times and traj
+    views of that table (times.base), with status codes STATUS_RAN,
+    STATUS_CONVERGED (cost under cost_tol and |u| under grad_tol),
+    STATUS_NONFINITE (a coordinate left [-blowup, blowup] or went
+    non-finite), STATUS_COINCIDENT (a graph edge or a triple edge
     collapsed under edge_eps). vf is each snapshot's V_F, the cost's
     triple sum without the leader term, from the k1 evaluation of the
     step that starts there; a STATUS_RAN run evaluates its final state
@@ -149,11 +152,7 @@ def _integrate_np(
     cost_tol,
     grad_tol,
 ):
-    n = pos0.shape[0]
-    max_rec = n_steps // record_every + 2
-    times = np.zeros(max_rec)
-    traj = np.zeros((max_rec, n, 2))
-    vf = np.zeros(max_rec)
+    times, traj, vf = _records(pos0.shape[0], n_steps, record_every)
     pos = pos0.copy()
     traj[0] = pos
     n_rec = 1
@@ -205,6 +204,13 @@ def _integrate_np(
             vf_now = _control_np(pos, *law)[3]
         vf[n_rec - 1] = vf_now
     return times, traj, n_rec, status, t_stop, vf
+
+
+def _records(n, n_steps, record_every):
+    """integrate's zeroed times, traj and vf, times and traj views of one table."""
+    max_rec = n_steps // record_every + 2
+    table = np.zeros((max_rec, 1 + 2 * n))
+    return table[:, 0], table[:, 1:].reshape(max_rec, n, 2), np.zeros(max_rec)
 
 
 def _write_rows_np(stream, table):
@@ -411,7 +417,7 @@ def make_c_backend() -> Backend:
     flow.argtypes = [
         _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _ptr, _int, _ptr, _dbl,
         _int, _int, _int, _int, _dbl, _dbl, _dbl, _dbl, _dbl, _dbl, _ptr,
-        _ptr, _ptr, _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
+        _ptr, _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
     ]
     format_rows = lib.af_format_rows
     format_rows.restype = _int
@@ -445,10 +451,7 @@ def make_c_backend() -> Backend:
         n = pos0.shape[0]
         sides, code = _side_table(tri, n)
         edges = _uncovered(edges, sides, n)
-        max_rec = n_steps // record_every + 2
-        times = np.zeros(max_rec)
-        traj = np.zeros((max_rec, n, 2))
-        vf = np.zeros(max_rec)
+        times, traj, vf = _records(n, n_steps, record_every)
         work = np.empty(12 * n + 8 * sides.shape[0])
         n_rec = _int()
         t_stop = _dbl()
@@ -458,8 +461,8 @@ def make_c_backend() -> Backend:
             cstar.ctypes.data, edges.shape[0], edges.ctypes.data, h,
             int(n_steps), int(record_every), int(lead_a), int(lead_b), dsx,
             dsy, blowup_limit, edge_eps, cost_tol, grad_tol,
-            times.ctypes.data, traj.ctypes.data, vf.ctypes.data,
-            work.ctypes.data, ctypes.byref(n_rec), ctypes.byref(t_stop),
+            times.base.ctypes.data, vf.ctypes.data, work.ctypes.data,
+            ctypes.byref(n_rec), ctypes.byref(t_stop),
         )
         return times, traj, n_rec.value, status, t_stop.value, vf
 

@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -315,6 +315,17 @@ def _refuse_repeat(rows, key, where: str) -> None:
             raise ValidationError(f"{where}[{k}]: {row} repeats {where}[{first}]")
 
 
+def _unique_keys(path, pairs) -> dict:
+    """A JSON object's pairs as a dict, json.loads's object_pairs_hook:
+    ParseError naming a key the object repeats, where json keeps the last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for k, key in enumerate(keys) if key in keys[:k])
+        raise ParseError(f"{path}: repeated key {key!r}")
+    return obj
+
+
 def _far(where: str, text: str) -> ValidationError:
     """ValidationError naming the field where, whose text is over BLOWUP_LIMIT."""
     return ValidationError(
@@ -344,7 +355,7 @@ def load_scenario(path) -> Scenario:
         )
     digest = hashlib.sha256(raw_bytes).hexdigest()
     try:
-        doc = json.loads(raw_bytes)
+        doc = json.loads(raw_bytes, object_pairs_hook=partial(_unique_keys, path))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -383,6 +394,23 @@ def load_scenario(path) -> Scenario:
     if graph.m != len(edges):
         _refuse_repeat(edges, frozenset, "graph.edges")
 
+    # each field below, then the perturbation's reach, stays within
+    # BLOWUP_LIMIT, so every coordinate a verb uses stays within a small
+    # multiple of it, far below the 1.3e154 where a squared length
+    # overflows; the raw values are checked, so NaN is refused here too
+    if gen is None:
+        vec = np.asarray(config["points"], dtype=float).reshape(-1)
+        far = np.flatnonzero(~(np.abs(vec) <= BLOWUP_LIMIT))
+        if far.size:
+            k = int(far[0])
+            where = f"configuration.points[{k // 2}][{k % 2}]"
+            raise _far(where, repr(float(vec[k])))
+    elif not abs(gen.get("radius", 1.0)) <= BLOWUP_LIMIT:
+        raise _far("configuration.generator.radius", repr(gen.get("radius", 1.0)))
+    for c, value in enumerate(doc.get("maneuver", {}).get("displacement", ())):
+        if not abs(value) <= BLOWUP_LIMIT:
+            raise _far(f"maneuver.displacement[{c}]", repr(value))
+
     if gen is None:
         base = Configuration(config["points"])
     count = base.n if gen is None else gen["n"]
@@ -405,17 +433,6 @@ def load_scenario(path) -> Scenario:
                 f"maneuver.leaders: {leaders} is not an edge of the graph on "
                 f"vertices 1..{graph.n}"
             )
-    # each field below stays within BLOWUP_LIMIT, so every coordinate a
-    # verb uses stays within a small multiple of it, far below the
-    # 1.3e154 where a squared length overflows
-    if gen is None:
-        far = np.flatnonzero(np.abs(base.vec) > BLOWUP_LIMIT)
-        if far.size:
-            k = int(far[0])
-            where = f"configuration.points[{k // 2}][{k % 2}]"
-            raise _far(where, repr(float(base.vec[k])))
-    elif abs(gen.get("radius", 1.0)) > BLOWUP_LIMIT:
-        raise _far("configuration.generator.radius", repr(gen.get("radius", 1.0)))
     if perturbation is not None:
         reach = float(np.max(np.abs(base.pts))) + perturbation.amplitude
         if reach > BLOWUP_LIMIT:
@@ -423,9 +440,6 @@ def load_scenario(path) -> Scenario:
                 "configuration.perturbation.amplitude",
                 f"{perturbation.amplitude!r} takes coordinates to {reach!r}, which",
             )
-    for c, value in enumerate(() if maneuver is None else maneuver.displacement):
-        if abs(value) > BLOWUP_LIMIT:
-            raise _far(f"maneuver.displacement[{c}]", repr(value))
 
     return Scenario(
         path=str(path),
@@ -500,31 +514,21 @@ def _sigma_tail(values: np.ndarray, k: int = 6) -> str:
 # ---------------------------------------------------------------------
 
 
-def _write_table(stream, header, columns) -> None:
-    """A CSV of the header and the float columns side by side, each an
-    (s,) or (s, k) array, every value written as repr writes it (full
-    double precision, byte-stable across reruns) by the active kernel
-    backend, to the binary stream."""
-    stream.write((",".join(header) + "\n").encode("ascii"))
-    _kernels.write_rows(stream, np.column_stack(columns))
-
-
 def _trajectory_csv(result, stream) -> None:
-    """t, p1x, p1y, ..., pnx, pny."""
-    s, n, _ = result.positions.shape
-    header = ["t"] + [f"p{i}{axis}" for i in range(1, n + 1) for axis in "xy"]
-    _write_table(stream, header, (result.times, result.positions.reshape(s, -1)))
+    """t, p1x, p1y, ..., pnx, pny: the recorded table as it is."""
+    n = result.positions.shape[1]
+    header = "t" + "".join(f",p{i}x,p{i}y" for i in range(1, n + 1))
+    stream.write((header + "\n").encode("ascii"))
+    _kernels.write_rows(stream, result.table)
 
 
 def _cost_csv(result, stream) -> None:
     """t, V_F, V_M, V, centroid_x, centroid_y, scale (V_M zero without a
     maneuver, keeping the column order fixed)."""
     vm = result.vm if result.vm is not None else np.zeros_like(result.vf)
-    _write_table(
-        stream,
-        ("t", "V_F", "V_M", "V", "centroid_x", "centroid_y", "scale"),
-        (result.times, result.vf, vm, result.v, result.centroid, result.scale),
-    )
+    columns = (result.times, result.vf, vm, result.v, result.centroid, result.scale)
+    stream.write(b"t,V_F,V_M,V,centroid_x,centroid_y,scale\n")
+    _kernels.write_rows(stream, np.column_stack(columns))
 
 
 _PLOT_STUB = """# gnuplot script stub for the emitted series
@@ -557,6 +561,7 @@ def _analyze(sc: Scenario, T: AngleIndexSet, report: dict) -> list:
         report[f"{name}_rank"] = r.rank
         report[f"{name}_nullspace_dim"] = r.nullspace_dim
         report[f"{name}_sigma_tail"] = _sigma_tail(r.singular_values)
+        report[f"{name}_tol"] = r.tol  # the verdict's cutoff for sigma
 
     nd = is_strongly_nondegenerate(g, p)
     report["strongly_nondegenerate"] = nd.ok

@@ -50,8 +50,9 @@ EQUILIBRIUM_TOL = 1e-8
 TRANSLATION_TOL = 1e-8
 # samples below this are excluded from the decay-rate fit window
 DECAY_FLOOR = 1e-14
-# most agent positions (samples x agents) one run may record: 32 MB of
-# trajectory, some 50x the largest shipped or benchmarked run
+# most agent positions (samples x agents) one run may record: a capped run
+# holds one 32 MB table, t and 2n coordinates a sample, which simulate, its
+# result and trajectory.csv's writer share; 50x the largest benchmarked run
 MAX_RECORDED_POINTS = 2_000_000
 # most RK4 steps one run may take: 333x the 3e5 steps of the longest
 # shipped scenario (example3.json, t_final 300 at h 1e-3)
@@ -278,13 +279,13 @@ def control_uM(spec: FormationSpec, p: Configuration) -> np.ndarray:
 class SimulationResult:
     """Recorded gradient-flow run.
 
-    Arrays are aligned with `times`: positions (s, n, 2), vf, v, scale
-    of shape (s,), centroid (s, 2), vm (s,) or None. v is vf + vm, or vf
-    without a maneuver. Verdicts describe the final sample.
+    table (s, 1 + 2n) holds trajectory.csv's rows t, p1x, p1y, ..., pny;
+    times (s,) and positions (s, n, 2) are its views. Series align with
+    its rows: vf, v, scale (s,), centroid (s, 2), vm (s,) or None. v is
+    vf + vm, or vf without a maneuver. Verdicts describe the final sample.
     """
 
-    times: np.ndarray
-    positions: np.ndarray
+    table: np.ndarray
     vf: np.ndarray
     vm: Optional[np.ndarray]
     v: np.ndarray
@@ -298,6 +299,14 @@ class SimulationResult:
     converged: bool
     t_end: float
     backend: str
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.table[:, 0]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.table[:, 1:].reshape(len(self.table), -1, 2)
 
 
 def decay_rate_fit(times, values) -> float:
@@ -379,9 +388,8 @@ def simulate(
     if status == _kernels.STATUS_COINCIDENT:
         raise BlowUp(t_stop, "adjacent agents coincided")
 
-    times = times[:n_rec].copy()
-    traj = traj[:n_rec].copy()
-    vf = vf[:n_rec].copy()
+    # views of the kernel's table, not copies: a capped run's is 32 MB
+    table, traj, vf = times.base[:n_rec], traj[:n_rec], vf[:n_rec]
     if spec.maneuver is not None:
         err = spec._dstar - (traj[:, lead_a] - traj[:, lead_b])
         vm = 0.5 * np.sum(err * err, axis=1)
@@ -396,11 +404,10 @@ def simulate(
     if v[0] <= DECAY_FLOOR:
         rate = 0.0  # started at (numerical) equilibrium, nothing decays
     else:
-        rate = decay_rate_fit(times, v)
+        rate = decay_rate_fit(table[:, 0], v)
 
     return SimulationResult(
-        times=times,
-        positions=traj,
+        table=table,
         vf=vf,
         vm=vm,
         v=v,
@@ -412,7 +419,7 @@ def simulate(
         maneuver_error=maneuver_error,
         decay_rate=rate,
         converged=(status == _kernels.STATUS_CONVERGED),
-        t_end=float(times[-1]),
+        t_end=float(table[-1, 0]),
         backend=_kernels.backend_name(),
     )
 

@@ -490,6 +490,20 @@ def _far_points(doc):
     doc["configuration"] = {"points": FAR}
 
 
+def _nan_point(doc):
+    points = Configuration.regular_polygon(5).pts.tolist()
+    points[2][0] = math.nan
+    doc["configuration"] = {"points": points}
+
+
+def _twice(block, key_value):
+    """A mutation that json.dumps cannot make: the file text with
+    key_value put first into block, which then gives that key twice;
+    the test writes the text it returns."""
+    head = f'"{block}": {{'
+    return lambda doc: json.dumps(doc).replace(head, f"{head}{key_value}, ", 1)
+
+
 @pytest.mark.parametrize(
     "mutate,code,needle",
     [
@@ -598,6 +612,24 @@ def _far_points(doc):
             "maneuver.displacement[1]: -2000000000.0 is over the coordinate limit "
             "of 1e+09",
         ),
+        (
+            _nan_point,
+            2,
+            "configuration.points[2][0]: nan is over the coordinate limit of 1e+09",
+        ),
+        (
+            _set(("configuration", "generator", "radius"), math.nan),
+            2,
+            "configuration.generator.radius: nan is over the coordinate limit of "
+            "1e+09",
+        ),
+        (
+            _set(("maneuver",), {"leaders": [1, 2], "displacement": [math.nan, 1]}),
+            2,
+            "maneuver.displacement[0]: nan is over the coordinate limit of 1e+09",
+        ),
+        (_twice("integrator", '"h": 0.5'), 4, "s.json: repeated key 'h'"),
+        (_twice("generator", '"radius": NaN'), 4, "s.json: repeated key 'radius'"),
     ],
     ids=[
         "float-edge",
@@ -624,14 +656,21 @@ def _far_points(doc):
         "far-radius",
         "far-amplitude",
         "far-displacement",
+        "nan-point",
+        "nan-radius",
+        "nan-displacement",
+        "repeated-h",
+        "repeated-radius",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
     tmp_path, capsys, mutate, code, needle
 ):
     doc = json.loads((SCENARIOS / "example1.json").read_text())
-    mutate(doc)
+    text = mutate(doc)
     sc = _write(tmp_path, doc)
+    if isinstance(text, str):  # the file text of a _twice mutation
+        sc.write_text(text)
     for verb in ("analyze", "indexset", "simulate"):
         argv = [verb, "--scenario", str(sc), "--out", str(tmp_path / verb)]
         assert cli.main(argv) == code
@@ -1163,7 +1202,7 @@ _HEAD = ["command", "version", "scenario", "scenario_sha256"]
 _RANKS = [
     f"{kind}_{key}"
     for kind in ("distance", "bearing", "angle")
-    for key in ("rigid", "rank", "nullspace_dim", "sigma_tail")
+    for key in ("rigid", "rank", "nullspace_dim", "sigma_tail", "tol")
 ]
 _ANALYZE_KEYS = (
     _HEAD
@@ -1386,11 +1425,59 @@ def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
     assert usage.ru_maxrss < 300 * 1024  # KiB
 
 
+# a run at the MAX_RECORDED_POINTS cap (room for 40 000 samples of 50
+# agents, 39 999 recorded) and its trajectory.csv; prints the growth of
+# the peak RSS and the size of the recorded table, both in KiB, and the
+# sample count
+NEAR_CAP = """
+import os, resource
+from angleform import cli
+from angleform.formation import FormationSpec, IntegratorConfig, PerturbationSpec, simulate
+from angleform.graph import Graph
+from angleform.rigidity import Configuration
+
+n = 50
+fan = Graph.from_edges(n, [(1, k) for k in range(2, n + 1)] + [(k, k + 1) for k in range(2, n)])
+target = Configuration.regular_polygon(n)
+spec, p0 = FormationSpec(fan, target), PerturbationSpec(0.01, 3).sample(target)
+
+def run(t_final):
+    config = IntegratorConfig(h=1e-4, t_final=t_final, record_stride=1e-4, cost_tol=0.0,
+                              grad_tol=0.0)
+    result = simulate(spec, p0, config)
+    with open(os.devnull, "wb") as fh:
+        cli._trajectory_csv(result, fh)
+    return result
+
+run(1e-3)  # loads the C library and warms numpy
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+result = run(3.9998)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(grown, result.table.nbytes // 1024, len(result.times))
+"""
+
+
+def test_near_cap_run_holds_one_table():
+    """simulate and trajectory.csv's writer share the kernel's recorded
+    table: a run at the recording cap grows the peak by that table and
+    the centroid pass's one difference array (2.0 tables here), where
+    copying the kernel's arrays and stacking the CSV's columns again
+    took 3.0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", NEAR_CAP], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    grown, table, samples = map(int, proc.stdout.split())
+    assert samples * 50 == 1_999_950
+    assert grown < 2.5 * table
+
+
 @pytest.mark.parametrize("k", [-26, 29])
 def test_analyze_of_a_power_of_two_rescale(tmp_path, capsys, k):
     """A shipped framework at radius 2^k, near either end of the admitted
-    range, keeps every verdict and rank line, and its sigma tails are the
-    unit-scale ones times 2^k (distance) or 2^-k (bearing, angle)."""
+    range, keeps every verdict and rank line, and its sigma tails and
+    rank cutoffs (tol) are the unit-scale ones times 2^k (distance) or
+    2^-k (bearing, angle)."""
     reports = []
     for radius in (1.0, 2.0**k):
         doc = _shipped("example2.json")
@@ -1401,7 +1488,7 @@ def test_analyze_of_a_power_of_two_rescale(tmp_path, capsys, k):
         reports.append(report)
     unit, scaled = reports
     for key, value in unit.items():
-        if not key.endswith("_sigma_tail"):
+        if not key.endswith(("_sigma_tail", "_tol")):
             assert scaled[key] == value, key
             continue
         power = 2.0 ** (k if key.startswith("distance") else -k)

@@ -57,6 +57,7 @@ STARTS_PROCESSES = {
         "test_record_stride_far_past_t_final": "a possible death by signal",
         "test_triangle_set_refusal_lists_no_triangles": "the child's own peak RSS",
         "test_simulate_series_of_a_dense_graph_stay_small": "the child's own peak RSS",
+        "test_near_cap_run_holds_one_table": "the child's own peak RSS",
     },
     "test_kernels.py": {
         "test_c_backend_selected_without_home": "an environment variable read at import",

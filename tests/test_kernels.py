@@ -89,11 +89,13 @@ def _assert_bits(got, want):
 
 
 def _assert_runs_agree(c_run, np_run):
-    """Two integrate results, bit for bit over the recorded samples."""
+    """Two integrate results, bit for bit over the recorded samples and
+    over the whole recorded tables."""
     t1, tr1, n1, s1, e1, vf1 = c_run
     t2, tr2, n2, s2, e2, vf2 = np_run
     assert (s1, n1) == (s2, n2)
     _assert_bits(e1, e2)
+    _assert_bits(t1.base, t2.base)
     _assert_bits(t1[:n1], t2[:n2])
     _assert_bits(tr1[:n1], tr2[:n2])
     _assert_bits(vf1[:n1], vf2[:n2])
@@ -110,12 +112,16 @@ def _vf_series(traj, tri, cstar):
 
 def _assert_parity(args):
     """integrate(*args) on numpy, and on C wherever a compiler is: each
-    run records the V_F of its own trajectory, and C equals numpy bit for
-    bit, in the run and in the control evaluation at its start. Returns
-    the numpy run."""
+    run records its times and trajectory as views of one (max_rec, 1 +
+    2n) table and the V_F of its own trajectory, and C equals numpy bit
+    for bit, in the run and in the control evaluation at its start.
+    Returns the numpy run."""
     npb, *cb = _backends()
     runs = [b.integrate(*args) for b in (npb, *cb)]
-    for _, traj, n_rec, status, _, vf in runs:
+    for times, traj, n_rec, status, _, vf in runs:
+        table = times.base  # a row is t, then the n positions
+        assert np.shares_memory(table, times) and np.shares_memory(table, traj)
+        assert table.shape == (len(times), 1 + 2 * traj.shape[1])
         # a collision stop leaves its last snapshot unevaluated
         n = n_rec - (status == _kernels.STATUS_COINCIDENT)
         _assert_bits(vf[:n], _vf_series(traj[:n], args[1], args[2]))
