@@ -19,8 +19,9 @@
    gtab + 4 * code. Two sides share a 2-lane vector in the edge pass,
    and the x and y lanes of a triple's terms share one in its loop.
    cost_out gets the full cost and then V_F, the triple sum before the
-   leader term. When a triple's side is under edge_eps the evaluation
-   fails with u = 0 and both 0.0, as _control_np does. The edge pass
+   leader term, eval_control's second and fourth values. When a
+   triple's side is under edge_eps the evaluation fails with u = 0 and
+   both 0.0, as _control_np does. The edge pass
    makes that test, once per side: every side in the table is a side of
    some triple, so some table side is short exactly when some triple's
    is, and the triple loop runs only when none is.
@@ -29,7 +30,11 @@
    given. The caller passes only the edges that no side covers
    (_kernels._uncovered): a covered edge under edge_eps fails that
    step's first evaluation, which stops the run with the same status at
-   the same time.
+   the same time. The edge test and that first evaluation share one
+   STATUS_COINCIDENT exit, before the convergence test; the three later
+   stages run as one loop over the coefficients h/2, h/2 and h, with one
+   exit after it. af_integrate returns the status and writes n_rec and
+   t_stop: with table and vf, the fields of _kernels.Run.
 
    The reference computes both sides of each triple itself, and yet the
    table changes no result bit. Packed IEEE operations round each lane
@@ -182,6 +187,7 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
     double *k3 = work + 3 * d2, *k4 = work + 4 * d2, *stage = work + 5 * d2;
     double *gtab = work + 6 * d2;
     double cost[2], c_unused[2];
+    const double coef[3] = {0.5 * h, 0.5 * h, h};
     int status = STATUS_RAN;
     double t_stop = n_steps * h;
 
@@ -196,13 +202,9 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
             if (sqrt(dx * dx + dy * dy) < edge_eps)
                 collapsed = 1;
         }
-        if (collapsed) {
-            status = STATUS_COINCIDENT;
-            t_stop = t;
-            break;
-        }
-        if (!af_control(n, pos, w, tri, code, k, sides, cstar, lead_a, lead_b,
-                        dsx, dsy, edge_eps, gtab, k1, cost)) {
+        if (collapsed || !af_control(n, pos, w, tri, code, k, sides, cstar,
+                                     lead_a, lead_b, dsx, dsy, edge_eps, gtab,
+                                     k1, cost)) {
             status = STATUS_COINCIDENT;
             t_stop = t;
             break;
@@ -217,19 +219,15 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
             t_stop = t;
             break;
         }
-        for (int64_t i = 0; i < d2; i++)
-            stage[i] = pos[i] + (0.5 * h) * k1[i];
-        int ok2 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
-                             lead_b, dsx, dsy, edge_eps, gtab, k2, c_unused);
-        for (int64_t i = 0; i < d2; i++)
-            stage[i] = pos[i] + (0.5 * h) * k2[i];
-        int ok3 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
-                             lead_b, dsx, dsy, edge_eps, gtab, k3, c_unused);
-        for (int64_t i = 0; i < d2; i++)
-            stage[i] = pos[i] + h * k3[i];
-        int ok4 = af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
-                             lead_b, dsx, dsy, edge_eps, gtab, k4, c_unused);
-        if (!(ok2 && ok3 && ok4)) {
+        int ok = 1;
+        for (int s = 0; s < 3; s++) {
+            for (int64_t i = 0; i < d2; i++)
+                stage[i] = pos[i] + coef[s] * k1[s * d2 + i];
+            ok &= af_control(n, stage, w, tri, code, k, sides, cstar, lead_a,
+                             lead_b, dsx, dsy, edge_eps, gtab,
+                             k1 + (s + 1) * d2, c_unused);
+        }
+        if (!ok) {
             status = STATUS_COINCIDENT;
             t_stop = t;
             break;

@@ -40,29 +40,33 @@ eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
     pos (n, 2) float64, tri (w, 3) int64 0-based, cstar (w,) float64.
     lead_a/lead_b are 0-based leader indices, or -1 for no maneuver;
     (dsx, dsy) is the commanded leader displacement.
-    Returns (u (n, 2), cost, ok). cost is the full tracking cost
-    (angle term plus leader term when active); ok flips False when a
-    triple edge drops under edge_eps, and then u is 0 and cost 0.0.
+    Returns (u (n, 2), cost, ok, vf). cost is the full tracking cost
+    (angle term plus leader term when active), vf is V_F, its triple
+    sum before the leader term; ok flips False when a triple edge drops
+    under edge_eps, and then u is 0 and cost and vf 0.0.
 
 integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
           lead_b, dsx, dsy, blowup_limit, edge_eps, cost_tol, grad_tol)
     Classical fixed-step RK4 on pdot = u(p). Records a snapshot every
     record_every steps, plus the initial state and the final state, as a
-    row t, p1x, p1y, ..., pnx, pny of one zeroed table of n_steps //
-    record_every + 2 rows (unwritten rows stay untouched zero pages).
-    Returns (times, traj, n_rec, status, t_stop, vf), times and traj
-    views of that table (times.base), with status codes STATUS_RAN,
+    row t, p1x, p1y, ..., pnx, pny of one zeroed table of
+    record_rows(n_steps, record_every) rows (unwritten rows stay
+    untouched zero pages). Returns Run(table, vf, n_rec, status,
+    t_stop): that table, its first n_rec rows written; vf, each
+    snapshot's V_F from the k1 evaluation of the step that starts there
+    (a STATUS_RAN run evaluates its final state once more: vf 0.0 there
+    if that fails, the status stays); the status STATUS_RAN,
     STATUS_CONVERGED (cost under cost_tol and |u| under grad_tol),
     STATUS_NONFINITE (a coordinate left [-blowup, blowup] or went
-    non-finite), STATUS_COINCIDENT (a graph edge or a triple edge
-    collapsed under edge_eps). vf is each snapshot's V_F, the cost's
-    triple sum without the leader term, from the k1 evaluation of the
-    step that starts there; a STATUS_RAN run evaluates its final state
-    once more (vf 0.0 there if that fails; the status stays). The numpy
-    backend tests every graph edge before each step. The C backend
-    tests only the edges no triple side covers (_uncovered): a covered
-    edge under edge_eps fails the step's k1 evaluation instead, with the
-    same status and t_stop.
+    non-finite) or STATUS_COINCIDENT (a graph edge or a triple edge
+    collapsed under edge_eps); and the time the run stopped. status and
+    t_stop stay at positions 3 and 4 (perfbench/spans.py reads them);
+    new fields go last. Each step has one STATUS_COINCIDENT exit at its
+    start (the edge test or k1) and one after its three later stages,
+    one loop over h/2, h/2 and h. The numpy backend tests every graph
+    edge before each step; the C backend only those no triple side
+    covers (_uncovered): a covered edge under edge_eps fails the step's
+    k1 evaluation instead, with the same status and t_stop.
 
 write_rows(stream, table)
     Writes the (rows, cols) float64 table to the binary stream as ASCII
@@ -102,6 +106,14 @@ STATUS_NONFINITE = 2
 STATUS_COINCIDENT = 3
 
 
+class Run(NamedTuple):
+    table: np.ndarray
+    vf: np.ndarray
+    n_rec: int
+    status: int
+    t_stop: float
+
+
 class Backend(NamedTuple):
     name: str
     eval_control: object
@@ -115,9 +127,9 @@ class Backend(NamedTuple):
 
 
 def _control_np(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
-    # eval_control's (u, cost, ok), then vf, the cost before the leader
-    # term. Every sum runs in _kernels.c's order, so both backends agree
-    # bit for bit: no @, np.sum or hypot here, whose orders differ
+    # eval_control's (u, cost, ok, vf). Every sum runs in _kernels.c's
+    # order, so both backends agree bit for bit: no @, np.sum or hypot
+    # here, whose orders differ
     u = np.zeros_like(pos)
     cosv, q1, q2, lab, lac = angle_terms(pos, tri)
     if (lab < edge_eps).any() or (lac < edge_eps).any():
@@ -152,21 +164,17 @@ def _integrate_np(
     cost_tol,
     grad_tol,
 ):
-    times, traj, vf = _records(pos0.shape[0], n_steps, record_every)
+    table, vf = _records(pos0.shape[0], n_steps, record_every)
     pos = pos0.copy()
-    traj[0] = pos
+    table[0, 1:] = pos.ravel()
     n_rec = 1
     status = STATUS_RAN
     t_stop = n_steps * h
     law = (tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps)
     for step in range(n_steps):
         t = step * h
-        if (length(pos[edges[:, 0]] - pos[edges[:, 1]]) < edge_eps).any():
-            status = STATUS_COINCIDENT
-            t_stop = t
-            break
-        k1, cost, ok1, vf_now = _control_np(pos, *law)
-        if not ok1:
+        k1, cost, ok, vf_now = _control_np(pos, *law)
+        if not ok or (length(pos[edges[:, 0]] - pos[edges[:, 1]]) < edge_eps).any():
             status = STATUS_COINCIDENT
             t_stop = t
             break
@@ -177,40 +185,44 @@ def _integrate_np(
             status = STATUS_CONVERGED
             t_stop = t
             break
-        k2, _, ok2, _ = _control_np(pos + (0.5 * h) * k1, *law)
-        k3, _, ok3, _ = _control_np(pos + (0.5 * h) * k2, *law)
-        k4, _, ok4, _ = _control_np(pos + h * k3, *law)
-        if not (ok2 and ok3 and ok4):
+        k = [k1]
+        for c in (0.5 * h, 0.5 * h, h):
+            kc, _, ok_c, _ = _control_np(pos + c * k[-1], *law)
+            k.append(kc)
+            ok &= ok_c
+        if not ok:
             status = STATUS_COINCIDENT
             t_stop = t
             break
-        pos = pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        pos = pos + (h / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
         if not np.all(np.abs(pos) <= blowup_limit):
             status = STATUS_NONFINITE
             t_stop = (step + 1) * h
             break
         if (step + 1) % record_every == 0:
-            times[n_rec] = (step + 1) * h
-            traj[n_rec] = pos
+            table[n_rec, 0], table[n_rec, 1:] = (step + 1) * h, pos.ravel()
             n_rec += 1
     if status in (STATUS_RAN, STATUS_CONVERGED):
         t_end = t_stop if status == STATUS_CONVERGED else n_steps * h
-        if times[n_rec - 1] < t_end:
-            times[n_rec] = t_end
-            traj[n_rec] = pos
+        if table[n_rec - 1, 0] < t_end:
+            table[n_rec, 0], table[n_rec, 1:] = t_end, pos.ravel()
             n_rec += 1
         # a converged run evaluated its final state in the last k1
         if status == STATUS_RAN:
-            vf_now = _control_np(pos, *law)[3]
+            _, _, _, vf_now = _control_np(pos, *law)
         vf[n_rec - 1] = vf_now
-    return times, traj, n_rec, status, t_stop, vf
+    return Run(table, vf, n_rec, status, t_stop)
+
+
+def record_rows(n_steps, record_every):
+    """Rows integrate records at most: the grid, the start, a last state."""
+    return n_steps // record_every + 2
 
 
 def _records(n, n_steps, record_every):
-    """integrate's zeroed times, traj and vf, times and traj views of one table."""
-    max_rec = n_steps // record_every + 2
-    table = np.zeros((max_rec, 1 + 2 * n))
-    return table[:, 0], table[:, 1:].reshape(max_rec, n, 2), np.zeros(max_rec)
+    """integrate's zeroed (rows, 1 + 2n) table and (rows,) vf."""
+    rows = record_rows(n_steps, record_every)
+    return np.zeros((rows, 1 + 2 * n)), np.zeros(rows)
 
 
 def _write_rows_np(stream, table):
@@ -331,8 +343,13 @@ _dbl = ctypes.c_double
 _NO_EDGES = np.zeros((0, 2), dtype=np.int64)
 
 
-def _check_args(pos, tri, cstar, edges, lead_a, lead_b):
-    """Refuse what the C loops would read out of bounds."""
+def _c_args(pos, tri, cstar, lead_a, lead_b, edges=_NO_EDGES):
+    """pos, tri, cstar and edges C-contiguous in the dtypes C reads, and
+    tri's side table (sides, code); refuses what C would read out of bounds."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    tri = np.ascontiguousarray(tri, dtype=np.int64)
+    cstar = np.ascontiguousarray(cstar, dtype=np.float64)
+    edges = np.ascontiguousarray(edges, dtype=np.int64)
     n = pos.shape[0]
     if pos.shape != (n, 2) or tri.shape[1:] != (3,) or edges.shape[1:] != (2,):
         raise ValueError("kernel arrays must be pos (n, 2), tri (w, 3), edges (m, 2)")
@@ -343,6 +360,7 @@ def _check_args(pos, tri, cstar, edges, lead_a, lead_b):
             raise IndexError(f"agent index out of range for {n} agents")
     if lead_a >= 0 and not (lead_a < n and 0 <= lead_b < n):
         raise IndexError(f"leader index out of range for {n} agents")
+    return pos, tri, cstar, edges, *_side_table(tri, n)
 
 
 def _side_table(tri, n):
@@ -424,11 +442,7 @@ def make_c_backend() -> Backend:
     format_rows.argtypes = [_ptr, _int, _int, _ptr, _ptr]
 
     def eval_control(pos, tri, cstar, lead_a, lead_b, dsx, dsy, edge_eps):
-        pos = np.ascontiguousarray(pos, dtype=np.float64)
-        tri = np.ascontiguousarray(tri, dtype=np.int64)
-        cstar = np.ascontiguousarray(cstar, dtype=np.float64)
-        _check_args(pos, tri, cstar, _NO_EDGES, lead_a, lead_b)
-        sides, code = _side_table(tri, pos.shape[0])
+        pos, tri, cstar, _, sides, code = _c_args(pos, tri, cstar, lead_a, lead_b)
         gtab = np.empty(8 * sides.shape[0])
         u = np.empty_like(pos)
         cost = (_dbl * 2)()  # the full cost, then V_F
@@ -438,20 +452,17 @@ def make_c_backend() -> Backend:
             cstar.ctypes.data, int(lead_a), int(lead_b), dsx, dsy, edge_eps,
             gtab.ctypes.data, u.ctypes.data, cost,
         )
-        return u, cost[0], bool(ok)
+        return u, cost[0], bool(ok), cost[1]
 
     def integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
                   lead_b, dsx, dsy, blowup_limit, edge_eps, cost_tol,
                   grad_tol):
-        pos0 = np.ascontiguousarray(pos0, dtype=np.float64)
-        tri = np.ascontiguousarray(tri, dtype=np.int64)
-        cstar = np.ascontiguousarray(cstar, dtype=np.float64)
-        edges = np.ascontiguousarray(edges, dtype=np.int64)
-        _check_args(pos0, tri, cstar, edges, lead_a, lead_b)
+        pos0, tri, cstar, edges, sides, code = _c_args(
+            pos0, tri, cstar, lead_a, lead_b, edges
+        )
         n = pos0.shape[0]
-        sides, code = _side_table(tri, n)
         edges = _uncovered(edges, sides, n)
-        times, traj, vf = _records(n, n_steps, record_every)
+        table, vf = _records(n, n_steps, record_every)
         work = np.empty(12 * n + 8 * sides.shape[0])
         n_rec = _int()
         t_stop = _dbl()
@@ -461,10 +472,10 @@ def make_c_backend() -> Backend:
             cstar.ctypes.data, edges.shape[0], edges.ctypes.data, h,
             int(n_steps), int(record_every), int(lead_a), int(lead_b), dsx,
             dsy, blowup_limit, edge_eps, cost_tol, grad_tol,
-            times.base.ctypes.data, vf.ctypes.data, work.ctypes.data,
+            table.ctypes.data, vf.ctypes.data, work.ctypes.data,
             ctypes.byref(n_rec), ctypes.byref(t_stop),
         )
-        return times, traj, n_rec.value, status, t_stop.value, vf
+        return Run(table, vf, n_rec.value, status, t_stop.value)
 
     def write_rows(stream, table):
         table = np.ascontiguousarray(table, dtype=np.float64)
@@ -493,9 +504,7 @@ def make_c_backend() -> Backend:
 
 
 def make_numpy_backend() -> Backend:
-    return Backend(
-        "numpy", lambda *args: _control_np(*args)[:3], _integrate_np, _write_rows_np
-    )
+    return Backend("numpy", _control_np, _integrate_np, _write_rows_np)
 
 
 def _select() -> Backend:

@@ -158,8 +158,7 @@ class Scenario:
         if self.construction is None:
             found = recognize_triangulated_laman(g)
             return found, "none" if found is None else "recognized"
-        built = self.construction.graph
-        if built.n == g.n and set(built.edges) == set(g.edges):
+        if self.construction.graph == g:
             return self.construction, "scenario"
         return None, "scenario"
 
@@ -333,6 +332,15 @@ def _far(where: str, text: str) -> ValidationError:
     )
 
 
+def _built(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), a model object; a ValueError it raises
+    comes out as a ValidationError naming the field where."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
@@ -390,7 +398,7 @@ def load_scenario(path) -> Scenario:
         raise ValidationError(f"graph.n must be positive, got {n}")
     if n > MAX_AGENTS:
         raise ValidationError(f"graph.n {n} is over the limit of {MAX_AGENTS}")
-    graph = Graph.from_edges(n, edges)
+    graph = _built("graph.edges", Graph.from_edges, n, edges)
     if graph.m != len(edges):
         _refuse_repeat(edges, frozenset, "graph.edges")
 
@@ -412,22 +420,28 @@ def load_scenario(path) -> Scenario:
             raise _far(f"maneuver.displacement[{c}]", repr(value))
 
     if gen is None:
-        base = Configuration(config["points"])
+        base = _built("configuration.points", Configuration, config["points"])
     count = base.n if gen is None else gen["n"]
     if count != graph.n:  # checked first: a generator's n sizes the polygon
         raise ValidationError(
             f"configuration has {count} points, graph has {graph.n} vertices"
         )
     if gen is not None:
-        base = Configuration.regular_polygon(count, gen.get("radius", 1.0))
+        polygon = Configuration.regular_polygon
+        base = _built("configuration.generator", polygon, count, gen.get("radius", 1.0))
     pert = config.get("perturbation")
-    perturbation = None if pert is None else PerturbationSpec(**pert)
+    perturbation = None
+    if pert is not None:
+        perturbation = _built("configuration.perturbation", PerturbationSpec, **pert)
     construction = maneuver = None
     if "construction" in doc:
-        construction = LamanConstruction(tuple(doc["construction"]["steps"]))
+        steps = tuple(doc["construction"]["steps"])
+        construction = _built("construction.steps", LamanConstruction, steps)
     if "maneuver" in doc:
         leaders = doc["maneuver"]["leaders"]
-        maneuver = Maneuver(LeaderPair(*leaders), doc["maneuver"]["displacement"])
+        pair = _built("maneuver.leaders", LeaderPair, *leaders)
+        displacement = doc["maneuver"]["displacement"]
+        maneuver = _built("maneuver.displacement", Maneuver, pair, displacement)
         if not maneuver.leaders.spans_edge(graph):
             raise ValidationError(
                 f"maneuver.leaders: {leaders} is not an edge of the graph on "
@@ -451,7 +465,7 @@ def load_scenario(path) -> Scenario:
         explicit_triples=None if triples is None else tuple(triples),
         construction=construction,
         maneuver=maneuver,
-        integrator=IntegratorConfig(**doc.get("integrator", {})),
+        integrator=_built("integrator", IntegratorConfig, **doc.get("integrator", {})),
     )
 
 

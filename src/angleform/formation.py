@@ -349,7 +349,7 @@ def simulate(
     if p0.n != spec.n:
         raise ValidationError(f"p0 has {p0.n} points, spec needs {spec.n}")
     # the kernels preallocate every sample the run could record
-    samples = config.n_steps // config.record_every + 2
+    samples = _kernels.record_rows(config.n_steps, config.record_every)
     if samples * spec.n > MAX_RECORDED_POINTS:
         raise ValidationError(
             f"t_final {config.t_final} at record_stride {config.record_stride} "
@@ -366,7 +366,7 @@ def simulate(
         )
 
     lead_a, lead_b = spec._lead
-    times, traj, n_rec, status, t_stop, vf = _kernels.integrate(
+    run = _kernels.integrate(
         p0.pts.astype(float),
         spec._tri,
         spec.target_cosines,
@@ -383,13 +383,14 @@ def simulate(
         float(config.cost_tol),
         float(config.grad_tol),
     )
-    if status == _kernels.STATUS_NONFINITE:
-        raise BlowUp(t_stop, f"coordinate magnitude exceeded {BLOWUP_LIMIT:g}")
-    if status == _kernels.STATUS_COINCIDENT:
-        raise BlowUp(t_stop, "adjacent agents coincided")
+    if run.status == _kernels.STATUS_NONFINITE:
+        raise BlowUp(run.t_stop, f"coordinate magnitude exceeded {BLOWUP_LIMIT:g}")
+    if run.status == _kernels.STATUS_COINCIDENT:
+        raise BlowUp(run.t_stop, "adjacent agents coincided")
 
     # views of the kernel's table, not copies: a capped run's is 32 MB
-    table, traj, vf = times.base[:n_rec], traj[:n_rec], vf[:n_rec]
+    table, vf = run.table[: run.n_rec], run.vf[: run.n_rec]
+    traj = table[:, 1:].reshape(run.n_rec, spec.n, 2)
     if spec.maneuver is not None:
         err = spec._dstar - (traj[:, lead_a] - traj[:, lead_b])
         vm = 0.5 * np.sum(err * err, axis=1)
@@ -418,7 +419,7 @@ def simulate(
         in_translation_family=membership.in_translation_family,
         maneuver_error=maneuver_error,
         decay_rate=rate,
-        converged=(status == _kernels.STATUS_CONVERGED),
+        converged=(run.status == _kernels.STATUS_CONVERGED),
         t_end=float(table[-1, 0]),
         backend=_kernels.backend_name(),
     )

@@ -638,8 +638,8 @@ def check_backend_agreement():
     for _ in range(total):
         pos = _PENT.pts + rng.uniform(-0.3, 0.3, size=(5, 2))
         args = (pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, 1e-9)
-        u1, c1, _ = _kernels.eval_control(*args)
-        u2, c2, _ = npb.eval_control(*args)
+        u1, c1, _, _ = _kernels.eval_control(*args)
+        u2, c2, _, _ = npb.eval_control(*args)
         # the backends share one arithmetic: equal bits, zero signs too
         same += int((u1.tobytes(), c1.hex()) == (u2.tobytes(), c2.hex()))
     return same == total, f"{name} vs numpy: {same}/{total} evaluations bit-equal"

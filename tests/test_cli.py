@@ -455,7 +455,7 @@ def test_main_rejects_non_finite_integrator_field(tmp_path, capsys, field, liter
     sc.write_text(json.dumps(doc).replace('"@"', literal))
     code = cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "run")])
     assert code == 2
-    assert f"{field} must be finite" in capsys.readouterr().out
+    assert f"integrator: {field} must be finite" in capsys.readouterr().out
     assert not (tmp_path / "run").exists()
 
 
@@ -547,7 +547,7 @@ def _twice(block, key_value):
         (
             _set(("configuration", "perturbation", "amplitude"), math.nan),
             2,
-            "amplitude must be finite",
+            "configuration.perturbation: amplitude must be finite",
         ),
         (
             _set(("configuration", "generator", "radius"), HUGE),
@@ -570,23 +570,27 @@ def _twice(block, key_value):
             "configuration.perturbation.amplitude: integer too large for a float",
         ),
         (_set(("integrator", "t_final"), HUGE), 4, "integrator.t_final: integer too"),
-        (_set(("integrator", "h"), 1e-9), 2, "t_final 50.0 at h 1e-09 needs 5e+10 RK4"),
+        (
+            _set(("integrator", "h"), 1e-9),
+            2,
+            "integrator: t_final 50.0 at h 1e-09 needs 5e+10 RK4",
+        ),
         (
             _set(("integrator",), {"h": 1e-300, "t_final": 1e300}),
             2,
-            "t_final 1e+300 at h 1e-300 needs inf RK4 steps, over the limit",
+            "integrator: t_final 1e+300 at h 1e-300 needs inf RK4 steps, over the limit",
         ),
         (_many_agents, 2, "graph.n 10000000000000 is over the limit of 10000"),
         (
             _set(("configuration", "perturbation", "seed"), -1),
             2,
-            "seed must be nonnegative, got -1",
+            "configuration.perturbation: seed must be nonnegative, got -1",
         ),
         (
             _set(("configuration", "perturbation", "amplitude"), 1e308),
             2,
-            "amplitude must be finite and nonnegative (2 * amplitude too), "
-            "got 1e+308",
+            "configuration.perturbation: amplitude must be finite and nonnegative "
+            "(2 * amplitude too), got 1e+308",
         ),
         (
             _far_points,
@@ -630,6 +634,42 @@ def _twice(block, key_value):
         ),
         (_twice("integrator", '"h": 0.5'), 4, "s.json: repeated key 'h'"),
         (_twice("generator", '"radius": NaN'), 4, "s.json: repeated key 'radius'"),
+        (_set(("graph", "edges", 0), [3, 3]), 2, "graph.edges: self-loop at vertex 3"),
+        (
+            _set(("graph", "edges", 0), [3, 9]),
+            2,
+            "graph.edges: edge (3, 9) violates 1 <= i < j <= 5",
+        ),
+        (
+            _set(("configuration",), {"points": [[0, 0]]}),
+            2,
+            "configuration.points: need at least two points",
+        ),
+        (
+            _set(("maneuver",), {"leaders": [1, 1], "displacement": [1, 0]}),
+            2,
+            "maneuver.leaders: leader vertices must differ",
+        ),
+        (
+            _set(("maneuver",), {"leaders": [1, 2], "displacement": [0, 0]}),
+            2,
+            "maneuver.displacement: displacement must be nonzero",
+        ),
+        (
+            _set(("integrator", "method"), "euler"),
+            2,
+            "integrator: unsupported method 'euler'",
+        ),
+        (
+            _set(("construction", "steps", 2), [4, 1, 3]),
+            2,
+            "construction.steps: inserted labels [3, 4] must be exactly 3..5",
+        ),
+        (
+            _set(("construction", "steps", 2), [5, 5, 4]),
+            2,
+            "construction.steps: malformed step (5, 5, 4)",
+        ),
     ],
     ids=[
         "float-edge",
@@ -661,6 +701,14 @@ def _twice(block, key_value):
         "nan-displacement",
         "repeated-h",
         "repeated-radius",
+        "self-loop",
+        "edge-out-of-range",
+        "one-point",
+        "equal-leaders",
+        "zero-displacement",
+        "unknown-method",
+        "repeated-label",
+        "malformed-step",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(

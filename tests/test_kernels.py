@@ -76,7 +76,7 @@ def _law_args(pos, tri, cstar, edges, **over):
 
 def test_numpy_backend_exists():
     b = _kernels.make_numpy_backend()
-    assert b.name == "numpy"
+    assert b.name == "numpy" and b.eval_control is _kernels._control_np
     assert _kernels.backend_name() in ("numpy", "c")
 
 
@@ -89,16 +89,12 @@ def _assert_bits(got, want):
 
 
 def _assert_runs_agree(c_run, np_run):
-    """Two integrate results, bit for bit over the recorded samples and
-    over the whole recorded tables."""
-    t1, tr1, n1, s1, e1, vf1 = c_run
-    t2, tr2, n2, s2, e2, vf2 = np_run
-    assert (s1, n1) == (s2, n2)
-    _assert_bits(e1, e2)
-    _assert_bits(t1.base, t2.base)
-    _assert_bits(t1[:n1], t2[:n2])
-    _assert_bits(tr1[:n1], tr2[:n2])
-    _assert_bits(vf1[:n1], vf2[:n2])
+    """Two integrate results, bit for bit over the whole recorded tables
+    and V_F series."""
+    assert (c_run.status, c_run.n_rec) == (np_run.status, np_run.n_rec)
+    _assert_bits(c_run.t_stop, np_run.t_stop)
+    _assert_bits(c_run.table, np_run.table)
+    _assert_bits(c_run.vf, np_run.vf)
 
 
 def _vf_series(traj, tri, cstar):
@@ -112,25 +108,29 @@ def _vf_series(traj, tri, cstar):
 
 def _assert_parity(args):
     """integrate(*args) on numpy, and on C wherever a compiler is: each
-    run records its times and trajectory as views of one (max_rec, 1 +
-    2n) table and the V_F of its own trajectory, and C equals numpy bit
-    for bit, in the run and in the control evaluation at its start.
-    Returns the numpy run."""
+    run is a Run whose table holds record_rows rows t, p1x, ..., pny and
+    whose vf is the V_F of its own trajectory, and C equals numpy bit
+    for bit, in the run and in the control evaluation at its start, V_F
+    included. Returns the numpy run."""
     npb, *cb = _backends()
     runs = [b.integrate(*args) for b in (npb, *cb)]
-    for times, traj, n_rec, status, _, vf in runs:
-        table = times.base  # a row is t, then the n positions
-        assert np.shares_memory(table, times) and np.shares_memory(table, traj)
-        assert table.shape == (len(times), 1 + 2 * traj.shape[1])
+    n_agents, rows = len(args[0]), _kernels.record_rows(args[5], args[6])
+    for run in runs:
+        assert type(run) is _kernels.Run
+        assert run.table.shape == (rows, 1 + 2 * n_agents) and run.vf.shape == (rows,)
         # a collision stop leaves its last snapshot unevaluated
-        n = n_rec - (status == _kernels.STATUS_COINCIDENT)
-        _assert_bits(vf[:n], _vf_series(traj[:n], args[1], args[2]))
+        n = run.n_rec - (run.status == _kernels.STATUS_COINCIDENT)
+        traj = run.table[:n, 1:].reshape(n, n_agents, 2)
+        _assert_bits(run.vf[:n], _vf_series(traj, args[1], args[2]))
     law = (*args[1:3], *args[7:11], args[12])
     for b, run in zip(cb, runs[1:]):
-        (u1, cost1, ok1), (u2, cost2, ok2) = (x.eval_control(args[0], *law) for x in (b, npb))
+        (u1, cost1, ok1, vf1), (u2, cost2, ok2, vf2) = (
+            x.eval_control(args[0], *law) for x in (b, npb)
+        )
         assert ok1 == ok2
         _assert_bits(u1, u2)
         _assert_bits(cost1, cost2)
+        _assert_bits(vf1, vf2)
         _assert_runs_agree(run, runs[0])
     return runs[0]
 
@@ -152,7 +152,7 @@ def test_kernel_parity_property(seed, n, angle_set, leaders, h, record_every):
     threshold."""
     pos, spec = _insertion_framework(seed, leaders, n, angle_set)
     args = _integrate_args(spec, pos, h=h, n_steps=60, record_every=record_every)
-    assert _assert_parity(args)[3] == _kernels.STATUS_RAN
+    assert _assert_parity(args).status == _kernels.STATUS_RAN
 
 
 @needs_cc
@@ -169,14 +169,14 @@ def test_kernel_parity_stops(case):
     else:
         over = {"blowup_limit": 0.5 * float(np.max(np.abs(pos)))}
         want = _kernels.STATUS_NONFINITE
-    assert _assert_parity(_integrate_args(spec, pos, **over))[3] == want
+    assert _assert_parity(_integrate_args(spec, pos, **over)).status == want
 
 
 def test_status_coincident():
     pos = PENT.pts.copy()
     pos[1] = pos[0]  # (1, 2) is an edge
     run = _assert_parity(_integrate_args(_spec(), pos))
-    assert (run[3], run[4]) == (_kernels.STATUS_COINCIDENT, 0.0)
+    assert (run.status, run.t_stop) == (_kernels.STATUS_COINCIDENT, 0.0)
 
 
 def test_numpy_control_refuses_coincident_silently():
@@ -186,15 +186,16 @@ def test_numpy_control_refuses_coincident_silently():
     args = (pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0, 1e-9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        u, cost, ok = _kernels.make_numpy_backend().eval_control(*args)
-    assert not ok and cost == 0.0 and not np.any(u)
+        u, cost, ok, vf = _kernels.make_numpy_backend().eval_control(*args)
+    assert not ok and cost == vf == 0.0 and not np.any(u)
 
 
 def test_status_nonfinite():
     pos = PerturbationSpec(0.2, 13).sample(PENT).pts
     # a blow-up limit below the configuration radius trips immediately
     run = _assert_parity(_integrate_args(_spec(), pos, blowup_limit=0.1))
-    assert run[3] == _kernels.STATUS_NONFINITE and run[4] == pytest.approx(1e-3)
+    assert run.status == _kernels.STATUS_NONFINITE
+    assert run.t_stop == pytest.approx(1e-3)
 
 
 @needs_cc
@@ -204,7 +205,7 @@ def test_c_backend_selected_without_home():
     code = "import angleform; print(angleform.backend_name())"
     for extra, expected in (({_kernels.ENV_FLAG: "0"}, "numpy"), ({}, "c")):
         out = subprocess.run(
-            [sys.executable, "-W", "error", "-c", code],
+            [sys.executable, "-B", "-W", "error", "-c", code],
             capture_output=True,
             text=True,
             env={**env, **extra},
@@ -404,10 +405,10 @@ def test_c_control_stops_at_the_same_triple():
     tri = spec._tri
     mid = len(tri) // 2
     pos[tri[mid, 2]] = pos[tri[mid, 0]]  # the middle triple loses (a, c)
-    u, cost, ok = _kernels.make_c_backend().eval_control(
+    u, cost, ok, vf = _kernels.make_c_backend().eval_control(
         pos, tri, spec.target_cosines, -1, -1, 0.0, 0.0, EDGE_EPS
     )
-    assert not ok and cost == 0.0 and not np.any(u)  # no partial sums
+    assert not ok and cost == vf == 0.0 and not np.any(u)  # no partial sums
     _assert_parity(_law_args(pos, *_law_of(spec)))
 
 
@@ -417,14 +418,15 @@ def test_c_kernels_bit_exact_at_a_coincident_stop():
     edge here, so a control evaluation stops the run."""
     pos, spec = _insertion_framework(5)
     tri, cstar, _ = _law_of(spec)
-    traj = _kernels._integrate_np(*_law_args(pos, tri, cstar, _kernels._NO_EDGES))[1]
+    table = _kernels._integrate_np(*_law_args(pos, tri, cstar, _kernels._NO_EDGES)).table
+    traj = table[:, 1:].reshape(len(table), -1, 2)
     sides = np.concatenate([tri[:, [0, 1]], tri[:, [0, 2]]])
     gaps = traj[:, sides[:, 0]] - traj[:, sides[:, 1]]
     lengths = np.hypot(gaps[..., 0], gaps[..., 1])  # (steps + 1, 2w)
     assert np.any(lengths[25] < lengths[0])
     edge_eps = float(np.min(lengths[25]))
     run = _assert_parity(_law_args(pos, tri, cstar, _kernels._NO_EDGES, edge_eps=edge_eps))
-    assert run[3] == _kernels.STATUS_COINCIDENT and 0.0 < run[4] < 0.5
+    assert run.status == _kernels.STATUS_COINCIDENT and 0.0 < run.t_stop < 0.5
 
 
 # ---------------------------------------------------------------------
@@ -495,12 +497,12 @@ def test_stage_evaluations_fail_only_on_triple_sides(pair):
         # its target is met at the start, so it adds no control there
         tri = np.vstack([tri, [[5, 1, 0]]])
         cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
-    status, t_stop = _assert_parity(_law_args(
+    run = _assert_parity(_law_args(
         pos, tri, cstar, np.vstack([spec._edges, [[1, 5]]]), h=h, n_steps=5,
         edge_eps=1.75 * h * float(np.hypot(*u[1])),
-    ))[3:5]
-    assert status == _kernels.STATUS_COINCIDENT
-    assert t_stop == (h if pair == "graph-edge" else 0.0)
+    ))
+    assert run.status == _kernels.STATUS_COINCIDENT
+    assert run.t_stop == (h if pair == "graph-edge" else 0.0)
 
 
 @needs_cc
@@ -513,9 +515,8 @@ def test_step_start_evaluation_fails_on_a_triple_side_off_the_graph():
     pos = np.vstack([pos, pos[1]])
     tri = np.vstack([spec._tri, [[5, 1, 0]]])
     cstar = np.append(spec.target_cosines, 0.5)
-    status, t_stop = _assert_parity(_law_args(pos, tri, cstar, spec._edges))[3:5]
-    assert status == _kernels.STATUS_COINCIDENT
-    assert t_stop == 0.0
+    run = _assert_parity(_law_args(pos, tri, cstar, spec._edges))
+    assert (run.status, run.t_stop) == (_kernels.STATUS_COINCIDENT, 0.0)
 
 
 @needs_cc
@@ -542,13 +543,13 @@ def test_collapse_parity_on_each_kind_of_pair(pair, when):
         cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
     if pair == "side-off-graph":
         edges = edges[1:]
-    status, t_stop = _assert_parity(_law_args(
+    run = _assert_parity(_law_args(
         pos, tri, cstar, edges, h=h, n_steps=5,
         edge_eps=1.75 * h * float(np.hypot(*u[0])),
-    ))[3:5]
-    assert status == _kernels.STATUS_COINCIDENT
+    ))
+    assert run.status == _kernels.STATUS_COINCIDENT
     # a swept edge is seen at a step's start, a side at any stage
-    assert t_stop == {"start": 0.0, "mid-run": h if pair == "uncovered-edge" else 0.0}[when]
+    assert run.t_stop == {"start": 0.0, "mid-run": h if pair == "uncovered-edge" else 0.0}[when]
 
 
 @needs_cc
@@ -607,14 +608,31 @@ def _shipped_spec(name):
 def test_vf_recorded_on_shipped_scenarios(name):
     pos, spec = _shipped_spec(name)
     run = _assert_parity(_integrate_args(spec, pos, n_steps=300, record_every=20))
-    assert run[3] == _kernels.STATUS_RAN and run[2] == 16
+    assert run.status == _kernels.STATUS_RAN and run.n_rec == 16
     assert (spec.maneuver is not None) == (name == "example3.json")
 
 
 def test_vf_recorded_at_a_convergence_at_step_0():
     args = _integrate_args(_spec(), PENT.pts.copy(), cost_tol=1e-8, grad_tol=1e-4)
     run = _assert_parity(args)
-    assert (run[2], run[3], run[4]) == (1, _kernels.STATUS_CONVERGED, 0.0)
+    assert (run.n_rec, run.status, run.t_stop) == (1, _kernels.STATUS_CONVERGED, 0.0)
+
+
+@pytest.mark.parametrize("converges", [False, True], ids=["ran", "converged"])
+def test_run_keeps_status_and_t_stop_at_positions_3_and_4(converges):
+    """perfbench/spans.py::_integrate_counts reads an integrate result's
+    status and t_stop as result[3] and result[4]: both backends keep
+    them there, so new Run fields go last."""
+    assert _kernels.Run._fields == ("table", "vf", "n_rec", "status", "t_stop")
+    if converges:
+        args = _integrate_args(_spec(), PENT.pts, cost_tol=1e-8, grad_tol=1e-4)
+    else:
+        args = _integrate_args(_spec(), PerturbationSpec(0.2, 12).sample(PENT).pts)
+    want = _kernels.STATUS_CONVERGED if converges else _kernels.STATUS_RAN
+    for b in _backends():
+        run = b.integrate(*args)
+        assert run.status == want
+        assert run[3] == run.status and run[4] == run.t_stop
 
 
 def test_vf_recorded_at_a_convergence_off_the_record_grid():
@@ -622,23 +640,24 @@ def test_vf_recorded_at_a_convergence_off_the_record_grid():
     args = _integrate_args(_spec(), pos, h=1e-2, record_every=7, cost_tol=2e-9,
                            grad_tol=1e-4)
     run = _assert_parity(args)
-    assert run[3] == _kernels.STATUS_CONVERGED
-    assert run[0][run[2] - 1] == run[4] and round(run[4] / 1e-2) % 7 != 0
+    assert run.status == _kernels.STATUS_CONVERGED
+    assert run.table[run.n_rec - 1, 0] == run.t_stop
+    assert round(run.t_stop / 1e-2) % 7 != 0
 
 
 def test_vf_recorded_when_record_every_leaves_a_final_sample():
     pos = PerturbationSpec(0.2, 12).sample(PENT).pts
     run = _assert_parity(_integrate_args(_spec(), pos, n_steps=250, record_every=100))
     # the grid at 0, 0.1 and 0.2, then the off-grid final state at 0.25
-    assert (run[2], run[3]) == (4, _kernels.STATUS_RAN) and run[0][3] == 0.25
-    assert np.allclose(run[0][:3], [0.0, 0.1, 0.2])
+    assert (run.n_rec, run.status) == (4, _kernels.STATUS_RAN) and run.table[3, 0] == 0.25
+    assert np.allclose(run.table[:3, 0], [0.0, 0.1, 0.2])
 
 
 def test_vf_recorded_for_no_steps():
     pos = PerturbationSpec(0.2, 12).sample(PENT).pts
     run = _assert_parity(_integrate_args(_spec(), pos, n_steps=0))
-    assert (run[2], run[3]) == (1, _kernels.STATUS_RAN)
-    assert run[5][0] == cost_VF(_spec(), Configuration(pos))
+    assert (run.n_rec, run.status) == (1, _kernels.STATUS_RAN)
+    assert run.vf[0] == cost_VF(_spec(), Configuration(pos))
 
 
 def test_vf_recorded_on_the_edgeless_graph():
@@ -647,8 +666,8 @@ def test_vf_recorded_on_the_edgeless_graph():
     # cost_tol 0: a zero cost does not converge, so all 10 steps run
     run = _assert_parity(_law_args(pos, no_tri, np.zeros(0), _kernels._NO_EDGES,
                                    h=1e-3, n_steps=10, record_every=4, cost_tol=0.0))
-    assert (run[2], run[3]) == (4, _kernels.STATUS_RAN)
-    _assert_bits(run[5][:4], np.zeros(4))
+    assert (run.n_rec, run.status) == (4, _kernels.STATUS_RAN)
+    _assert_bits(run.vf[:4], np.zeros(4))
 
 
 def test_vf_of_a_collapsed_final_state_is_zero_and_the_run_ran():
@@ -659,6 +678,6 @@ def test_vf_of_a_collapsed_final_state_is_zero_and_the_run_ran():
     pos[2] = pos[0]  # triple (1, 2, 3) loses its side (1, 3)
     runs = [b.integrate(*_integrate_args(spec, pos, n_steps=0)) for b in _backends()]
     for run in runs:
-        assert (run[2], run[3]) == (1, _kernels.STATUS_RAN)
-        _assert_bits(run[5][:1], [0.0])
+        assert (run.n_rec, run.status) == (1, _kernels.STATUS_RAN)
+        _assert_bits(run.vf[:1], [0.0])
     _assert_runs_agree(runs[-1], runs[0])
