@@ -153,14 +153,12 @@ class Scenario:
         """(construction, origin): the triangulated-Laman witness, or None.
         origin is "scenario" when the construction block is given, whether
         it builds the graph or not, else "recognized" or "none". Decided
-        once: analyze asks for it twice, and recognition costs O(n^2 log n)."""
-        g = self.graph
+        once, since analyze asks for it twice."""
         if self.construction is None:
-            found = recognize_triangulated_laman(g)
+            found = recognize_triangulated_laman(self.graph)
             return found, "none" if found is None else "recognized"
-        if self.construction.graph == g:
-            return self.construction, "scenario"
-        return None, "scenario"
+        builds = self.construction.graph == self.graph
+        return (self.construction if builds else None), "scenario"
 
     @cached_property
     def bearing(self):

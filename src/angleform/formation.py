@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import length, monitors
-from .graph import Graph, LamanConstruction, LeaderPair
+from .graph import Graph, LamanConstruction, LeaderPair, _in_sorted
 from .index_sets import triangle_formation_set
 from .rigidity import (
     EDGE_EPS,
@@ -178,11 +178,11 @@ class FormationSpec:
             wg = witness.graph
             if wg.n != graph.n:
                 raise ValidationError("witness vertex count differs from graph")
-            missing = set(wg.edges) - set(graph.edges)
-            if missing:
-                raise ValidationError(
-                    f"witness edges {sorted(missing)} absent from graph"
-                )
+            we = wg.edge_array
+            absent = ~_in_sorted(graph.arcs.keys, we[:, 0] * graph.n + we[:, 1])
+            if absent.any():
+                missing = list(map(tuple, (we[absent] + 1).tolist()))
+                raise ValidationError(f"witness edges {missing} absent from graph")
             nd = is_strongly_nondegenerate(wg, target)
             if not nd.ok:
                 raise ValidationError(
@@ -195,7 +195,6 @@ class FormationSpec:
         # 0-based arrays for the kernels
         self._tri = angle_set.as_array()
         self.target_cosines = angle_cosines(target, self._tri)
-        self._edges = graph.edge_array
         if maneuver is not None:
             self._lead = (
                 maneuver.leaders.first - 1,
@@ -356,7 +355,7 @@ def simulate(
             f"records up to {samples} samples of {spec.n} agents, over the "
             f"limit of {MAX_RECORDED_POINTS} recorded points"
         )
-    w, m = len(spec._tri), len(spec._edges)
+    w, m = len(spec._tri), spec.graph.m
     work = config.n_steps * (w + m)
     if work > MAX_WORK:
         raise ValidationError(
@@ -370,7 +369,7 @@ def simulate(
         p0.pts.astype(float),
         spec._tri,
         spec.target_cosines,
-        spec._edges,
+        spec.graph.edge_array,
         float(config.h),
         config.n_steps,
         config.record_every,

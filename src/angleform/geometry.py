@@ -13,6 +13,8 @@ from .errors import NonUnitVector
 
 # beyond this deviation the vector is rejected instead of renormalized
 UNIT_REJECT = 1e-9
+# samples per block of monitors' temporaries
+MONITOR_BLOCK = 16_384
 
 
 def length(e) -> np.ndarray:
@@ -25,10 +27,16 @@ def length(e) -> np.ndarray:
 def monitors(pts) -> tuple:
     """(centroid (..., 2), scale (...)) of points (..., n, 2): scale is
     the stacked norm about the centroid, the one centroid and spread of
-    the package."""
+    the package. The differences are taken a block of samples at a time,
+    which keeps each sample's sums and bounds the temporaries."""
     centroid = pts.mean(axis=-2)
-    scale = np.sqrt(np.sum((pts - centroid[..., None, :]) ** 2, axis=(-2, -1)))
-    return centroid, scale
+    flat, cent = pts.reshape(-1, *pts.shape[-2:]), centroid.reshape(-1, 1, 2)
+    scale = np.empty(len(flat))
+    for s in range(0, len(flat), MONITOR_BLOCK):
+        b = slice(s, s + MONITOR_BLOCK)
+        # unnamed, so one block's differences are alive at a time
+        scale[b] = np.sqrt(np.sum((flat[b] - cent[b]) ** 2, axis=(-2, -1)))
+    return centroid, scale.reshape(centroid.shape[:-1])[()]  # a float for one (n, 2)
 
 
 def _as_unit(x) -> np.ndarray:

@@ -130,6 +130,33 @@ def sort_peel_recognition(g):
     return LamanConstruction(tuple(reversed(peeled)))
 
 
+def loop_canonical_edges(n, edges, canonicalize):
+    """The edges of Graph.from_edges(n, edges) when canonicalize, else of
+    Graph(n, edges), by a per-edge Python loop, raising the ValueError
+    either raises: the array checks' reference."""
+    if canonicalize:
+        canon = set()
+        for i, j in edges:
+            i, j = int(i), int(j)
+            if i == j:
+                raise ValueError(f"self-loop at vertex {i}")
+            canon.add((i, j) if i < j else (j, i))
+        edges = tuple(sorted(canon))
+    if n < 1:
+        raise ValueError(f"need at least one vertex, got n={n}")
+    prev = None
+    for e in edges:
+        i, j = e
+        if not (1 <= i < j <= n):
+            raise ValueError(f"edge {e} violates 1 <= i < j <= {n}")
+        if e == prev:  # in sorted order, duplicates are neighbours
+            raise ValueError(f"duplicate edge {e}")
+        if prev is not None and e < prev:
+            raise ValueError("edges not in canonical sorted order")
+        prev = e
+    return tuple(edges)
+
+
 def relabeled(g, perm) -> Graph:
     """g with vertex v renamed perm[v - 1]."""
     return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])

@@ -15,6 +15,7 @@ from angleform.graph import (
 )
 from helpers import (
     fan_construction,
+    loop_canonical_edges,
     random_connected_graph,
     random_construction,
     relabeled,
@@ -42,6 +43,59 @@ def test_from_edges_canonicalizes():
     assert g.m == 3
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(2, 2)])
+
+
+def test_labels_past_int64_are_out_of_range():
+    """A label numpy cannot hold as int64 is refused as any other label
+    outside 1..n, with a ValueError, not an OverflowError."""
+    for label in (2**63, 10**400, -(2**63) - 1):
+        with pytest.raises(ValueError, match="violates 1 <= i < j <= 3"):
+            Graph.from_edges(3, [(1, label)])
+        with pytest.raises(ValueError, match="violates 1 <= i < j <= 3"):
+            Graph(3, ((1, label),))
+
+
+def _outcome(edges_of, n, edges):
+    try:
+        return edges_of(n, edges)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_array_checks_agree_with_the_edge_loop():
+    """Graph.from_edges and Graph(n, edges) give the edges, or the
+    exception and message, of the per-edge loop they replaced, on
+    edge lists with swapped pairs, repeats, self-loops, labels outside
+    1..n or past int64, and canonical edges out of order."""
+    rng = np.random.default_rng(26)
+    for _ in range(400):
+        n = int(rng.integers(0, 7))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        take = rng.permutation(len(pairs))[: rng.integers(0, len(pairs) + 1)]
+        edges = [pairs[k] for k in sorted(take)]
+        for _ in range(rng.integers(0, 3)):
+            k = int(rng.integers(len(edges) + 1))
+            kind = int(rng.integers(6))
+            if kind == 0 and edges:  # swapped pair
+                edges[k - 1] = edges[k - 1][::-1]
+            elif kind == 1 and edges:  # repeat beside the original
+                edges.insert(k, edges[k - 1])
+            elif kind == 2:  # self-loop
+                v = int(rng.integers(0, n + 2))
+                edges.insert(k, (v, v))
+            elif kind == 3:  # a label outside 1..n
+                v = int(rng.choice([-1, 0, n + 1, n + 5, 2**63, 10**30]))
+                edges.insert(k, (1, v) if rng.random() < 0.5 else (v, 1))
+            elif kind == 4 and len(edges) > 1:  # two canonical edges swapped
+                edges[k - 2], edges[k - 1] = edges[k - 1], edges[k - 2]
+            elif kind == 5 and edges:  # a repeat elsewhere
+                edges.insert(k, edges[int(rng.integers(len(edges)))])
+        for canonicalize, make in ((True, Graph.from_edges), (False, Graph)):
+            want = _outcome(
+                lambda n, e: loop_canonical_edges(n, e, canonicalize), n, tuple(edges)
+            )
+            got = _outcome(lambda n, e: make(n, e).edges, n, tuple(edges))
+            assert got == want, (n, edges, canonicalize)
 
 
 def test_has_edge_and_neighbors():

@@ -58,7 +58,8 @@ def _integrate_args(spec, pos, **over):
     (lead_a, lead_b), (dsx, dsy) = spec._lead, spec._dstar.tolist()
     base = dict(h=1e-3, n_steps=2000, record_every=100, lead_a=lead_a, lead_b=lead_b,
                 dsx=dsx, dsy=dsy)
-    return _law_args(pos, spec._tri, spec.target_cosines, spec._edges, **{**base, **over})
+    edges = spec.graph.edge_array
+    return _law_args(pos, spec._tri, spec.target_cosines, edges, **{**base, **over})
 
 
 def _law_args(pos, tri, cstar, edges, **over):
@@ -369,7 +370,7 @@ def _insertion_framework(seed, leaders=False, n=None, angle_set=laman_global_set
 
 
 def _law_of(spec):
-    return spec._tri, spec.target_cosines, spec._edges
+    return spec._tri, spec.target_cosines, spec.graph.edge_array
 
 
 # a 3 x 3 grid of integer points, each joined to its square and
@@ -498,7 +499,7 @@ def test_stage_evaluations_fail_only_on_triple_sides(pair):
         tri = np.vstack([tri, [[5, 1, 0]]])
         cstar = np.append(cstar, angle_terms(pos, tri[-1:])[0])
     run = _assert_parity(_law_args(
-        pos, tri, cstar, np.vstack([spec._edges, [[1, 5]]]), h=h, n_steps=5,
+        pos, tri, cstar, np.vstack([spec.graph.edge_array, [[1, 5]]]), h=h, n_steps=5,
         edge_eps=1.75 * h * float(np.hypot(*u[1])),
     ))
     assert run.status == _kernels.STATUS_COINCIDENT
@@ -515,7 +516,7 @@ def test_step_start_evaluation_fails_on_a_triple_side_off_the_graph():
     pos = np.vstack([pos, pos[1]])
     tri = np.vstack([spec._tri, [[5, 1, 0]]])
     cstar = np.append(spec.target_cosines, 0.5)
-    run = _assert_parity(_law_args(pos, tri, cstar, spec._edges))
+    run = _assert_parity(_law_args(pos, tri, cstar, spec.graph.edge_array))
     assert (run.status, run.t_stop) == (_kernels.STATUS_COINCIDENT, 0.0)
 
 
@@ -534,7 +535,7 @@ def test_collapse_parity_on_each_kind_of_pair(pair, when):
     u = _kernels._control_np(pos, spec._tri, spec.target_cosines, -1, -1, 0.0, 0.0,
                              EDGE_EPS)[0]
     pos[1] = pos[0] + (0.5 if when == "start" else 2.0) * h * u[0]
-    tri, cstar, edges = spec._tri, spec.target_cosines, spec._edges
+    tri, cstar, edges = spec._tri, spec.target_cosines, spec.graph.edge_array
     assert _kernels._uncovered(edges, _kernels._side_table(tri, 5)[0], 5).tolist() == [
         [0, 1], [1, 2]]
     if pair != "uncovered-edge":
@@ -584,10 +585,11 @@ def test_c_integrate_sweeps_exactly_the_uncovered_edges(monkeypatch):
              (_insertion_framework(6), [])]
     for (pos, spec), want in cases:
         sides = {tuple(sorted((t[0], t[w]))) for t in spec._tri.tolist() for w in (1, 2)}
-        assert [e for e in spec._edges.tolist() if tuple(e) not in sides] == want
+        edges = spec.graph.edge_array
+        assert [e for e in edges.tolist() if tuple(e) not in sides] == want
         _kernels.make_c_backend().integrate(*_integrate_args(spec, pos, n_steps=3))
         assert swept.pop() == want
-        n, flipped = spec.graph.n, spec._edges[::-1, ::-1]  # (j, i) rows, reversed
+        n, flipped = spec.graph.n, edges[::-1, ::-1]  # (j, i) rows, reversed
         got = _kernels._uncovered(flipped, _kernels._side_table(spec._tri, n)[0], n)
         assert got.tolist() == [e[::-1] for e in want[::-1]]
         assert got.flags.c_contiguous and got.dtype == np.int64
