@@ -211,13 +211,15 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
         }
         if (step % record_every == 0)  /* this state is the last snapshot */
             vf[n_rec - 1] = cost[1];
-        double gsq = 0.0;
-        for (int64_t i = 0; i < d2; i++)
-            gsq += k1[i] * k1[i];
-        if (cost[0] < cost_tol && sqrt(gsq) < grad_tol) {
-            status = STATUS_CONVERGED;
-            t_stop = t;
-            break;
+        if (cost[0] < cost_tol) {  /* the gradient norm is summed only here */
+            double gsq = 0.0;
+            for (int64_t i = 0; i < d2; i++)
+                gsq += k1[i] * k1[i];
+            if (sqrt(gsq) < grad_tol) {
+                status = STATUS_CONVERGED;
+                t_stop = t;
+                break;
+            }
         }
         int ok = 1;
         for (int s = 0; s < 3; s++) {

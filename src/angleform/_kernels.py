@@ -180,11 +180,12 @@ def _integrate_np(
             break
         if step % record_every == 0:  # this state is the last snapshot
             vf[n_rec - 1] = vf_now
-        gsq = np.add.accumulate((k1 * k1).ravel())[-1]
-        if cost < cost_tol and float(np.sqrt(gsq)) < grad_tol:
-            status = STATUS_CONVERGED
-            t_stop = t
-            break
+        if cost < cost_tol:  # the gradient norm is summed only here
+            gsq = np.add.accumulate((k1 * k1).ravel())[-1]
+            if float(np.sqrt(gsq)) < grad_tol:
+                status = STATUS_CONVERGED
+                t_stop = t
+                break
         k = [k1]
         for c in (0.5 * h, 0.5 * h, h):
             kc, _, ok_c, _ = _control_np(pos + c * k[-1], *law)

@@ -15,6 +15,7 @@ vector pointing from j toward i.
 """
 
 import ctypes
+import mmap
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -50,6 +51,11 @@ MAX_MATRIX_ENTRIES = 100_000_000
 MAX_SVD_WORK = 16_000_000_000
 # candidate triangles tested per vectorized batch
 TRIANGLE_CHUNK = 65_536
+# a rigidity matrix of this many bytes (one huge page) or more gets a
+# private anonymous mapping of its own: glibc's dynamic mmap threshold
+# would carve a matrix smaller than the last one freed from the heap and
+# keep it resident after its verdict
+MAPPED_BYTES = 2 << 20
 
 
 class Configuration:
@@ -260,7 +266,13 @@ def _block_rows(n: int, at, blocks) -> np.ndarray:
     of each blocks[c], a (2,) row or a (2, 2) pair of rows, at the columns
     of 0-based vertex at[c][r]; the blocks are written in order."""
     k, rows = len(at[0]), blocks[0].ndim - 1  # 1 or 2 rows per item
-    R = np.zeros((n, 2, k, rows))
+    size = 16 * n * k * rows
+    if size < MAPPED_BYTES:
+        R = np.zeros((n, 2, k, rows))
+    else:  # a zeroed private mapping of its own, unmapped with the matrix
+        mm = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        mm.madvise(mmap.MADV_HUGEPAGE)  # shmem (MAP_SHARED) gets no huge pages
+        R = np.frombuffer(mm, float).reshape(n, 2, k, rows)
     for cols, blk in zip(at, blocks):
         R[cols, :, np.arange(k)] = blk.reshape(k, rows, 2).transpose(0, 2, 1)
     return R.reshape(2 * n, k * rows).T

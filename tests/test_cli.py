@@ -1141,6 +1141,31 @@ def test_batch_worst_exit_wins(tmp_path):
     assert code == 4
 
 
+def test_analyze_batch_reports_equal_single_runs(tmp_path, capsys):
+    """One process runs every verdict of n = 150 and then n = 300 (whose
+    matrices are mapped), reusing dgesdd's workspace sizes; each
+    report.txt keeps the bytes of its scenario's own run."""
+    rng = np.random.default_rng(15)
+    paths = []
+    for n in (150, 300):
+        g = build_laman(random_construction(rng, n))
+        doc = {
+            "schema": 1,
+            "graph": {"n": n, "edges": (g.edge_array + 1).tolist()},
+            "configuration": {"points": nondegenerate_points(rng, g).pts.tolist()},
+            "angles": {"source": "laman_minimal"},
+        }
+        paths.append(_write(tmp_path, doc, f"laman{n}.json"))
+    argv = ["analyze", "--batch", "--out", str(tmp_path / "batch")]
+    assert cli.main(argv + [a for p in paths for a in ("--scenario", str(p))]) == 0
+    for p in paths:
+        out = tmp_path / "single" / p.stem
+        assert cli.main(["analyze", "--scenario", str(p), "--out", str(out)]) == 0
+        batch = (tmp_path / "batch" / p.stem / "report.txt").read_bytes()
+        assert batch == (out / "report.txt").read_bytes()
+    assert capsys.readouterr().out.count("angle_rigid=true") == 4
+
+
 def test_shipped_scenarios_load():
     for name in ("example1.json", "example2.json", "example3.json"):
         sc = cli.load_scenario(SCENARIOS / name)

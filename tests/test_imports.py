@@ -65,7 +65,7 @@ STARTS_PROCESSES = {
         "test_c_source_compiles_without_warnings": "the compiler",
     },
     "test_rigidity.py": {
-        "test_angle_verdict_holds_about_one_matrix": "the child's own peak RSS",
+        "test_verdicts_leave_no_matrix_resident": "the child's own RSS",
     },
 }
 
