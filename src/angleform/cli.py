@@ -43,6 +43,7 @@ from . import __version__, _kernels
 from .errors import (
     AngleformError,
     BlowUp,
+    CoincidentPoints,
     NonPositiveSeries,
     NotAnEquilibrium,
     NotInfinitesimallyAngleRigid,
@@ -393,10 +394,10 @@ def load_scenario(path) -> Scenario:
 
     n, edges = doc["graph"]["n"], doc["graph"]["edges"]
     if n < 1:
-        raise ValidationError(f"graph.n must be positive, got {n}")
+        raise ValidationError(f"graph.n: must be positive, got {n}")
     if n > MAX_AGENTS:
-        raise ValidationError(f"graph.n {n} is over the limit of {MAX_AGENTS}")
-    graph = _built("graph.edges", Graph.from_edges, n, edges)
+        raise ValidationError(f"graph.n: {n} is over the limit of {MAX_AGENTS}")
+    graph = _built("graph.edges", Graph, n, edges)
     if graph.m != len(edges):
         _refuse_repeat(edges, frozenset, "graph.edges")
 
@@ -421,8 +422,9 @@ def load_scenario(path) -> Scenario:
         base = _built("configuration.points", Configuration, config["points"])
     count = base.n if gen is None else gen["n"]
     if count != graph.n:  # checked first: a generator's n sizes the polygon
+        where = "configuration.points" if gen is None else "configuration.generator.n"
         raise ValidationError(
-            f"configuration has {count} points, graph has {graph.n} vertices"
+            f"{where}: configuration has {count} points, graph has {graph.n} vertices"
         )
     if gen is not None:
         polygon = Configuration.regular_polygon
@@ -435,6 +437,8 @@ def load_scenario(path) -> Scenario:
     if "construction" in doc:
         steps = tuple(doc["construction"]["steps"])
         construction = _built("construction.steps", LamanConstruction, steps)
+        # its replay refuses a step on an edge not built so far
+        _built("construction.steps", getattr, construction, "graph")
     if "maneuver" in doc:
         leaders = doc["maneuver"]["leaders"]
         pair = _built("maneuver.leaders", LeaderPair, *leaders)
@@ -479,19 +483,19 @@ def resolve_angle_set(
         return triangle_formation_set(g)
     if source == "explicit":
         rows = scenario.explicit_triples
-        T = AngleIndexSet.from_triples(rows)
+        T = _built("angles.triples", AngleIndexSet, rows)
         if len(T) != len(rows):  # two rows name one angle
             _refuse_repeat(rows, lambda t: (t[0], *sorted(t[1:])), "angles.triples")
-        T.validate_for(g)
+        _built("angles.triples", T.validate_for, g)
         return T
     if source == "algorithm1":
         return algorithm1_set(g, scenario.base, seed=seed, bearing=scenario.bearing)
     construction, origin = scenario.laman_witness
     if construction is None:
         raise ValidationError(
-            "construction block does not build the scenario graph"
+            "construction: the block does not build the scenario graph"
             if origin == "scenario"
-            else f"angle source {source!r} needs a triangulated Laman graph "
+            else f"angles.source: {source!r} needs a triangulated Laman graph "
             "or an explicit construction block"
         )
     if source == "laman_minimal":
@@ -778,6 +782,8 @@ def _run_one(verb, scenario_path, out_dir, seed_override, stream) -> int:
                 ) from exc
         stream.write(text)
         return EXIT_OK
+    except CoincidentPoints as exc:  # at the base points: a collapse mid-run is BlowUp
+        return _failed(ValidationError(f"configuration: {exc}"), stream)
     except (AngleformError, ArithmeticError, ValueError) as exc:
         return _failed(exc, stream)
 

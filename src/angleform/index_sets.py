@@ -73,16 +73,14 @@ def triangle_formation_set(g: Graph) -> AngleIndexSet:
         check_matrix_size(what, 2 * count, 2 * g.n, least=True)
         blocks.append(block)
     rows = (row for block in blocks for row in block.tolist())
-    triples = sorted(t for row in rows for t in _two_apex(*row))
-    return AngleIndexSet(tuple(triples))
+    return AngleIndexSet([t for row in rows for t in _two_apex(*row)])
 
 
 def laman_minimal_set(construction: LamanConstruction) -> AngleIndexSet:
     """The two-apex triples of each step's triangle: each step closes one
     triangle and no other exists, so none is listed; 2n - 4 triples."""
     steps = (sorted(step) for step, _ in replay(construction))
-    triples = sorted(t for abc in steps for t in _two_apex(*abc))
-    return AngleIndexSet(tuple(triples))
+    return AngleIndexSet([t for abc in steps for t in _two_apex(*abc)])
 
 
 def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
@@ -99,9 +97,8 @@ def laman_global_set(construction: LamanConstruction) -> AngleIndexSet:
         # empty only at the first step: a later (i, j) is in a triangle
         common = adj[i] & adj[j]
         if common:
-            k = min(common)
-            triples.append((min(i, j), min(k, v), max(k, v)))
-    return AngleIndexSet(tuple(sorted(triples)))
+            triples.append((min(i, j), min(common), v))
+    return AngleIndexSet(triples)
 
 
 def algorithm1_set(
@@ -156,9 +153,9 @@ def algorithm1_set(
                 f"all bearings at vertex {i} are collinear"
             )
         for k in rest:
-            triples.append((i, min(j_ref, k), max(j_ref, k)))
+            triples.append((i, j_ref, k))
         if cls:
             k_pair = pick(rest)
             for j in cls:
-                triples.append((i, min(j, k_pair), max(j, k_pair)))
-    return AngleIndexSet(tuple(sorted(triples)))
+                triples.append((i, j, k_pair))
+    return AngleIndexSet(triples)

@@ -32,7 +32,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .geometry import angle_terms, length, monitors, rotation
-from .graph import Graph, _in_sorted
+from .graph import Graph, _in_sorted, _label_rows
 
 # adjacent points closer than this are treated as coincident
 EDGE_EPS = 1e-9
@@ -56,6 +56,10 @@ TRIANGLE_CHUNK = 65_536
 # would carve a matrix smaller than the last one freed from the heap and
 # keep it resident after its verdict
 MAPPED_BYTES = 2 << 20
+# OpenBLAS threads every SVD runs on, whatever the process's count: the
+# singular values' last bits depend on it (two threads against one
+# differ by up to 6.2e-16 at n = 400)
+SVD_THREADS = 2
 
 
 class Configuration:
@@ -116,34 +120,31 @@ class AngleIndexSet:
     """An ordered family of angle triples (apex, j, k) with j < k.
 
     Each triple (i, j, k) names the angle at apex i between the edges
-    (i, j) and (i, k). Triples are kept sorted lexicographically without
-    duplicates.
+    (i, j) and (i, k). AngleIndexSet(triples) takes any triples: it
+    orders each triple's wings j < k, sorts the triples lexicographically
+    and drops repeats. It refuses a label that is not an integer, then,
+    at the first bad triple in that order, a label below 1
+    (VertexOutOfRange) before a repeated vertex (ValueError).
     """
 
     triples: tuple  # tuple of (i, j, k)
 
     def __post_init__(self):
-        prev = None
-        for t in self.triples:
-            i, j, k = t
-            if min(t) < 1:
-                raise VertexOutOfRange(f"triple {t} has a vertex label below 1")
-            if len({i, j, k}) != 3:
-                raise ValueError(f"triple {t} repeats a vertex")
-            if not j < k:
-                raise ValueError(f"triple {t} must order its wings j < k")
-            if prev is not None and t <= prev:
-                raise ValueError("triples not sorted lexicographically")
-            prev = t
-
-    @classmethod
-    def from_triples(cls, triples):
-        """Canonicalize arbitrary (i, j, k) input: order wings, sort, dedupe."""
-        canon = set()
-        for i, j, k in triples:
-            i, j, k = int(i), int(j), int(k)
-            canon.add((i, min(j, k), max(j, k)))
-        return cls(tuple(sorted(canon)))
+        t = _label_rows(self.triples, 3)
+        t = np.column_stack([t[:, 0], np.sort(t[:, 1:], axis=1)])  # wings j < k
+        t = t[np.lexsort(t.T[::-1])]  # sorted by i, then j, then k
+        keep = np.ones(len(t), dtype=bool)
+        keep[1:] = (t[1:] != t[:-1]).any(axis=1)  # drop each repeat of the one before
+        t = t[keep]
+        low = (t < 1).any(axis=1)
+        bad = low | (t[:, 0] == t[:, 1]) | (t[:, 0] == t[:, 2]) | (t[:, 1] == t[:, 2])
+        if bad.any():
+            r = int(np.argmax(bad))
+            triple = tuple(t[r].tolist())
+            if low[r]:
+                raise VertexOutOfRange(f"triple {triple} has a vertex label below 1")
+            raise ValueError(f"triple {triple} repeats a vertex")
+        object.__setattr__(self, "triples", tuple(map(tuple, t.tolist())))
 
     def __len__(self):
         return len(self.triples)
@@ -410,13 +411,20 @@ def trivial_motion_basis(p: Configuration) -> np.ndarray:
 @cache
 def _gesdd():
     """The LAPACK dgesdd that np.linalg.svd calls, the ILP64 routine of
-    numpy's bundled OpenBLAS; None where numpy does not export it."""
+    numpy's bundled OpenBLAS, with that library's thread count getter
+    and setter: (dgesdd, get, set), or None where numpy does not export
+    them."""
     try:
-        fn = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dgesdd_64_
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        fn = lib.scipy_dgesdd_64_
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
     except (OSError, AttributeError):
         return None
     fn.argtypes, fn.restype = [ctypes.c_void_p] * 14, None
-    return fn
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return fn, get, put
 
 
 # dgesdd's optimal LWORK per matrix shape, from LAPACK's own query
@@ -424,30 +432,41 @@ _LWORK = {}
 
 
 def _singular_values(M: np.ndarray, overwrite: bool) -> np.ndarray:
-    """np.linalg.svd(M, compute_uv=False) bit for bit: the same dgesdd,
-    JOBZ='N', with the same workspace, factoring M in place when
-    overwrite and M is Fortran-ordered, else one Fortran copy of it."""
-    gesdd = _gesdd()
-    if gesdd is None:
+    """np.linalg.svd(M, compute_uv=False) at SVD_THREADS OpenBLAS
+    threads, bit for bit: the same dgesdd, JOBZ='N', with the same
+    workspace, factoring M in place when overwrite and M is
+    Fortran-ordered, else one Fortran copy of it. A process at another
+    thread count is set to SVD_THREADS for the call and restored after
+    it."""
+    lapack = _gesdd()
+    if lapack is None:
         return np.linalg.svd(M, compute_uv=False)
+    gesdd, get_threads, set_threads = lapack
     a = M if overwrite and M.flags.f_contiguous else np.array(M, float, order="F")
     (m, n), k = a.shape, min(a.shape)
     lwork = _LWORK.get(a.shape, -1)  # -1: a workspace query comes first
-    while True:
-        # M, N, LDA, LDU = LDVT, LWORK, INFO as int64, then S (k), IWORK
-        # (8k) and WORK: one buffer, held by this frame during the call
-        buf = np.empty(6 + 9 * k + max(lwork, 1))
-        ints = buf[:6].view(np.int64)
-        ints[:] = m, n, max(m, 1), 1, lwork, 0
-        p = buf.ctypes.data
-        s = p + 48
-        gesdd(b"N", p, p + 8, a.ctypes.data, p + 16, s, s, p + 24, s, p + 24,
-              s + 72 * k, p + 32, s + 8 * k, p + 40)
-        if ints[5]:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        if lwork > 0:
-            return buf[6 : 6 + k]
-        lwork = _LWORK[a.shape] = max(int(buf[6 + 9 * k]), 1)
+    threads = get_threads()
+    if threads != SVD_THREADS:  # a set to the same count raised peak RSS 0.4 MB
+        set_threads(SVD_THREADS)
+    try:
+        while True:
+            # M, N, LDA, LDU = LDVT, LWORK, INFO as int64, then S (k), IWORK
+            # (8k) and WORK: one buffer, held by this frame during the call
+            buf = np.empty(6 + 9 * k + max(lwork, 1))
+            ints = buf[:6].view(np.int64)
+            ints[:] = m, n, max(m, 1), 1, lwork, 0
+            p = buf.ctypes.data
+            s = p + 48
+            gesdd(b"N", p, p + 8, a.ctypes.data, p + 16, s, s, p + 24, s, p + 24,
+                  s + 72 * k, p + 32, s + 8 * k, p + 40)
+            if ints[5]:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            if lwork > 0:
+                return buf[6 : 6 + k]
+            lwork = _LWORK[a.shape] = max(int(buf[6 + 9 * k]), 1)
+    finally:
+        if threads != SVD_THREADS:
+            set_threads(threads)
 
 
 def numerical_rank(

@@ -70,7 +70,7 @@ from .rigidity import (
 FD_STEP = 1e-6
 FD_RTOL = 1e-5
 
-_FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
+_FAN = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
 _PENT = Configuration.regular_polygon(5)
 
 
@@ -104,7 +104,7 @@ def random_connected_graph(rng, n, extra) -> Graph:
     take = min(extra, len(candidates))
     for idx in rng.choice(len(candidates), size=take, replace=False):
         edges.add(candidates[int(idx)])
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def fd_jacobian(fn, x0, h=FD_STEP):
@@ -225,7 +225,7 @@ def check_incidence_rank_components():
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         m = int(rng.integers(0, len(pairs) + 1))
         chosen = [pairs[int(t)] for t in rng.choice(len(pairs), m, replace=False)]
-        g = Graph.from_edges(n, chosen)
+        g = Graph(n, chosen)
         # union-find component count
         parent = list(range(n + 1))
 
@@ -257,8 +257,8 @@ def check_laman_roundtrip():
     # 2n - 3 edges, not triangulated Laman: vertex 5's neighbours are not
     # adjacent; the kite on the base edge (3, 4) peels down to (3, 4)
     for g in (
-        Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]),
-        Graph.from_edges(4, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+        Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]),
+        Graph(4, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
     ):
         if recognize_triangulated_laman(g) is not None:
             return False, f"recognized non-Laman edges {g.edges}"
@@ -266,7 +266,7 @@ def check_laman_roundtrip():
 
 
 def check_leader_laplacian_blocks():
-    g = Graph.from_edges(2, [(1, 2)])
+    g = Graph(2, [(1, 2)])
     L = leader_laplacian(g, LeaderPair(1, 2))
     want = np.block([[np.eye(2), -np.eye(2)], [-np.eye(2), np.eye(2)]])
     ok = bool(np.array_equal(L, want))
@@ -492,7 +492,7 @@ def check_algorithm1_output_rigid():
 
 
 def check_kite_global_distinguishes():
-    kite = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    kite = Graph(4, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
     c = recognize_triangulated_laman(kite)
     p = Configuration([[0, 1], [-1, 0.1], [1.3, 0], [0, -1]])
     # fold vertex 3 across the line through vertices 1 and 4 (the y axis)

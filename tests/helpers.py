@@ -47,7 +47,7 @@ def equivalence_frameworks(seed=21, total=120):
 def disjoint_union(g, h) -> Graph:
     """g on labels 1..g.n beside h on labels g.n + 1..g.n + h.n."""
     shifted = [(i + g.n, j + g.n) for i, j in h.edges]
-    return Graph.from_edges(g.n + h.n, list(g.edges) + shifted)
+    return Graph(g.n + h.n, list(g.edges) + shifted)
 
 
 def fan_construction(n) -> LamanConstruction:
@@ -130,36 +130,27 @@ def sort_peel_recognition(g):
     return LamanConstruction(tuple(reversed(peeled)))
 
 
-def loop_canonical_edges(n, edges, canonicalize):
-    """The edges of Graph.from_edges(n, edges) when canonicalize, else of
-    Graph(n, edges), by a per-edge Python loop, raising the ValueError
-    either raises: the array checks' reference."""
-    if canonicalize:
-        canon = set()
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            canon.add((i, j) if i < j else (j, i))
-        edges = tuple(sorted(canon))
+def loop_canonical_edges(n, edges):
+    """The edges of Graph(n, edges) by a per-edge Python loop, raising
+    the ValueError it raises: the array checks' reference."""
+    canon = set()
+    for i, j in edges:
+        i, j = int(i), int(j)
+        if i == j:
+            raise ValueError(f"self-loop at vertex {i}")
+        canon.add((i, j) if i < j else (j, i))
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    prev = None
+    edges = tuple(sorted(canon))
     for e in edges:
-        i, j = e
-        if not (1 <= i < j <= n):
+        if not (1 <= e[0] < e[1] <= n):
             raise ValueError(f"edge {e} violates 1 <= i < j <= {n}")
-        if e == prev:  # in sorted order, duplicates are neighbours
-            raise ValueError(f"duplicate edge {e}")
-        if prev is not None and e < prev:
-            raise ValueError("edges not in canonical sorted order")
-        prev = e
-    return tuple(edges)
+    return edges
 
 
 def relabeled(g, perm) -> Graph:
     """g with vertex v renamed perm[v - 1]."""
-    return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+    return Graph(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
 
 def control_per_agent(spec, p):
@@ -253,3 +244,47 @@ def pebble_game_rank(g) -> int:
             out[a].add(b)
             independent += 1
     return independent
+
+
+# a prime below 2^31: the product of two residues fits in int64
+PRIME = 2_147_483_647
+
+
+def angle_rank_mod_p(n, triples, rng) -> int:
+    """The generic rank of the angle rigidity matrix of triples on n
+    vertices, in exact arithmetic: its rank mod PRIME at random integer
+    points. That is at most the rank over Q, and equal to it with high
+    probability (Schwartz-Zippel; the randomized generic-rank test of S.
+    Gortler, A. Healy and D. Thurston, Amer. J. Math. 132, 2010). Where
+    no triple is collinear, the row of triple (i, j, k) is a nonzero
+    multiple of the gradient of cot = (u . v) / (u x v), u = p_j - p_i
+    and v = p_k - p_i, so of (u x v) grad(u . v) - (u . v) grad(u x v),
+    a cubic polynomial in the coordinates."""
+    q = PRIME
+    pts = rng.integers(0, q, size=(n, 2))
+    i, j, k = (np.array(triples, dtype=np.int64).reshape(-1, 3) - 1).T
+    (ux, uy), (vx, vy) = ((pts[j] - pts[i]) % q).T, ((pts[k] - pts[i]) % q).T
+    dot = (ux * vx % q + uy * vy % q) % q
+    cross = (ux * vy % q - uy * vx % q) % q
+    # the row's blocks at j (d/du) and at k (d/dv); the apex takes minus both
+    du = np.stack([cross * vx % q - dot * vy % q, cross * vy % q + dot * vx % q], 1)
+    dv = np.stack([cross * ux % q + dot * uy % q, cross * uy % q - dot * ux % q], 1)
+    R = np.zeros((len(i), n, 2), dtype=np.int64)
+    rows = np.arange(len(i))
+    R[rows, j] = du
+    R[rows, k] = dv
+    R[rows, i] = -(du + dv)
+    R = R.reshape(len(i), 2 * n) % q
+    rank = 0
+    for c in range(2 * n):  # Gaussian elimination mod q
+        nonzero = np.flatnonzero(R[rank:, c])
+        if not nonzero.size:
+            continue
+        r = rank + nonzero[0]
+        R[[rank, r]] = R[[r, rank]]
+        R[rank] = R[rank] * pow(int(R[rank, c]), q - 2, q) % q
+        R[rank + 1 :] = (R[rank + 1 :] - R[rank + 1 :, c, None] * R[rank] % q) % q
+        rank += 1
+        if rank == len(R):
+            break
+    return rank

@@ -64,8 +64,8 @@ _TABLE_PATHS = [".".join(path) for path, _, _ in _table()]
 
 
 def _names_a_field(message, scenario):
-    """Whether a parse error message starts with a table path (indices
-    aside) or with the scenario's path."""
+    """Whether a parse or validation error message starts with a table
+    path (indices aside) or with the scenario's path."""
     field = message.split(": ")[0]
     named = re.sub(r"\[\d+\]", "", field)
     return named in _TABLE_PATHS or field.startswith(str(scenario))
@@ -190,7 +190,7 @@ def test_repeated_edge_rows_are_refused(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "validation error: graph.edges[7]: (2, 1) repeats graph.edges[0]\n"
     )
-    assert Graph.from_edges(5, [[1, 2], [2, 1]]).m == 1  # the library merges them
+    assert Graph(5, [[1, 2], [2, 1]]).m == 1  # the library merges them
 
 
 def test_repeated_explicit_triples_are_refused(tmp_path, capsys):
@@ -200,7 +200,7 @@ def test_repeated_explicit_triples_are_refused(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "validation error: angles.triples[1]: (1, 3, 2) repeats angles.triples[0]\n"
     )
-    assert len(AngleIndexSet.from_triples(doc["angles"]["triples"])) == 1
+    assert len(AngleIndexSet(doc["angles"]["triples"])) == 1
 
 
 def test_shipped_scenarios_never_search_for_repeats(monkeypatch):
@@ -481,6 +481,11 @@ def _many_agents(doc):
     doc["graph"]["n"] = doc["configuration"]["generator"]["n"] = 10**13
 
 
+def _explicit(triple):
+    """A mutation to the explicit angle source with the one triple."""
+    return _set(("angles",), {"source": "explicit", "triples": [triple]})
+
+
 HUGE = 10**400  # a JSON integer beyond the double range
 # the regular pentagon at radius 1e160, given point by point
 FAR = Configuration.regular_polygon(5, 1e160).pts.tolist()
@@ -580,7 +585,7 @@ def _twice(block, key_value):
             2,
             "integrator: t_final 1e+300 at h 1e-300 needs inf RK4 steps, over the limit",
         ),
-        (_many_agents, 2, "graph.n 10000000000000 is over the limit of 10000"),
+        (_many_agents, 2, "graph.n: 10000000000000 is over the limit of 10000"),
         (
             _set(("configuration", "perturbation", "seed"), -1),
             2,
@@ -680,6 +685,23 @@ def _twice(block, key_value):
             2,
             "construction.steps: malformed step (5, 5, 4)",
         ),
+        (
+            _set(("construction", "steps", 2), [5, 2, 4]),
+            2,
+            "construction.steps: step inserts 5 on (2, 4), not an edge built so far",
+        ),
+        (
+            _explicit([0, 1, 2]),
+            2,
+            "angles.triples: triple (0, 1, 2) has a vertex label below 1",
+        ),
+        (_explicit([1, 2, 2]), 2, "angles.triples: triple (1, 2, 2) repeats a vertex"),
+        (
+            _explicit([1, 2, 2**63 + 5]),
+            2,
+            f"angles.triples: triple (1, 2, {2**63 + 5}) outside 1..5",
+        ),
+        (_explicit([2, 1, 4]), 2, "angles.triples: triple (2, 1, 4) needs edge (2, 4)"),
     ],
     ids=[
         "float-edge",
@@ -721,6 +743,11 @@ def _twice(block, key_value):
         "unknown-method",
         "repeated-label",
         "malformed-step",
+        "step-on-a-non-edge",
+        "triple-below-one",
+        "triple-repeats-a-vertex",
+        "triple-past-int64",
+        "triple-on-a-non-edge",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
@@ -748,7 +775,7 @@ def test_points_that_underflow_are_refused_without_a_warning(
     doc["configuration"]["generator"]["radius"] = 1e-200
     sc = _write(tmp_path, doc)
     assert cli.main([verb, "--scenario", str(sc), "--out", str(tmp_path / "o")]) == 2
-    assert "coincide" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("validation error: configuration: points")
     assert not recwarn.list
 
 
@@ -955,8 +982,8 @@ def test_mutated_shipped_scenario_exits_with_a_documented_code(
     text = out.getvalue()
     assert code in (0, 2, 3, 4)
     assert text.startswith(_PREFIXES.get(code, "command=analyze\n")), text
-    if code == 4:
-        assert _names_a_field(text.removeprefix(_PREFIXES[4]), sc), text
+    if code in (2, 4):
+        assert _names_a_field(text.removeprefix(_PREFIXES[code]), sc), text
 
 
 def test_cost_csv_roundtrips_against_trajectory(tmp_path):
@@ -1522,7 +1549,7 @@ from angleform.graph import Graph
 from angleform.rigidity import Configuration
 
 n = 50
-fan = Graph.from_edges(n, [(1, k) for k in range(2, n + 1)] + [(k, k + 1) for k in range(2, n)])
+fan = Graph(n, [(1, k) for k in range(2, n + 1)] + [(k, k + 1) for k in range(2, n)])
 target = Configuration.regular_polygon(n)
 spec, p0 = FormationSpec(fan, target), PerturbationSpec(0.01, 3).sample(target)
 

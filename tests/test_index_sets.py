@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angleform import index_sets, rigidity
+from angleform import cli, index_sets, rigidity
 from angleform.errors import (
     CoincidentPoints,
     NotInfinitesimallyAngleRigid,
     ValidationError,
 )
+from angleform.formation import IntegratorConfig
 from angleform.graph import (
     Graph,
     LamanConstruction,
@@ -31,9 +32,11 @@ from angleform.rigidity import (
     is_strongly_nondegenerate,
 )
 from helpers import (
+    angle_rank_mod_p,
     disjoint_union,
     equivalence_frameworks,
     fan_construction,
+    generic_points,
     nondegenerate_points,
     random_connected_graph,
     random_construction,
@@ -41,7 +44,7 @@ from helpers import (
     two_pass_triangle_formation_set,
 )
 
-K3 = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
 
 def test_full_set_k3():
@@ -50,7 +53,7 @@ def test_full_set_k3():
 
 
 def test_full_set_star():
-    star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    star = Graph(4, [(1, 2), (1, 3), (1, 4)])
     T = full_angle_set(star)
     assert T.triples == ((1, 2, 3), (1, 2, 4), (1, 3, 4))
 
@@ -201,7 +204,7 @@ def test_algorithm1_matches_the_scalar_cover():
             assert algorithm1_set(g, p, seed).triples == _scalar_algorithm1(g, p, seed)
 
 
-SQUARE = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+SQUARE = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 UNIT_SQUARE = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
@@ -244,7 +247,7 @@ def test_algorithm1_precheck_matches_full_set_angle_verdict():
 def test_algorithm1_collinear_bearings():
     # vertex 1 sees vertices 2 and 3 in exactly opposite directions;
     # the collinear class must pair them through a non-collinear neighbor
-    g = Graph.from_edges(
+    g = Graph(
         4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     )
     p = Configuration([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.3, 1.1]])
@@ -255,7 +258,7 @@ def test_algorithm1_collinear_bearings():
     assert (1, 2, 3) not in T.triples
 
 
-K4 = Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
+K4 = Graph(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
 
 
 # apex 1 sees 2 and 3 on nearly opposite rays, |g_12 x g_13| within 3e-17
@@ -292,7 +295,7 @@ def test_triangle_set_is_refused_before_it_is_listed(monkeypatch):
     def listing(a, b, c):
         raise AssertionError("the triples were listed")
 
-    k6 = Graph.from_edges(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+    k6 = Graph(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
     monkeypatch.setattr(index_sets, "_two_apex", listing)
     # 20 triangles: 40 triples x 12 columns
     monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", 479)
@@ -327,7 +330,7 @@ def test_triangle_set_in_one_pass_matches_two_passes(monkeypatch, chunk):
     graph's size, whatever the chunking."""
     monkeypatch.setattr(rigidity, "TRIANGLE_CHUNK", chunk)
     rng = np.random.default_rng(19)
-    graphs = [Graph.from_edges(n, [(i, j) for i in range(1, n + 1)
+    graphs = [Graph(n, [(i, j) for i in range(1, n + 1)
                                    for j in range(i + 1, n + 1)]) for n in (1, 3, 6, 9)]
     for n in (4, 7, 12):
         for extra in (0, n, 3 * n):
@@ -353,3 +356,48 @@ def test_triangle_set_in_one_pass_matches_two_passes(monkeypatch, chunk):
             refused += isinstance(got, str)
             kept += not isinstance(got, str)
     assert refused and kept
+
+
+def _explicit_set(g, p, rows):
+    """The angle set that the scenario source 'explicit' makes of rows."""
+    sc = cli.Scenario(
+        path="", digest="", graph=g, base=p, perturbation=None,
+        angle_source="explicit", explicit_triples=tuple(rows), construction=None,
+        maneuver=None, integrator=IntegratorConfig(),
+    )
+    return cli.resolve_angle_set(sc)
+
+
+def test_angle_ranks_are_the_exact_generic_ranks():
+    """Every set constructor's angle rank at generic float points is the
+    generic rank in exact arithmetic (helpers.angle_rank_mod_p): on Laman
+    frameworks, for all six sources (the explicit one a random half of
+    the full set, wings in either order), and on sparser graphs, whose
+    full and triangle sets are mostly flexible."""
+    rng = np.random.default_rng(28)
+    verdicts = set()
+    for _ in range(25):
+        n = int(rng.integers(4, 30))
+        c = random_construction(rng, n)
+        g = build_laman(c)
+        p = nondegenerate_points(rng, g)
+        full = full_angle_set(g)
+        half = [t for t in full.triples if rng.random() < 0.5]
+        rows = [[i, *rng.permutation([j, k]).tolist()] for i, j, k in half]
+        sparse = random_connected_graph(rng, n, int(rng.integers(0, n - 2)))
+        q = generic_points(rng, n)
+        for h, x, T in (
+            (g, p, full),
+            (g, p, triangle_formation_set(g)),
+            (g, p, laman_minimal_set(c)),
+            (g, p, laman_global_set(c)),
+            (g, p, algorithm1_set(g, p)),
+            (g, p, _explicit_set(g, p, rows)),
+            (sparse, q, full_angle_set(sparse)),
+            (sparse, q, triangle_formation_set(sparse)),
+        ):
+            report = is_infinitesimally_angle_rigid(h, x, T)
+            rank = angle_rank_mod_p(n, T.triples, rng)
+            assert (report.rank, report.verdict) == (rank, rank == 2 * n - 4), (h, T)
+            verdicts.add(report.verdict)
+    assert verdicts == {True, False}

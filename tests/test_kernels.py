@@ -26,7 +26,7 @@ from angleform.index_sets import full_angle_set, laman_global_set, laman_minimal
 from angleform.rigidity import EDGE_EPS, Configuration
 from helpers import nondegenerate_points, random_construction
 
-FAN = Graph.from_edges(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
+FAN = Graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5)])
 PENT = Configuration.regular_polygon(5)
 
 HAVE_CC = _kernels.find_compiler() is not None
@@ -386,7 +386,7 @@ GRID_EDGES = [
 @needs_cc
 @pytest.mark.parametrize("cstar", [0.0, 0.5])
 def test_c_kernels_bit_exact_on_axis_aligned_points(cstar):
-    g = Graph.from_edges(9, [(i + 1, j + 1) for i, j in GRID_EDGES])
+    g = Graph(9, [(i + 1, j + 1) for i, j in GRID_EDGES])
     tri = full_angle_set(g).as_array()
     _assert_parity(_law_args(GRID, tri, np.full(len(tri), cstar), GRID_EDGES,
                              n_steps=20))
@@ -434,7 +434,7 @@ def test_c_kernels_bit_exact_at_a_coincident_stop():
 # the C side table: built from the triples alone
 # ---------------------------------------------------------------------
 
-K6 = Graph.from_edges(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
+K6 = Graph(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
 
 
 def test_side_table_lists_each_triple_side_once():

@@ -62,7 +62,7 @@ from helpers import (
 )
 
 RIGHT_TRIANGLE = Configuration([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-K3 = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 
 
 # ---------------------------------------------------------------------
@@ -95,7 +95,7 @@ def test_regular_polygon():
 
 
 def test_angle_index_set_canonicalization():
-    T = AngleIndexSet.from_triples([(2, 3, 1), (2, 1, 3), (1, 3, 2)])
+    T = AngleIndexSet([(2, 3, 1), (2, 1, 3), (1, 3, 2)])
     assert T.triples == ((1, 2, 3), (2, 1, 3))
     assert len(T) == 2
     arr = T.as_array()
@@ -104,13 +104,27 @@ def test_angle_index_set_canonicalization():
 
 
 def test_angle_index_set_validation():
-    with pytest.raises(ValueError):
-        AngleIndexSet(((1, 3, 2),))  # wings out of order
-    with pytest.raises(ValueError):
+    """AngleIndexSet(triples) canonicalizes: wings into j < k, triples
+    sorted, repeats dropped; then it refuses, at the first bad triple in
+    that order, a label below 1 before a repeated vertex."""
+    assert AngleIndexSet(((1, 3, 2),)).triples == ((1, 2, 3),)  # wings out of order
+    assert AngleIndexSet(((2, 1, 3), (1, 2, 3))).triples == ((1, 2, 3), (2, 1, 3))
+    assert AngleIndexSet(iter([(1, 2, 3), (1, 3, 2)])) == AngleIndexSet(((1, 2, 3),))
+    with pytest.raises(ValueError, match=r"^triple \(1, 2, 2\) repeats a vertex$"):
         AngleIndexSet(((1, 2, 2),))
-    T = AngleIndexSet.from_triples([(1, 2, 3)])
+    # (0, 1, 2) sorts first, so its label 0 is named, not the later repeat
+    with pytest.raises(VertexOutOfRange, match=r"^triple \(0, 1, 2\) has a vertex"):
+        AngleIndexSet(((3, 3, 4), (0, 2, 1)))
+    T = AngleIndexSet([(1, 2, 3)])
     with pytest.raises(NotAnEdge):
-        T.validate_for(Graph.from_edges(3, [(1, 2), (2, 3)]))  # (1,3) absent
+        T.validate_for(Graph(3, [(1, 2), (2, 3)]))  # (1,3) absent
+
+
+@pytest.mark.parametrize("triple", [(1.7, 2, 3), (1, 2, 3.0), (1, 2, float("nan"))])
+def test_angle_index_set_refuses_labels_that_are_not_integers(triple):
+    label = next(v for v in triple if isinstance(v, float))
+    with pytest.raises(ValueError, match=f"^label {label!r} is not an integer$"):
+        AngleIndexSet((triple,))
 
 
 def _outcome(check, T, g):
@@ -137,7 +151,7 @@ def test_validate_for_raises_as_the_scalar_check():
                                                          replace=False)))
         if trial % 50 == 0:
             rows.append((1, 2, 2**63 + 5))  # a label no int64 holds
-        T = AngleIndexSet.from_triples(rows)
+        T = AngleIndexSet(rows)
         want = _outcome(scalar_validate_for, T, g)
         assert _outcome(AngleIndexSet.validate_for, T, g) == want, (g, T)
         outcomes.add(None if want is None else (want[0], want[1].split()[-2]))
@@ -151,18 +165,18 @@ def test_validate_for_checks_a_graph_once(monkeypatch):
     real = AngleIndexSet._check
     monkeypatch.setattr(AngleIndexSet, "_check",
                         lambda T, g: checks.append(g) or real(T, g))
-    T = AngleIndexSet.from_triples([(1, 2, 3)])
+    T = AngleIndexSet([(1, 2, 3)])
     g = K3
     T.validate_for(g)
     T.validate_for(g)
     assert checks == [g]
-    path = Graph.from_edges(3, [(1, 2), (2, 3)])
+    path = Graph(3, [(1, 2), (2, 3)])
     with pytest.raises(NotAnEdge):  # another graph is checked afresh
         T.validate_for(path)
     with pytest.raises(NotAnEdge):  # and a failed check is not kept
         T.validate_for(path)
     assert checks == [g, path, path]
-    assert T == AngleIndexSet.from_triples([(1, 2, 3)])
+    assert T == AngleIndexSet([(1, 2, 3)])
 
 
 # ---------------------------------------------------------------------
@@ -209,7 +223,7 @@ def test_angle_function_values():
 
 def test_angle_function_collinear_clipped():
     line = Configuration([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    g = Graph(3, [(1, 2), (1, 3), (2, 3)])
     vals = angle_rigidity_function(g, line, full_angle_set(g))
     assert np.all(vals <= 1.0) and np.all(vals >= -1.0)
     assert set(np.round(vals, 12)) <= {1.0, -1.0}
@@ -317,12 +331,12 @@ def test_angle_matrix_coincident_names_first_triple_pair(fan5):
         (four_five, [(1, 2, 3)], (4, 5)),
     ]
     for p, triples, pair in cases:
-        T = AngleIndexSet.from_triples(triples)
+        T = AngleIndexSet(triples)
         assert _coincident_pair(angle_rigidity_matrix, fan5, p, T) == pair
         assert _coincident_pair(angle_matrix_product, fan5, p, T) == pair
     # the function and the spectrum look only at the triples' own edges
     for p, triples, pair in cases[:3]:
-        T = AngleIndexSet.from_triples(triples)
+        T = AngleIndexSet(triples)
         assert _coincident_pair(angle_rigidity_function, fan5, p, T) == pair
         assert _coincident_pair(jacobian_spectrum, p, T) == pair
 
@@ -332,8 +346,6 @@ def test_angle_index_set_refuses_labels_below_one():
     for triples in (((0, 1, 2),), ((1, 2, 3), (2, -1, 3))):
         with pytest.raises(VertexOutOfRange):
             AngleIndexSet(triples)
-        with pytest.raises(VertexOutOfRange):
-            AngleIndexSet.from_triples(triples)
 
 
 def test_jacobian_spectrum_refuses_vertices_out_of_range(pentagon):
@@ -389,7 +401,7 @@ def test_rigidity_verdicts_pentagon(fan5, pentagon):
 
 
 def test_rigidity_verdicts_flexible():
-    square = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    square = Graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     p = Configuration([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert not is_infinitesimally_distance_rigid(square, p).verdict
     assert not is_infinitesimally_bearing_rigid(square, p).verdict
@@ -441,8 +453,8 @@ def test_bearing_report_matches_jacobian_svd(case):
     assert verdicts == {case in ("laman", "dense")}
 
 
-K33 = Graph.from_edges(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
-PRISM = Graph.from_edges(
+K33 = Graph(6, [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)])
+PRISM = Graph(
     6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]
 )
 
@@ -473,7 +485,7 @@ def test_rank_verdicts_match_the_pebble_game():
 
 
 def test_strong_nondegeneracy():
-    g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    g = Graph(3, [(1, 2), (1, 3), (2, 3)])
     good = is_strongly_nondegenerate(g, RIGHT_TRIANGLE)
     assert good.ok and good.witness is None
     bad = is_strongly_nondegenerate(
@@ -481,7 +493,7 @@ def test_strong_nondegeneracy():
     )
     assert not bad.ok and bad.witness == (1, 2, 3)
     # collinear points on a triangle-free graph are fine
-    path = Graph.from_edges(3, [(1, 2), (2, 3)])
+    path = Graph(3, [(1, 2), (2, 3)])
     assert is_strongly_nondegenerate(
         path, Configuration([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     ).ok
@@ -503,7 +515,7 @@ def _scalar_nondegenerate(g, p):
     return rigidity.NondegeneracyReport(True, None)
 
 
-K7 = Graph.from_edges(7, [(i, j) for i in range(1, 8) for j in range(i + 1, 8)])
+K7 = Graph(7, [(i, j) for i in range(1, 8) for j in range(i + 1, 8)])
 
 
 def _k7_points(on_line_12=()):
@@ -570,7 +582,7 @@ def test_triangle_count_matches_the_listing(monkeypatch):
     """Listed in sorted order in blocks of at most TRIANGLE_CHUNK
     candidates (or one edge's), and counted alike, whatever the chunk."""
     rng = np.random.default_rng(34)
-    graphs = [K7, Graph.from_edges(4, []), Graph.from_edges(1, [])]
+    graphs = [K7, Graph(4, []), Graph(1, [])]
     for n in (3, 5, 8, 12):
         for extra in (0, n, 3 * n):
             graphs.append(
@@ -788,11 +800,11 @@ def test_svd_of_nan_raises_as_numpy(overwrite):
         numerical_rank(M, _overwrite=overwrite)
 
 
-def test_analyze_without_the_lapack_symbol_writes_the_same_report(
-    tmp_path, monkeypatch, capsys
-):
-    rng = np.random.default_rng(60)
-    c = random_construction(rng, 60)
+def _laman_scenario(path, seed, n):
+    """A scenario file at path: a random Laman framework on n vertices
+    with its construction and laman_minimal angle set."""
+    rng = np.random.default_rng(seed)
+    c = random_construction(rng, n)
     g = build_laman(c)
     doc = {
         "schema": 1,
@@ -801,8 +813,14 @@ def test_analyze_without_the_lapack_symbol_writes_the_same_report(
         "angles": {"source": "laman_minimal"},
         "construction": {"steps": [list(s) for s in c.steps]},
     }
-    laman = tmp_path / "laman60.json"
-    laman.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_analyze_without_the_lapack_symbol_writes_the_same_report(
+    tmp_path, monkeypatch, capsys
+):
+    laman = _laman_scenario(tmp_path / "laman60.json", 60, 60)
     shipped = Path(__file__).resolve().parent.parent / "scenarios"
     scenarios = sorted(shipped.glob("example*.json")) + [laman]
 
@@ -820,6 +838,25 @@ def test_analyze_without_the_lapack_symbol_writes_the_same_report(
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     assert reports("numpy") == direct
     assert len(calls) == 3 * len(scenarios)
+
+
+def test_analyze_report_is_independent_of_the_blas_thread_count(tmp_path, capsys):
+    """At n = 400 the singular values' last bits differ between one and
+    two OpenBLAS threads; every SVD runs at rigidity.SVD_THREADS."""
+    laman = _laman_scenario(tmp_path / "laman400.json", 400, 400)
+    _, get_threads, set_threads = rigidity._gesdd()
+    default = get_threads()
+
+    def report(threads):
+        set_threads(threads)
+        try:
+            assert cli.main(["analyze", "--scenario", str(laman)]) == 0
+        finally:
+            set_threads(default)
+        return capsys.readouterr().out
+
+    assert report(1) == report(default)
+    assert get_threads() == default
 
 
 # the child's resident memory after the three verdicts at n = 300, in
