@@ -153,7 +153,8 @@ class FormationSpec:
 
     The angle set defaults to the triangle set of the graph. A supplied
     witness is verified: its built edges must all exist in the graph and
-    its framework at the target must be strongly nondegenerate.
+    its framework at the target must be strongly nondegenerate. Its
+    refusals name the scenario's `construction` block.
     """
 
     def __init__(
@@ -177,16 +178,21 @@ class FormationSpec:
         if witness is not None:
             wg = witness.graph
             if wg.n != graph.n:
-                raise ValidationError("witness vertex count differs from graph")
+                raise ValidationError(
+                    "construction: witness vertex count differs from graph"
+                )
             we = wg.edge_array
             absent = ~_in_sorted(graph.arcs.keys, we[:, 0] * graph.n + we[:, 1])
             if absent.any():
                 missing = list(map(tuple, (we[absent] + 1).tolist()))
-                raise ValidationError(f"witness edges {missing} absent from graph")
+                raise ValidationError(
+                    f"construction: witness edges {missing} absent from graph"
+                )
             nd = is_strongly_nondegenerate(wg, target)
             if not nd.ok:
                 raise ValidationError(
-                    f"witness triangle {nd.witness} is collinear at the target"
+                    f"construction: witness triangle {nd.witness} is collinear at "
+                    "the target"
                 )
         self.graph = graph
         self.target = target
@@ -311,21 +317,21 @@ class SimulationResult:
 def decay_rate_fit(times, values) -> float:
     """Exponential decay rate of a positive series.
 
-    Least-squares slope of log(values) over the samples above
-    DECAY_FLOOR; the fitted rate gamma satisfies values ~ exp(-gamma t).
+    Minus the centered least-squares slope of log(values) over the samples
+    above DECAY_FLOOR; the fitted rate gamma satisfies values ~ exp(-gamma t).
     Raises NonPositiveSeries unless the first sample is positive. Returns
     +inf when fewer than two samples sit above the floor (the series
     collapsed within one record stride).
     """
-    t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     if v.size == 0 or v[0] <= 0.0:
         raise NonPositiveSeries("series must start positive")
     mask = v > DECAY_FLOOR
     if int(mask.sum()) < 2:
         return float("inf")
-    slope = np.polyfit(t[mask], np.log(v[mask]), 1)[0]
-    return -float(slope)
+    t, y = np.asarray(times, dtype=float)[mask], np.log(v[mask])
+    t, y = t - t.mean(), y - y.mean()
+    return -float(np.sum(t * y) / np.sum(t * t))
 
 
 def simulate(

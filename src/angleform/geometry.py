@@ -13,7 +13,7 @@ from .errors import NonUnitVector
 
 # beyond this deviation the vector is rejected instead of renormalized
 UNIT_REJECT = 1e-9
-# samples per block of monitors' temporaries
+# doubles per block of monitors' temporaries (128 KiB)
 MONITOR_BLOCK = 16_384
 
 
@@ -27,13 +27,13 @@ def length(e) -> np.ndarray:
 def monitors(pts) -> tuple:
     """(centroid (..., 2), scale (...)) of points (..., n, 2): scale is
     the stacked norm about the centroid, the one centroid and spread of
-    the package. The differences are taken a block of samples at a time,
-    which keeps each sample's sums and bounds the temporaries."""
+    the package. The differences are taken in blocks of whole samples, at
+    most MONITOR_BLOCK doubles or one sample, which keeps each sample's sums."""
     centroid = pts.mean(axis=-2)
     flat, cent = pts.reshape(-1, *pts.shape[-2:]), centroid.reshape(-1, 1, 2)
-    scale = np.empty(len(flat))
-    for s in range(0, len(flat), MONITOR_BLOCK):
-        b = slice(s, s + MONITOR_BLOCK)
+    scale, rows = np.empty(len(flat)), max(1, MONITOR_BLOCK // (2 * pts.shape[-2]))
+    for s in range(0, len(flat), rows):
+        b = slice(s, s + rows)
         # unnamed, so one block's differences are alive at a time
         scale[b] = np.sqrt(np.sum((flat[b] - cent[b]) ** 2, axis=(-2, -1)))
     return centroid, scale.reshape(centroid.shape[:-1])[()]  # a float for one (n, 2)

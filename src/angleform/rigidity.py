@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .geometry import angle_terms, length, monitors, rotation
+from .geometry import angle_terms, length, monitors, reflection, rotation
 from .graph import Graph, _in_sorted, _label_rows
 
 # adjacent points closer than this are treated as coincident
@@ -596,10 +596,10 @@ def shape_class_membership(
 ) -> MembershipReport:
     """Test whether q = c (I kron R) p + 1 kron xi for some similarity.
 
-    Both orthogonal branches (rotation and reflection) are fitted by
-    least squares; the better one is reported. Membership requires the
-    relative residual |q - fit| / |p - centroid(p)| below tol and a
-    nonzero scale.
+    Both orthogonal branches (rotation and reflection) are fitted by least
+    squares in closed form; the better one is reported, the rotation on a
+    tie. Membership requires the relative residual |q - fit| / |p -
+    centroid(p)| below tol and a nonzero scale.
     """
     if p.n != q.n:
         raise ValueError(f"point counts differ: {p.n} vs {q.n}")
@@ -610,12 +610,10 @@ def shape_class_membership(
     norm_a = float(norm_a)
     if norm_a == 0.0:
         raise DegenerateAllCoincident("reference points all coincide")
-    M = b.T @ a
-    U, _, Vt = np.linalg.svd(M)
-    det_sign = float(np.sign(np.linalg.det(U @ Vt))) or 1.0
+    (m00, m01), (m10, m11) = b.T @ a  # M: each angle maximizes tr(R^T M)
+    rot = rotation(np.arctan2(m10 - m01, m00 + m11))
     best = None
-    for branch in (1.0, -1.0):
-        R = U @ np.diag([1.0, branch * det_sign]) @ Vt
+    for R in (rot, reflection(np.arctan2(m10 + m01, m00 - m11))):
         c = float(np.sum(b * (a @ R.T)) / (norm_a**2))
         res = float(np.linalg.norm(b - c * (a @ R.T))) / norm_a
         if best is None or res < best[0]:

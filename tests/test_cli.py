@@ -363,7 +363,8 @@ def test_simulate_refuses_a_witness_off_the_graph(tmp_path, capsys):
     sc = str(_write(tmp_path, doc))
     assert cli.main(["simulate", "--scenario", sc, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().out == (
-        "validation error: witness edges [(2, 4), (2, 5)] absent from graph\n"
+        "validation error: construction: witness edges [(2, 4), (2, 5)] absent "
+        "from graph\n"
     )
 
 
@@ -763,6 +764,38 @@ def test_main_rejects_mistyped_scenario_fields(
         assert cli.main(argv) == code
         assert needle in capsys.readouterr().out
         assert not (tmp_path / verb).exists()
+
+
+def _target(points):
+    """A mutation that gives the target point by point, unperturbed."""
+    return _set(("configuration",), {"points": points})
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (
+            _target([[0, 0], [1, 0], [2, 0], [1, 1], [0, 1]]),
+            "construction: witness triangle (1, 2, 3) is collinear at the target",
+        ),
+        (
+            _target([[0, 0], [0, 0], [2, 0], [1, 1], [0, 1]]),
+            "configuration: points 2 and 1 coincide (distance 0.000e+00)",
+        ),
+    ],
+    ids=["collinear-witness", "coincident-witness"],
+)
+def test_simulate_witness_refusals_name_a_field(tmp_path, capsys, mutate, message):
+    """The construction block's checks at the target run in simulate
+    alone: a collinear witness triangle names the construction, and a
+    coincident pair, which the same check finds, the configuration."""
+    doc = json.loads((SCENARIOS / "example1.json").read_text())
+    mutate(doc)
+    sc = _write(tmp_path, doc)
+    assert cli.main(["simulate", "--scenario", str(sc), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().out == f"validation error: {message}\n"
+    assert _names_a_field(message, sc)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("verb", ["analyze", "simulate"])
@@ -1542,7 +1575,7 @@ def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
 # the peak RSS and the size of the recorded table, both in KiB, and the
 # sample count
 NEAR_CAP = """
-import os, resource
+import os
 from angleform import cli
 from angleform.formation import FormationSpec, IntegratorConfig, PerturbationSpec, simulate
 from angleform.graph import Graph
@@ -1561,27 +1594,35 @@ def run(t_final):
         cli._trajectory_csv(result, fh)
     return result
 
+def peak():
+    # this process image's own high-water mark: ru_maxrss would start at
+    # the resident size of the process that started this one
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
 run(1e-3)  # loads the C library and warms numpy
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 result = run(3.9998)
-grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+grown = peak() - before
 print(grown, result.table.nbytes // 1024, len(result.times))
 """
 
 
 def test_near_cap_run_holds_one_table():
     """simulate and trajectory.csv's writer share the kernel's recorded
-    table: a run at the recording cap grows the peak by that table and
-    one block of the centroid pass's differences (1.46 tables here),
-    where a full-size difference array took 2.04 and copying the
-    kernel's arrays and stacking the CSV's columns again took 3.0."""
+    table, and its post-processing holds no table-sized temporary: a run
+    at the recording cap grows the peak by that table and a few series
+    (1.07 tables here), where 16 384-sample blocks of the centroid
+    pass's differences took 1.46, a full-size difference array 2.04,
+    and copying the kernel's arrays and stacking the CSV's columns again
+    3.0."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", NEAR_CAP], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     grown, table, samples = map(int, proc.stdout.split())
     assert samples * 50 == 1_999_950
-    assert grown < 1.96 * table
+    assert grown < 1.2 * table
 
 
 @pytest.mark.parametrize("k", [-26, 29])

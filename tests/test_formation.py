@@ -8,6 +8,7 @@ from angleform.errors import (
     NoManeuverTarget,
 )
 from angleform.formation import (
+    DECAY_FLOOR,
     FormationSpec,
     MAX_STEPS,
     IntegratorConfig,
@@ -16,10 +17,12 @@ from angleform.formation import (
     control_uF,
     control_uM,
     cost_VF,
+    decay_rate_fit,
     equilibrium_membership,
     residual,
     simulate,
 )
+from angleform.geometry import monitors
 from angleform.graph import LeaderPair, build_laman
 from angleform.index_sets import laman_minimal_set, triangle_formation_set
 from angleform.rigidity import Configuration
@@ -57,9 +60,12 @@ def test_spec_validation(fan5, pentagon):
     line = Configuration(
         [[float(i), 0.0] for i in range(5)]
     )
-    with pytest.raises(ValidationError):
-        # witness triangles are collinear at this target
+    # witness triangles are collinear at this target; the witness
+    # refusals name the scenario's construction block
+    with pytest.raises(ValidationError, match="^construction: witness triangle"):
         FormationSpec(fan5, line, witness=fan_construction(5))
+    with pytest.raises(ValidationError, match="^construction: witness vertex count"):
+        FormationSpec(fan5, pentagon, witness=fan_construction(4))
 
 
 def test_perturbation_reproducible(pentagon):
@@ -281,3 +287,104 @@ def test_maneuver_simulation_short(fan5, pentagon):
         np.asarray(man.displacement) - (p0.point(3) - p0.point(4))
     )
     assert res.maneuver_error < 0.1 * err0
+
+
+def _lapack(*args, **kwargs):
+    raise AssertionError("simulate called LAPACK")
+
+
+@pytest.mark.parametrize("backend", ["c"], indirect=True)
+@pytest.mark.parametrize(
+    "maneuver", [None, Maneuver(LeaderPair(3, 4), (-0.5, 0.0))], ids=["plain", "maneuver"]
+)
+def test_simulate_post_processing_calls_no_lapack(
+    fan5, pentagon, monkeypatch, backend, maneuver
+):
+    """The decay and similarity fits are closed forms: a plain and a
+    maneuver run, each fitting its decay rate and its final shape class,
+    finish with np.polyfit and numpy's LAPACK drivers made to raise."""
+    spec = FormationSpec(fan5, pentagon, maneuver=maneuver)
+    p0 = PerturbationSpec(0.3, 2).sample(pentagon)
+    monkeypatch.setattr(np, "polyfit", _lapack)
+    for name in ("svd", "det", "lstsq", "solve", "inv", "qr", "eig", "eigh",
+                 "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, _lapack)
+    res = simulate(spec, p0, IntegratorConfig(t_final=5.0))
+    assert 0.0 < res.decay_rate < np.inf
+
+
+def test_decay_rate_fit_is_the_polyfit_slope(spec, pentagon):
+    """The centered closed-form slope is the slope np.polyfit fits (to
+    1e-12 relative), on a noisy exponential, a series that drops under
+    DECAY_FLOOR, and a flow's V_F series."""
+    rng = np.random.default_rng(8)
+    t = np.linspace(0.0, 30.0, 301)
+    run = simulate(spec, PerturbationSpec(0.3, 5).sample(pentagon),
+                   IntegratorConfig(t_final=10.0))
+    for times, v in [
+        (t, 3.0 * np.exp(-0.7 * t + rng.normal(0.0, 0.1, t.size))),
+        (t, np.where(t < 12.0, np.exp(-2.5 * t), 1e-20)),
+        (run.times, run.vf),
+    ]:
+        kept = v > DECAY_FLOOR
+        want = -np.polyfit(times[kept], np.log(v[kept]), 1)[0]
+        assert decay_rate_fit(times, v) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# the eight signed axis permutations of the plane, as (axis order, signs)
+AXIS_MAPS = [
+    (perm, np.array(signs, dtype=float))
+    for perm in ([0, 1], [1, 0])
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+]
+
+
+def _mapped(pts, perm, signs, scale):
+    """pts (..., 2) under a signed axis permutation and a power of two:
+    every product exact."""
+    return scale * signs * pts[..., perm]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "c"], indirect=True)
+def test_flow_is_exactly_equivariant_under_axis_maps_and_scaling(backend):
+    """Mirrored, swapped and 2^k-scaled starts (k in -20, -3, 5, 20, with
+    h, t_final and record_stride times 4^k and grad_tol times 2^-k) give
+    the mapped table rows, the same V_F, convergence verdict and decay
+    rate over the scaled time, and the mapped centroid and scale, bit for
+    bit; on random Laman frameworks with their minimal sets, one of them
+    stopping at convergence off the record grid."""
+    if backend == "c":
+        cases = [(1, 21, 1e-14, 1e-10), (2, 43, 1e-14, 1e-10), (3, 60, 1e-3, 0.1)]
+        h, t_final, stride = 1e-3, 5.0, 0.1
+    else:  # about 600x slower a step
+        cases, (h, t_final, stride) = [(4, 7, 1e-14, 1e-10)], (1e-3, 0.05, 0.01)
+    converged = []
+    for seed, n, cost_tol, grad_tol in cases:
+        rng = np.random.default_rng(seed)
+        construction = random_construction(rng, n)
+        target = nondegenerate_points(rng, build_laman(construction))
+        spec = FormationSpec(
+            build_laman(construction), target, laman_minimal_set(construction)
+        )
+        p0 = PerturbationSpec(0.05, seed).sample(target)
+        base = simulate(spec, p0, IntegratorConfig(h, t_final, stride, cost_tol, grad_tol))
+        converged.append(base.converged)
+        for i, (perm, signs) in enumerate(AXIS_MAPS):
+            k = (-20, -3, 5, 20)[i % 4]
+            s, s2 = 2.0**k, 4.0**k
+            config = IntegratorConfig(h * s2, t_final * s2, stride * s2, cost_tol, grad_tol / s)
+            run = simulate(spec, Configuration(_mapped(p0.pts, perm, signs, s)), config)
+            assert run.times.tobytes() == (base.times * s2).tobytes()
+            assert run.positions.tobytes() == _mapped(base.positions, perm, signs, s).tobytes()
+            assert run.vf.tobytes() == base.vf.tobytes()
+            assert (run.converged, run.t_end) == (base.converged, base.t_end * s2)
+            assert run.decay_rate == base.decay_rate / s2
+            assert run.centroid.tobytes() == _mapped(base.centroid, perm, signs, s).tobytes()
+            # the scale sums each sample's 2n squares in memory order, and
+            # numpy adds the last 2n mod 8 of them in sequence: the swap
+            # reorders that sum, so its scale is the swapped base run's, laid
+            # out in C order as a table's rows are
+            swapped = np.ascontiguousarray(base.positions[..., perm])
+            want = base.scale if perm == [0, 1] else monitors(swapped)[1]
+            assert run.scale.tobytes() == (s * want).tobytes()
+    assert converged == [False, False, True][: len(cases)]

@@ -3,9 +3,11 @@ import pytest
 
 from angleform.errors import NonUnitVector
 from angleform.geometry import (
+    MONITOR_BLOCK,
     UNIT_REJECT,
     angle_terms,
     householder,
+    monitors,
     projection,
     reflection,
     rotation,
@@ -88,3 +90,22 @@ def test_angle_terms_gradient_matches_finite_differences():
             down[v, c] -= h
             fd = (angle_terms(up, TRIPLES)[0] - angle_terms(down, TRIPLES)[0]) / (2 * h)
             assert np.max(np.abs(fd - grad[:, v, c])) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "shape", [(201, 200, 2), (100_000, 3, 2), (7, 2)], ids=["n200", "n3", "one"]
+)
+def test_monitors_match_a_per_sample_loop(shape):
+    """Blocks of MONITOR_BLOCK doubles give every sample the bits a loop
+    over the samples gives, also when a run spans many blocks (about a
+    thousand samples of the 10^5 are looped, all of the others)."""
+    pts = np.random.default_rng(len(shape)).uniform(-2.0, 2.0, size=shape)
+    centroid, scale = monitors(pts)
+    assert np.shape(scale) == shape[:-2]
+    flat = pts.reshape(-1, *shape[-2:])
+    centroid, scale = centroid.reshape(-1, 2), np.reshape(scale, -1)
+    assert len(flat) == 1 or flat[0].size * len(flat) > 4 * MONITOR_BLOCK
+    for k in range(0, len(flat), 1 + len(flat) // 1000):
+        c = flat[k].mean(axis=0)
+        assert centroid[k].tobytes() == c.tobytes()
+        assert scale[k].tobytes() == np.sqrt(np.sum((flat[k] - c) ** 2)).tobytes()

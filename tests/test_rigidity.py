@@ -18,7 +18,7 @@ from angleform.errors import (
     VertexOutOfRange,
 )
 from angleform import cli, rigidity
-from angleform.geometry import reflection
+from angleform.geometry import reflection, rotation
 from angleform.graph import Graph, LeaderPair, build_laman, leader_laplacian
 from angleform.index_sets import (
     algorithm1_set,
@@ -612,6 +612,43 @@ def test_shape_class_negative():
     assert not shape_class_membership(p, q).member
     # but passes at a huge tolerance
     assert shape_class_membership(p, q, tol=10.0).member
+
+
+def _procrustes(p, q):
+    """(scale, residual, det R) of the SVD similarity fit of q to p: each
+    orthogonal branch fitted through the SVD of b^T a, the rotation kept
+    on a tie."""
+    a, b = p.pts - p.pts.mean(axis=0), q.pts - q.pts.mean(axis=0)
+    U, _, Vt = np.linalg.svd(b.T @ a)
+    flip = np.sign(np.linalg.det(U @ Vt)) or 1.0
+    fits = []
+    for branch in (1.0, -1.0):
+        R = U @ np.diag([1.0, branch * flip]) @ Vt
+        c = np.sum(b * (a @ R.T)) / np.sum(a * a)
+        fits.append((c, np.linalg.norm(b - c * (a @ R.T)) / np.linalg.norm(a), branch))
+    return fits[1] if fits[1][1] < fits[0][1] else fits[0]
+
+
+def test_shape_class_fit_is_the_svd_procrustes_fit():
+    """The closed-form fit gives the SVD fit's scale and residual (to
+    1e-12) and its branch, on rotated, reflected, scaled and translated
+    copies, exact or disturbed; for a collinear p the two branches tie
+    and the rotation is kept."""
+    rng = np.random.default_rng(15)
+    for k in range(40):
+        p = generic_points(rng, 3 + k % 6)
+        turn = (rotation if k % 2 else reflection)(rng.uniform(-np.pi, np.pi))
+        pts = rng.uniform(0.2, 5.0) * (p.pts @ turn.T) + rng.uniform(-3.0, 3.0, 2)
+        q = Configuration(pts + (k % 4 > 1) * rng.normal(0.0, 0.1, pts.shape))
+        rep = shape_class_membership(p, q)
+        c, res, branch = _procrustes(p, q)
+        assert abs(rep.transform.scale - c) < 1e-12
+        assert abs(rep.residual - res) < 1e-12
+        assert np.sign(np.linalg.det(rep.transform.rotation)) == branch
+    line = Configuration([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0], [4.0, 0.0]])
+    q = Configuration(rng.uniform(-2.0, 2.0, size=(4, 2)))
+    assert np.linalg.det(shape_class_membership(line, q).transform.rotation) > 0
+    assert _procrustes(line, q)[2] == 1.0
 
 
 def test_shape_class_coincident_reference():
