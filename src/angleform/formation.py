@@ -198,8 +198,8 @@ class FormationSpec:
         self.target = target
         self.angle_set = angle_set
         self.maneuver = maneuver
-        # 0-based arrays for the kernels
-        self._tri = angle_set.as_array()
+        # 0-based arrays for the kernels; _tri is the angle set's own store
+        self._tri = angle_set.triple_array
         self.target_cosines = angle_cosines(target, self._tri)
         if maneuver is not None:
             self._lead = (

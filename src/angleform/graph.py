@@ -47,17 +47,23 @@ def _in_sorted(hay: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _label_rows(rows, width: int) -> np.ndarray:
     """rows as a (len(rows), width) int64 array, or an object array where
     a label is past int64 (it is out of range for the caller's refusal);
-    ValueError naming the first label that is not an integer."""
+    ValueError naming the first row that is not `width` labels or label
+    that is not an integer."""
     if not isinstance(rows, (list, tuple, np.ndarray)):
         rows = list(rows)  # a set or an iterator
-    a = np.asarray(rows)
-    if a.dtype.kind in "bi":  # every label an int within int64 (or a bool)
-        return a.astype(np.int64, copy=False).reshape(len(rows), width)
-    # a float or a string, or an int past int64 (read as float, uint64 or
-    # object): check the labels one by one
+    try:
+        a = np.asarray(rows)
+    except ValueError:  # rows of unequal lengths
+        a = np.empty(0)
+    if a.dtype.kind in "bi" and a.shape == (len(rows), width):
+        return a.astype(np.int64, copy=False)  # every label an int64 (or a bool)
+    # a float or a string, an int past int64 (read as float, uint64 or
+    # object), or a row of another length: check the rows one by one
     if isinstance(rows, np.ndarray):
         rows = rows.tolist()
     for row in rows:
+        if not isinstance(row, (list, tuple, np.ndarray)) or len(row) != width:
+            raise ValueError(f"row {row!r} is not {width} labels")
         for v in row:
             if not isinstance(v, (int, np.integer)):
                 raise ValueError(f"label {v!r} is not an integer")
@@ -71,14 +77,17 @@ def _label_rows(rows, width: int) -> np.ndarray:
 class Graph:
     """Immutable undirected graph on vertices 1..n. Graph(n, edges) takes
     any 1-based edge list: it orders each edge's endpoints i < j, sorts
-    the edges and drops repeats. It refuses a label that is not an
-    integer, then a self-loop (the first in input order), then n < 1,
-    then an edge outside 1..n (the first in sorted order)."""
+    the edges and drops repeats. It refuses an n that is not an integer
+    (a bool included), then a row that is not a pair or a label that is
+    not an integer, then a self-loop (the first in input order), then
+    n < 1, then an edge outside 1..n (the first in sorted order)."""
 
     n: int
     edge_array: np.ndarray  # (m, 2) int64, 0-based, read-only: the one store
 
     def __init__(self, n: int, edges=()):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"n={n!r} is not an integer")
         lo, hi = np.sort(_label_rows(edges, 2), axis=1).T
         if (lo == hi).any():
             raise ValueError(f"self-loop at vertex {lo[np.argmax(lo == hi)]}")

@@ -15,6 +15,10 @@ Five constructors:
   bearing rigid, which in the plane is equivalent to infinitesimal angle
   rigidity under the full angle set, and costs one SVD of an m x 2n
   matrix instead of one of the full set's sum C(deg, 2) x 2n.
+
+Each hands its triples to AngleIndexSet, which canonicalizes them into
+its one (w, 3) int64 store; triangle_formation_set hands over its
+triangles as the int64 blocks rigidity._triangles yields.
 """
 
 from itertools import combinations
@@ -67,13 +71,12 @@ def triangle_formation_set(g: Graph) -> AngleIndexSet:
     lower bound on its size, unlisted.
     """
     what = "angle source 'triangle_formation' angle rigidity matrix"
-    count, blocks = 0, []
+    count, blocks = 0, [np.empty((0, 3), dtype=np.int64)]
     for block in _triangles(g):
         count += len(block)
         check_matrix_size(what, 2 * count, 2 * g.n, least=True)
-        blocks.append(block)
-    rows = (row for block in blocks for row in block.tolist())
-    return AngleIndexSet([t for row in rows for t in _two_apex(*row)])
+        blocks += block, block[:, [1, 0, 2]]  # apexes at a and at b
+    return AngleIndexSet(np.concatenate(blocks))
 
 
 def laman_minimal_set(construction: LamanConstruction) -> AngleIndexSet:

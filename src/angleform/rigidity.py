@@ -12,13 +12,17 @@ plane. Three flavors of rigidity are covered:
 
 Bearings follow the convention g_ij = (p_i - p_j) / |p_i - p_j|, the unit
 vector pointing from j toward i.
+
+A Configuration is one read-only (n, 2) float array, Configuration.pts.
+An AngleIndexSet is one read-only (w, 3) int64 array of 0-based triples,
+AngleIndexSet.triple_array, which the angle rigidity function and
+matrix, validate_for and jacobian_spectrum read without a copy.
 """
 
 import ctypes
 import mmap
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -62,6 +66,7 @@ MAPPED_BYTES = 2 << 20
 SVD_THREADS = 2
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class Configuration:
     """Immutable set of n labeled points in the plane (labels 1..n).
 
@@ -69,7 +74,7 @@ class Configuration:
     interleaves coordinates as (x1, y1, x2, y2, ...).
     """
 
-    __slots__ = ("pts",)
+    pts: np.ndarray  # (n, 2) float, read-only: the one store
 
     def __init__(self, pts):
         arr = np.array(pts, dtype=float)
@@ -81,9 +86,6 @@ class Configuration:
             raise ValueError("coordinates must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "pts", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Configuration is immutable")
 
     @property
     def n(self) -> int:
@@ -115,7 +117,7 @@ class Configuration:
         return f"Configuration(n={self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class AngleIndexSet:
     """An ordered family of angle triples (apex, j, k) with j < k.
 
@@ -123,36 +125,43 @@ class AngleIndexSet:
     (i, j) and (i, k). AngleIndexSet(triples) takes any triples: it
     orders each triple's wings j < k, sorts the triples lexicographically
     and drops repeats. It refuses a label that is not an integer, then,
-    at the first bad triple in that order, a label below 1
+    at the first bad triple in that order, a label below 1 or past int64
     (VertexOutOfRange) before a repeated vertex (ValueError).
     """
 
-    triples: tuple  # tuple of (i, j, k)
+    triple_array: np.ndarray  # (w, 3) int64, 0-based, read-only: the one store
 
-    def __post_init__(self):
-        t = _label_rows(self.triples, 3)
+    def __init__(self, triples=()):
+        t = _label_rows(triples, 3)
         t = np.column_stack([t[:, 0], np.sort(t[:, 1:], axis=1)])  # wings j < k
         t = t[np.lexsort(t.T[::-1])]  # sorted by i, then j, then k
         keep = np.ones(len(t), dtype=bool)
         keep[1:] = (t[1:] != t[:-1]).any(axis=1)  # drop each repeat of the one before
         t = t[keep]
-        low = (t < 1).any(axis=1)
-        bad = low | (t[:, 0] == t[:, 1]) | (t[:, 0] == t[:, 2]) | (t[:, 1] == t[:, 2])
+        out = ((t < 1) | (t > np.iinfo(np.int64).max)).any(axis=1)
+        bad = out | (t[:, [0, 0, 1]] == t[:, [1, 2, 2]]).any(axis=1)
         if bad.any():
             r = int(np.argmax(bad))
             triple = tuple(t[r].tolist())
-            if low[r]:
-                raise VertexOutOfRange(f"triple {triple} has a vertex label below 1")
+            if out[r]:
+                side = "below 1" if min(triple) < 1 else "past int64"
+                raise VertexOutOfRange(f"triple {triple} has a vertex label {side}")
             raise ValueError(f"triple {triple} repeats a vertex")
-        object.__setattr__(self, "triples", tuple(map(tuple, t.tolist())))
+        t = t - 1  # int64: a label past it was refused
+        t.setflags(write=False)
+        object.__setattr__(self, "triple_array", t)
+
+    @property
+    def triples(self) -> tuple:
+        """The triples as 1-based tuples, made from triple_array on each read."""
+        return tuple(map(tuple, (self.triple_array + 1).tolist()))
 
     def __len__(self):
-        return len(self.triples)
+        return len(self.triple_array)
 
-    def as_array(self) -> np.ndarray:
-        """(w, 3) int64 array of 0-based vertex indices."""
-        flat = chain.from_iterable(self.triples)  # np.asarray of tuples is slower
-        return np.fromiter(flat, np.int64, 3 * len(self)).reshape(-1, 3) - 1
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AngleIndexSet)
+                and np.array_equal(self.triple_array, other.triple_array))
 
     def validate_for(self, g: Graph) -> None:
         """Require both edges of every triple to exist in g.
@@ -164,21 +173,18 @@ class AngleIndexSet:
         """
         if self.__dict__.get("_checked_for") is not g:
             self._check(g)
-            object.__setattr__(self, "_checked_for", g)  # no field: eq, hash keep
+            object.__setattr__(self, "_checked_for", g)  # no field: eq, repr skip it
 
     def _check(self, g: Graph) -> None:
         """validate_for's check, vectorized over the triples."""
-        try:
-            tri = self.as_array()
-        except OverflowError:  # a label past int64 is out of range anyway
-            tri = np.array([[min(v, g.n + 1) for v in t] for t in self.triples]) - 1
+        tri = self.triple_array
         out = tri.max(axis=1) >= g.n
         # each wing's edge (apex, wing) by its key among g's arcs
         has = _in_sorted(g.arcs.keys, tri[:, :1] * g.n + tri[:, 1:])
         bad = np.flatnonzero(out | ~has.all(axis=1))
         if bad.size:
             t = bad[0]
-            i, j, k = self.triples[t]
+            i, j, k = (tri[t] + 1).tolist()
             if out[t]:
                 raise VertexOutOfRange(f"triple {(i, j, k)} outside 1..{g.n}")
             other = j if not has[t, 0] else k
@@ -321,7 +327,7 @@ def angle_rigidity_function(
     collinear triples.
     """
     T.validate_for(g)
-    return angle_cosines(p, T.as_array())
+    return angle_cosines(p, T.triple_array)
 
 
 def angle_cosines(p: Configuration, tri: np.ndarray) -> np.ndarray:
@@ -379,10 +385,9 @@ def angle_rigidity_matrix(
     """
     check_matrix_size("angle rigidity matrix", len(T), 2 * g.n)
     T.validate_for(g)
-    tri = T.as_array()
-    _, qj, qk = _angle_terms(p.pts, tri)
+    _, qj, qk = _angle_terms(p.pts, T.triple_array)
     _bearing_terms(p, *g.edge_array.T)
-    return _block_rows(g.n, tri.T, (qj + qk, -qj, -qk))
+    return _block_rows(g.n, T.triple_array.T, (qj + qk, -qj, -qk))
 
 
 def trivial_motion_basis(p: Configuration) -> np.ndarray:
@@ -649,7 +654,7 @@ def jacobian_spectrum(
     them to 1e-9 (else NotAnEquilibrium); without it, p_eq is taken as its
     own reference and the linearization is exact at p_eq by construction.
     """
-    tri = T.as_array()
+    tri = T.triple_array
     if tri.size and tri.max() >= p_eq.n:
         raise VertexOutOfRange(f"angle set reaches outside 1..{p_eq.n}")
     cos, qj, qk = _angle_terms(p_eq.pts, tri)

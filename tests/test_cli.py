@@ -700,7 +700,7 @@ def _twice(block, key_value):
         (
             _explicit([1, 2, 2**63 + 5]),
             2,
-            f"angles.triples: triple (1, 2, {2**63 + 5}) outside 1..5",
+            f"angles.triples: triple (1, 2, {2**63 + 5}) has a vertex label past int64",
         ),
         (_explicit([2, 1, 4]), 2, "angles.triples: triple (2, 1, 4) needs edge (2, 4)"),
     ],

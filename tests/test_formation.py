@@ -47,6 +47,12 @@ def test_spec_defaults(fan5, pentagon, spec):
     assert spec.target_cosines.shape == (6,)
 
 
+def test_spec_shares_the_angle_set_store(fan5, pentagon):
+    """The kernels read the angle set's own read-only array, not a copy."""
+    T = triangle_formation_set(fan5)
+    assert FormationSpec(fan5, pentagon, T)._tri is T.triple_array
+
+
 def test_spec_validation(fan5, pentagon):
     with pytest.raises(ValidationError):
         FormationSpec(fan5, Configuration([[0.0, 0.0], [1.0, 0.0]]))

@@ -75,6 +75,29 @@ def test_graph_refuses_labels_that_are_not_integers(edges, label):
         Graph(3, edges)
 
 
+@pytest.mark.parametrize(
+    "edges,row",
+    [
+        ([(1, 2, 3)], "(1, 2, 3)"),
+        ([(1, 2), (2, 3, 1), (3,)], "(2, 3, 1)"),
+        ([(1, 2), "12"], "'12'"),
+        ([1, 2], "1"),
+    ],
+    ids=["triple", "ragged", "string", "flat"],
+)
+def test_graph_refuses_a_row_that_is_not_a_pair(edges, row):
+    with pytest.raises(ValueError, match=f"^row {re.escape(row)} is not 2 labels$"):
+        Graph(3, edges)
+
+
+@pytest.mark.parametrize("n", [3.5, 3.0, True, "3", None])
+def test_graph_refuses_an_n_that_is_not_an_integer(n):
+    """A float or a string n is refused by name, not by numpy's
+    UFuncTypeError, and a bool n builds no graph."""
+    with pytest.raises(ValueError, match=f"^n={re.escape(repr(n))} is not an integer$"):
+        Graph(n, [(1, 2)])
+
+
 def _outcome(edges_of, n, edges):
     try:
         return edges_of(n, edges)

@@ -292,11 +292,11 @@ def test_index_sets_validate_against_graph(fan5, pentagon):
 
 
 def test_triangle_set_is_refused_before_it_is_listed(monkeypatch):
-    def listing(a, b, c):
+    def listing(triples):
         raise AssertionError("the triples were listed")
 
     k6 = Graph(6, [(i, j) for i in range(1, 7) for j in range(i + 1, 7)])
-    monkeypatch.setattr(index_sets, "_two_apex", listing)
+    monkeypatch.setattr(index_sets, "AngleIndexSet", listing)
     # 20 triangles: 40 triples x 12 columns
     monkeypatch.setattr(rigidity, "MAX_MATRIX_ENTRIES", 479)
     with pytest.raises(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import mmap
 import os
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from angleform.errors import (
     CoincidentPoints,
@@ -83,6 +86,10 @@ def test_configuration_immutable():
     p = Configuration([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         p.pts[0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        p.pts = np.zeros((2, 2))
+    assert [f.name for f in dataclasses.fields(p)] == ["pts"]
+    assert repr(p) == "Configuration(n=2)"
 
 
 def test_regular_polygon():
@@ -98,9 +105,50 @@ def test_angle_index_set_canonicalization():
     T = AngleIndexSet([(2, 3, 1), (2, 1, 3), (1, 3, 2)])
     assert T.triples == ((1, 2, 3), (2, 1, 3))
     assert len(T) == 2
-    arr = T.as_array()
+    arr = T.triple_array
     assert arr.dtype == np.int64
+    assert [f.name for f in dataclasses.fields(T)] == ["triple_array"]
     assert np.array_equal(arr, [[0, 1, 2], [1, 0, 2]])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(*[st.integers(1, 7)] * 3).filter(lambda t: len(set(t)) == 3),
+                     max_size=12))
+@example(rows=[])
+def test_triple_array_is_the_one_store(rows):
+    """The set is its read-only 0-based (w, 3) int64 array: the 1-based
+    triples are read from it and build the same set again."""
+    T = AngleIndexSet(rows)
+    assert AngleIndexSet(T.triples) == T
+    a = T.triple_array
+    assert a.dtype == np.int64 and a.shape == (len(T), 3)
+    assert np.array_equal(a, np.array(T.triples, dtype=np.int64).reshape(-1, 3) - 1)
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
+
+
+@pytest.mark.parametrize(
+    "triples", [[(1, 2)], [(1, 2, 3), (1, 2, 3, 4)]], ids=["pair", "ragged"]
+)
+def test_angle_index_set_refuses_a_row_that_is_not_a_triple(triples):
+    with pytest.raises(ValueError, match=r"^row \(1, 2(, 3, 4)?\) is not 3 labels$"):
+        AngleIndexSet(triples)
+
+
+def test_angle_index_set_refuses_labels_past_int64():
+    """No int64 store holds a label past int64, so the set refuses it at
+    construction (VertexOutOfRange), naming its canonical triple; at the
+    same triple a label below 1 is named first."""
+    rng = np.random.default_rng(18)
+    for big in (2**63, 2**63 + 5, 10**400):
+        rows = [tuple(int(v) for v in rng.choice(np.arange(1, 8), 3, replace=False))
+                for _ in range(4)]
+        past = rf"^triple \(1, 2, {big}\) has a vertex label past int64$"
+        with pytest.raises(VertexOutOfRange, match=past):
+            AngleIndexSet(rows + [(1, big, 2)])
+    below = r"^triple \(0, 2, 9223372036854775813\) has a vertex label below 1$"
+    with pytest.raises(VertexOutOfRange, match=below):
+        AngleIndexSet([(0, 2**63 + 5, 2)])
 
 
 def test_angle_index_set_validation():
@@ -149,8 +197,6 @@ def test_validate_for_raises_as_the_scalar_check():
             top = n + (2 if trial % 3 == 0 else 0)
             rows.append(tuple(int(v) for v in rng.choice(np.arange(1, top + 1), 3,
                                                          replace=False)))
-        if trial % 50 == 0:
-            rows.append((1, 2, 2**63 + 5))  # a label no int64 holds
         T = AngleIndexSet(rows)
         want = _outcome(scalar_validate_for, T, g)
         assert _outcome(AngleIndexSet.validate_for, T, g) == want, (g, T)
@@ -914,6 +960,12 @@ def resident():
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * resource.getpagesize()
 
+def peak():
+    # this process image's own high-water mark (KiB): ru_maxrss would
+    # start at the resident size of the process that started this one
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
 rng = np.random.default_rng(5)
 rounds = []
 for n in (300, 600):
@@ -921,14 +973,14 @@ for n in (300, 600):
     rounds.append((build_laman(c), laman_minimal_set(c), generic_points(rng, n)))
 numerical_rank(np.eye(2))  # resolves the LAPACK routine
 start = resident()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak()
 for g, T, p in rounds:
     is_infinitesimally_distance_rigid(g, p)
     is_infinitesimally_bearing_rigid(g, p)
     is_infinitesimally_angle_rigid(g, p, T)
     if g.n == 300:
         print((resident() - start) / (g.m * 2 * g.n * 8))
-rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+rise = peak() - before
 print(rise * 1024 / (g.m * 2 * g.n * 8))
 """
 
