@@ -19,22 +19,21 @@
    gtab + 4 * code. Two sides share a 2-lane vector in the edge pass,
    and the x and y lanes of a triple's terms share one in its loop.
    cost_out gets the full cost and then V_F, the triple sum before the
-   leader term, eval_control's second and fourth values. When a
-   triple's side is under edge_eps the evaluation fails with u = 0 and
-   both 0.0, as _control_np does. The edge pass
-   makes that test, once per side: every side in the table is a side of
-   some triple, so some table side is short exactly when some triple's
-   is, and the triple loop runs only when none is.
+   leader term, eval_control's second and fourth values. The edge pass
+   is the evaluation's one collapse test: when a record it is given is
+   under edge_eps, the evaluation fails with u = 0 and both 0.0, as
+   _control_np does, and the triple loop does not run.
 
-   af_integrate also tests, before each step, the graph edges it is
-   given. The caller passes only the edges that no side covers
-   (_kernels._uncovered): a covered edge under edge_eps fails that
-   step's first evaluation, which stops the run with the same status at
-   the same time. The edge test and that first evaluation share one
-   STATUS_COINCIDENT exit, before the convergence test; the three later
-   stages run as one loop over the coefficients h/2, h/2 and h, with one
-   exit after it. af_integrate returns the status and writes n_rec and
-   t_stop: with table and vf, the fields of _kernels.Run.
+   It is af_integrate's one test of the graph's edges too. The caller
+   appends to sides the m edges no triple side covers
+   (_kernels._uncovered), records that no code entry reads, and each
+   step's first evaluation passes over all k + m: an uncovered edge
+   under edge_eps fails it at the step's start, where the numpy
+   reference tests every edge. The three later stages (one loop over
+   h/2, h/2 and h, with one STATUS_COINCIDENT exit after it) and the
+   final-state evaluation pass over the k sides only. af_integrate
+   returns the status and writes n_rec and t_stop: with table and vf,
+   the fields of _kernels.Run.
 
    The reference computes both sides of each triple itself, and yet the
    table changes no result bit. Packed IEEE operations round each lane
@@ -50,7 +49,7 @@
    The caller allocates every array. table, zeroed, gets one row t, p1x,
    p1y, ..., pnx, pny per snapshot. work holds 6 * 2n doubles, the
    current position, the four RK4 stages and the stage position, and
-   after them the 8 * k doubles of the side table. */
+   after them the 8 * (k + m) doubles of the side table. */
 
 #include <math.h>
 #include <stdint.h>
@@ -175,12 +174,11 @@ static int64_t put_row(double *table, int64_t r, double t, const double *pos,
 
 int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
                  const int64_t *code, int64_t k, const int64_t *sides,
-                 const double *cstar, int64_t m, const int64_t *edges,
-                 double h, int64_t n_steps, int64_t record_every,
-                 int64_t lead_a, int64_t lead_b, double dsx, double dsy,
-                 double blowup_limit, double edge_eps, double cost_tol,
-                 double grad_tol, double *table, double *vf, double *work,
-                 int64_t *n_rec_out, double *t_stop_out)
+                 const double *cstar, int64_t m, double h, int64_t n_steps,
+                 int64_t record_every, int64_t lead_a, int64_t lead_b,
+                 double dsx, double dsy, double blowup_limit, double edge_eps,
+                 double cost_tol, double grad_tol, double *table, double *vf,
+                 double *work, int64_t *n_rec_out, double *t_stop_out)
 {
     const int64_t d2 = 2 * n;
     double *pos = work, *k1 = work + d2, *k2 = work + 2 * d2;
@@ -195,16 +193,8 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
     int64_t n_rec = put_row(table, 0, 0.0, pos, d2);
     for (int64_t step = 0; step < n_steps; step++) {
         double t = step * h;
-        int collapsed = 0;
-        for (int64_t r = 0; r < m; r++) {
-            double dx = pos[2 * edges[2 * r]] - pos[2 * edges[2 * r + 1]];
-            double dy = pos[2 * edges[2 * r] + 1] - pos[2 * edges[2 * r + 1] + 1];
-            if (sqrt(dx * dx + dy * dy) < edge_eps)
-                collapsed = 1;
-        }
-        if (collapsed || !af_control(n, pos, w, tri, code, k, sides, cstar,
-                                     lead_a, lead_b, dsx, dsy, edge_eps, gtab,
-                                     k1, cost)) {
+        if (!af_control(n, pos, w, tri, code, k + m, sides, cstar, lead_a,
+                        lead_b, dsx, dsy, edge_eps, gtab, k1, cost)) {
             status = STATUS_COINCIDENT;
             t_stop = t;
             break;
@@ -250,9 +240,8 @@ int af_integrate(int64_t n, const double *pos0, int64_t w, const int64_t *tri,
             n_rec = put_row(table, n_rec, (step + 1) * h, pos, d2);
     }
     if (status == STATUS_RAN || status == STATUS_CONVERGED) {
-        double t_end = status == STATUS_CONVERGED ? t_stop : n_steps * h;
-        if (table[(n_rec - 1) * (1 + d2)] < t_end)
-            n_rec = put_row(table, n_rec, t_end, pos, d2);
+        if (table[(n_rec - 1) * (1 + d2)] < t_stop)
+            n_rec = put_row(table, n_rec, t_stop, pos, d2);
         /* a converged run's last k1 was at its final state */
         if (status == STATUS_RAN)
             af_control(n, pos, w, tri, code, k, sides, cstar, lead_a, lead_b,
@@ -312,7 +301,8 @@ static inline uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
 
 /* the shortest digits of the finite nonzero double with fraction bits
    frac and biased exponent expo, as an integer; *e10 gets their power
-   of ten. Ryu's d2d, step for step. */
+   of ten. Ryu's d2d, with one digit-removal loop: its common-case loop
+   is this one with vm_zeros and vr_zeros both 0, and gives the same. */
 static uint64_t shortest(uint64_t frac, uint32_t expo, const uint64_t *pow5,
                          int32_t *e10)
 {
@@ -363,40 +353,27 @@ static uint64_t shortest(uint64_t frac, uint32_t expo, const uint64_t *pow5,
 
     /* drop digits while the interval [vm, vp] still holds a shorter one */
     int32_t removed = 0;
-    uint64_t out;
-    if (vm_zeros || vr_zeros) {
-        uint32_t last = 0;
-        for (; vp / 10 > vm / 10; removed++) {
-            vm_zeros &= vm % 10 == 0;
+    uint32_t last = 0;
+    for (; vp / 10 > vm / 10; removed++) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = (uint32_t)(vr % 10);
+        vr /= 10;
+        vp /= 10;
+        vm /= 10;
+    }
+    if (vm_zeros)
+        for (; vm % 10 == 0; removed++) {
             vr_zeros &= last == 0;
             last = (uint32_t)(vr % 10);
             vr /= 10;
             vp /= 10;
             vm /= 10;
         }
-        if (vm_zeros)
-            for (; vm % 10 == 0; removed++) {
-                vr_zeros &= last == 0;
-                last = (uint32_t)(vr % 10);
-                vr /= 10;
-                vp /= 10;
-                vm /= 10;
-            }
-        if (vr_zeros && last == 5 && vr % 2 == 0)
-            last = 4;  /* an exact tie rounds to even */
-        out = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
-    } else {
-        int round_up = 0;
-        for (; vp / 10 > vm / 10; removed++) {
-            round_up = vr % 10 >= 5;
-            vr /= 10;
-            vp /= 10;
-            vm /= 10;
-        }
-        out = vr + (vr == vm || round_up);
-    }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4;  /* an exact tie rounds to even */
     *e10 += removed;
-    return out;
+    return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
 }
 
 /* "00" to "99", the two digits of each value below 100 */

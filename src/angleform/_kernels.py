@@ -32,7 +32,7 @@ numpy (_side_table): the triples' unique sides, and per triple which
 side it uses in which direction. The pass runs two sides per 2-lane
 vector and the triple loop runs x and y as one, and the results stay
 bit for bit those of _control_np (_kernels.c says why). The pass also
-makes the evaluation's one collapse test, once per side.
+makes the one collapse test of an evaluation and of an RK4 step.
 
 Kernel contract
 ---------------
@@ -62,11 +62,11 @@ integrate(pos0, tri, cstar, edges, h, n_steps, record_every, lead_a,
     collapsed under edge_eps); and the time the run stopped. status and
     t_stop stay at positions 3 and 4 (perfbench/spans.py reads them);
     new fields go last. Each step has one STATUS_COINCIDENT exit at its
-    start (the edge test or k1) and one after its three later stages,
-    one loop over h/2, h/2 and h. The numpy backend tests every graph
-    edge before each step; the C backend only those no triple side
-    covers (_uncovered): a covered edge under edge_eps fails the step's
-    k1 evaluation instead, with the same status and t_stop.
+    start (k1 and the graph's edges) and one after its three later
+    stages, one loop over h/2, h/2 and h. The numpy backend tests every
+    graph edge after k1; the C backend's k1 edge pass is its one collapse
+    test, given the edges no triple side covers (_uncovered) as extra
+    records, so a short edge stops it with the same status and t_stop.
 
 write_rows(stream, table)
     Writes the (rows, cols) float64 table to the binary stream as ASCII
@@ -204,9 +204,8 @@ def _integrate_np(
             table[n_rec, 0], table[n_rec, 1:] = (step + 1) * h, pos.ravel()
             n_rec += 1
     if status in (STATUS_RAN, STATUS_CONVERGED):
-        t_end = t_stop if status == STATUS_CONVERGED else n_steps * h
-        if table[n_rec - 1, 0] < t_end:
-            table[n_rec, 0], table[n_rec, 1:] = t_end, pos.ravel()
+        if table[n_rec - 1, 0] < t_stop:
+            table[n_rec, 0], table[n_rec, 1:] = t_stop, pos.ravel()
             n_rec += 1
         # a converged run evaluated its final state in the last k1
         if status == STATUS_RAN:
@@ -434,9 +433,9 @@ def make_c_backend() -> Backend:
     flow = lib.af_integrate
     flow.restype = ctypes.c_int
     flow.argtypes = [
-        _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _ptr, _int, _ptr, _dbl,
-        _int, _int, _int, _int, _dbl, _dbl, _dbl, _dbl, _dbl, _dbl, _ptr,
-        _ptr, _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
+        _int, _ptr, _int, _ptr, _ptr, _int, _ptr, _ptr, _int, _dbl, _int,
+        _int, _int, _int, _dbl, _dbl, _dbl, _dbl, _dbl, _dbl, _ptr, _ptr,
+        _ptr, ctypes.POINTER(_int), ctypes.POINTER(_dbl),
     ]
     format_rows = lib.af_format_rows
     format_rows.restype = _int
@@ -461,20 +460,20 @@ def make_c_backend() -> Backend:
         pos0, tri, cstar, edges, sides, code = _c_args(
             pos0, tri, cstar, lead_a, lead_b, edges
         )
-        n = pos0.shape[0]
-        edges = _uncovered(edges, sides, n)
+        n, k = pos0.shape[0], sides.shape[0]
+        # the edges no side covers, as records after the k sides
+        sides = np.concatenate([sides, _uncovered(edges, sides, n)])
         table, vf = _records(n, n_steps, record_every)
         work = np.empty(12 * n + 8 * sides.shape[0])
         n_rec = _int()
         t_stop = _dbl()
         status = flow(
             n, pos0.ctypes.data, tri.shape[0], tri.ctypes.data,
-            code.ctypes.data, sides.shape[0], sides.ctypes.data,
-            cstar.ctypes.data, edges.shape[0], edges.ctypes.data, h,
-            int(n_steps), int(record_every), int(lead_a), int(lead_b), dsx,
-            dsy, blowup_limit, edge_eps, cost_tol, grad_tol,
-            table.ctypes.data, vf.ctypes.data, work.ctypes.data,
-            ctypes.byref(n_rec), ctypes.byref(t_stop),
+            code.ctypes.data, k, sides.ctypes.data, cstar.ctypes.data,
+            sides.shape[0] - k, h, int(n_steps), int(record_every),
+            int(lead_a), int(lead_b), dsx, dsy, blowup_limit, edge_eps,
+            cost_tol, grad_tol, table.ctypes.data, vf.ctypes.data,
+            work.ctypes.data, ctypes.byref(n_rec), ctypes.byref(t_stop),
         )
         return Run(table, vf, n_rec.value, status, t_stop.value)
 

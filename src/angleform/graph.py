@@ -123,6 +123,9 @@ class Graph:
         return (isinstance(other, Graph) and self.n == other.n
                 and np.array_equal(self.edge_array, other.edge_array))
 
+    def __repr__(self):
+        return f"Graph(n={self.n}, m={self.m})"
+
     # derived from edge_array (cached_property bypasses frozen)
     @cached_property
     def arcs(self) -> Arcs:

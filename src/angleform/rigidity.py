@@ -163,6 +163,9 @@ class AngleIndexSet:
         return (isinstance(other, AngleIndexSet)
                 and np.array_equal(self.triple_array, other.triple_array))
 
+    def __repr__(self):
+        return f"AngleIndexSet(w={len(self)})"
+
     def validate_for(self, g: Graph) -> None:
         """Require both edges of every triple to exist in g.
 

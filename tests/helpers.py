@@ -15,6 +15,15 @@ from angleform.rigidity import (
     is_strongly_nondegenerate,
 )
 
+# the source of peak(), a child process's own high-water mark in KiB:
+# its ru_maxrss would start at the resident size of the process that
+# started it
+PEAK = """
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+"""
+
 # the random-framework generators live in the library, which runs them
 # without pytest; the tests import them from here
 from angleform.selftest import (  # noqa: F401

@@ -24,7 +24,7 @@ from angleform.geometry import angle_terms
 from angleform.graph import Graph, build_laman
 from angleform.index_sets import laman_minimal_set
 from angleform.rigidity import AngleIndexSet, Configuration
-from helpers import nondegenerate_points, random_construction
+from helpers import PEAK, nondegenerate_points, random_construction
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -111,6 +111,7 @@ def test_load_scenario_points(tmp_path):
         ),
         (lambda d: d["angles"].update(source="bogus"), "bogus"),
         (lambda d: d["angles"].update(triples=[[1, 2, 3]]), "explicit"),
+        (lambda d: d["angles"].update(source="explicit"), "missing field 'triples'"),
         (
             lambda d: d["configuration"]["generator"].update(kind="spiral"),
             "spiral",
@@ -510,6 +511,26 @@ def _twice(block, key_value):
     return lambda doc: json.dumps(doc).replace(head, f"{head}{key_value}, ", 1)
 
 
+def _directory(doc):
+    """A mutation that leaves no file to read: the test calls the
+    function it returns on the scenario path, which makes it a directory."""
+
+    def remake(path):
+        path.unlink()
+        path.mkdir()
+
+    return remake
+
+
+def _two_agents(doc):
+    """The one edge (1, 2) under Algorithm 1, which finds no angle at
+    vertex 1."""
+    doc.pop("construction")
+    doc["graph"] = {"n": 2, "edges": [[1, 2]]}
+    doc["configuration"]["generator"]["n"] = 2
+    doc["angles"] = {"source": "algorithm1"}
+
+
 @pytest.mark.parametrize(
     "mutate,code,needle",
     [
@@ -703,6 +724,15 @@ def _twice(block, key_value):
             f"angles.triples: triple (1, 2, {2**63 + 5}) has a vertex label past int64",
         ),
         (_explicit([2, 1, 4]), 2, "angles.triples: triple (2, 1, 4) needs edge (2, 4)"),
+        (lambda doc: "[1, 2]", 4, "s.json: top level must be an object"),
+        (_directory, 4, "cannot read scenario "),
+        (_set(("graph", "n"), 0), 2, "graph.n: must be positive, got 0"),
+        (
+            _set(("integrator", "record_stride"), 1e-4),
+            2,
+            "integrator: record_stride must be at least h",
+        ),
+        (_two_agents, 3, "numerical failure: vertex 1 has fewer than two neighbors"),
     ],
     ids=[
         "float-edge",
@@ -749,6 +779,11 @@ def _twice(block, key_value):
         "triple-repeats-a-vertex",
         "triple-past-int64",
         "triple-on-a-non-edge",
+        "top-level-array",
+        "scenario-a-directory",
+        "zero-n",
+        "stride-under-h",
+        "algorithm1-on-one-edge",
     ],
 )
 def test_main_rejects_mistyped_scenario_fields(
@@ -759,6 +794,8 @@ def test_main_rejects_mistyped_scenario_fields(
     sc = _write(tmp_path, doc)
     if isinstance(text, str):  # the file text of a _twice mutation
         sc.write_text(text)
+    elif text is not None:  # _directory's remake
+        text(sc)
     for verb in ("analyze", "indexset", "simulate"):
         argv = [verb, "--scenario", str(sc), "--out", str(tmp_path / verb)]
         assert cli.main(argv) == code
@@ -1533,20 +1570,32 @@ def test_triangle_set_of_a_complete_graph_is_refused(tmp_path, capsys, verb):
     assert elapsed < 2.0
 
 
+# runs the CLI as python -m angleform does, then prints its peak to stderr
+PEAK_CLI = PEAK + """
+import runpy, sys
+try:
+    runpy.run_module("angleform", run_name="__main__", alter_sys=True)
+finally:
+    print(peak(), file=sys.stderr)
+"""
+
+
+def _cli_peak(*argv):
+    """(exit code, stdout, peak RSS in KiB) of the CLI run in a child."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", PEAK_CLI, *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, int(proc.stderr.split()[-1])
+
+
 def test_triangle_set_refusal_lists_no_triangles(tmp_path):
     """The refusal comes at the first blocks over the cap, before the
     list: the refusing process stays small."""
     sc = _write(tmp_path, _complete_graph_doc(250))
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "angleform", "analyze", "--scenario", str(sc),
-         "--out", str(tmp_path / "o")],
-        stdout=subprocess.PIPE, text=True, env=env,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
-    assert os.waitstatus_to_exitcode(status) == 2
-    assert proc.stdout.read() == K250_REFUSAL
-    assert usage.ru_maxrss < 300 * 1024  # KiB; listing the set took 645 MB
+    code, out, peak = _cli_peak("analyze", "--scenario", sc, "--out", tmp_path / "o")
+    assert code == 2
+    assert out == K250_REFUSAL
+    assert peak < 300 * 1024  # KiB; listing the set took 645 MB
 
 
 def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
@@ -1558,23 +1607,17 @@ def test_simulate_series_of_a_dense_graph_stay_small(tmp_path):
     doc["configuration"]["perturbation"] = {"amplitude": 0.01, "seed": 3}
     doc["integrator"] = {"t_final": 0.05, "record_stride": 1e-3}
     sc = _write(tmp_path, doc)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "angleform", "simulate", "--scenario", str(sc),
-         "--out", str(tmp_path / "o")],
-        stdout=subprocess.DEVNULL, env=env,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)  # this child's own peak RSS
-    assert os.waitstatus_to_exitcode(status) == 0
+    code, _, peak = _cli_peak("simulate", "--scenario", sc, "--out", tmp_path / "o")
+    assert code == 0
     assert "samples=51\n" in (tmp_path / "o" / "report.txt").read_text()
-    assert usage.ru_maxrss < 300 * 1024  # KiB
+    assert peak < 300 * 1024  # KiB
 
 
 # a run at the MAX_RECORDED_POINTS cap (room for 40 000 samples of 50
 # agents, 39 999 recorded) and its trajectory.csv; prints the growth of
 # the peak RSS and the size of the recorded table, both in KiB, and the
 # sample count
-NEAR_CAP = """
+NEAR_CAP = PEAK + """
 import os
 from angleform import cli
 from angleform.formation import FormationSpec, IntegratorConfig, PerturbationSpec, simulate
@@ -1593,12 +1636,6 @@ def run(t_final):
     with open(os.devnull, "wb") as fh:
         cli._trajectory_csv(result, fh)
     return result
-
-def peak():
-    # this process image's own high-water mark: ru_maxrss would start at
-    # the resident size of the process that started this one
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 run(1e-3)  # loads the C library and warms numpy
 before = peak()

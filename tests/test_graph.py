@@ -184,6 +184,7 @@ def test_edge_array_is_the_edges_zero_based_once():
     assert [tuple(r) for r in (e + 1).tolist()] == list(g.edges)
     assert g.edge_array is e
     assert Graph(3, []).edge_array.shape == (0, 2)
+    assert repr(g) == "Graph(n=5, m=7)"  # sizes, not the 0-based store
 
 
 def test_build_laman_fan():
@@ -229,6 +230,10 @@ def test_recognize_rejects_non_laman():
     # cannot end at (1, 2))
     g = Graph(4, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     assert recognize_triangulated_laman(g) is None  # (1, 2) missing
+    # peeling 5 drops 2 to degree 1 after 2 was pushed: its stale heap
+    # entry is skipped, not unpacked as a pair of neighbors
+    g = Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 5), (3, 4), (3, 6), (4, 6)])
+    assert recognize_triangulated_laman(g) is None
     assert recognize_triangulated_laman(
         Graph(2, [(1, 2)])
     ).steps == ()

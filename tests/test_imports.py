@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, and none
 takes a length by hypot; a test starts a process only where a fresh one
-is the point.
+is the point, and none reads ru_maxrss.
 
 No lint tool is a dependency, so this parses the sources with ast. The
 package __init__ is left out of the import check: it imports names to
@@ -55,8 +55,7 @@ STARTS_PROCESSES = {
     "test_cli.py": {
         "forked_calls": "a fresh interpreter",
         "test_record_stride_far_past_t_final": "a possible death by signal",
-        "test_triangle_set_refusal_lists_no_triangles": "the child's own peak RSS",
-        "test_simulate_series_of_a_dense_graph_stay_small": "the child's own peak RSS",
+        "_cli_peak": "the child's own peak RSS",
         "test_near_cap_run_holds_one_table": "the child's own peak RSS",
     },
     "test_kernels.py": {
@@ -93,3 +92,16 @@ def test_processes_start_only_where_a_fresh_one_is_the_point():
                 name = getattr(node, "name", f"line {node.lineno}")
                 found.setdefault(path.name, set()).add(name)
     assert found == {k: set(v) for k, v in STARTS_PROCESSES.items()}
+
+
+def test_no_test_reads_ru_maxrss():
+    """On Linux a child's ru_maxrss starts at the resident size of the
+    process that forked it, so under pytest it can neither show a small
+    peak nor stay under a bound: a test reads VmHWM in the child."""
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "ru_maxrss"
+    ]
+    assert not hits, f"ru_maxrss read at {hits}"

@@ -346,6 +346,10 @@ def test_c_refuses_out_of_range_indices():
         b.integrate(*_integrate_args(spec, pos, lead_a=0, lead_b=7))
     with pytest.raises(ValueError):
         b.integrate(*_integrate_args(spec, pos.ravel()))
+    with pytest.raises(ValueError, match="one target cosine per triple"):
+        b.eval_control(pos, spec._tri, spec.target_cosines[1:], -1, -1, 0.0, 0.0, 1e-9)
+    with pytest.raises(ValueError, match=r"needs a \(rows, cols\) table"):
+        b.write_rows(io.BytesIO(), np.zeros(3))
 
 
 # ---------------------------------------------------------------------
@@ -527,8 +531,9 @@ def test_step_start_evaluation_fails_on_a_triple_side_off_the_graph():
 def test_collapse_parity_on_each_kind_of_pair(pair, when):
     """example2's explicit set leaves its edges (1, 2) and (2, 3)
     uncovered, and no triple moves agent 2. Put agent 2 on agent 1's
-    path, at the start within edge_eps, or two steps ahead: the C
-    sweep must find the uncovered edge (1, 2), and a triple (2, 1, 3)
+    path, at the start within edge_eps, or two steps ahead: a step's
+    first C evaluation must find the uncovered edge (1, 2) among its
+    records after the triple sides, and a triple (2, 1, 3)
     makes the pair a triple side, on the graph or with (1, 2) dropped
     from it. Both backends stop alike."""
     pos, spec = _shipped_spec("example2.json")
@@ -557,12 +562,12 @@ def test_collapse_parity_on_each_kind_of_pair(pair, when):
 @needs_cc
 def test_c_integrate_sweeps_exactly_the_uncovered_edges(monkeypatch):
     """The C wrapper passes af_integrate the graph edges no triple side
-    covers, in either orientation: two of example2's seven, none of a
-    triangle set's."""
+    covers, in either orientation, as the m records after the k triple
+    sides: two of example2's seven, none of a triangle set's."""
     lib, swept = _kernels._load_library(), []
 
     class Spy:
-        """af_integrate, recording the edge rows it is given."""
+        """af_integrate, recording the edge records it is given."""
 
         def __init__(self, fn):
             object.__setattr__(self, "fn", fn)
@@ -571,8 +576,8 @@ def test_c_integrate_sweeps_exactly_the_uncovered_edges(monkeypatch):
             setattr(self.fn, name, value)
 
         def __call__(self, *args):
-            m, at = args[8], args[9]
-            rows = (ctypes.c_int64 * (2 * m)).from_address(at) if m else []
+            k, at, m = args[5], args[6], args[8]
+            rows = (ctypes.c_int64 * (2 * m)).from_address(at + 16 * k) if m else []
             swept.append(np.array(rows, dtype=np.int64).reshape(-1, 2).tolist())
             return self.fn(*args)
 

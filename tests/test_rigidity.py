@@ -50,6 +50,7 @@ from angleform.rigidity import (
     trivial_motion_basis,
 )
 from helpers import (
+    PEAK,
     angle_matrix_product,
     bearing_matrix_product,
     disjoint_union,
@@ -109,6 +110,7 @@ def test_angle_index_set_canonicalization():
     assert arr.dtype == np.int64
     assert [f.name for f in dataclasses.fields(T)] == ["triple_array"]
     assert np.array_equal(arr, [[0, 1, 2], [1, 0, 2]])
+    assert repr(T) == "AngleIndexSet(w=2)"  # its size, not the 0-based store
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -945,7 +947,7 @@ def test_analyze_report_is_independent_of_the_blas_thread_count(tmp_path, capsys
 # the child's resident memory after the three verdicts at n = 300, in
 # n = 300 matrices, and its peak rise over those and the three at
 # n = 600, in n = 600 matrices
-_VERDICT_ROUNDS = """
+_VERDICT_ROUNDS = PEAK + """
 import resource
 import numpy as np
 from angleform.graph import build_laman
@@ -959,12 +961,6 @@ from angleform.selftest import generic_points, random_construction
 def resident():
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * resource.getpagesize()
-
-def peak():
-    # this process image's own high-water mark (KiB): ru_maxrss would
-    # start at the resident size of the process that started this one
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 rng = np.random.default_rng(5)
 rounds = []
